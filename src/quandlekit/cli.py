@@ -84,7 +84,6 @@ def _emit_report(report: AxiomReport, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="quandlekit", description=__doc__)
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="cap on search workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-table", help="validate a table file against a profile")
@@ -210,7 +209,7 @@ def _dispatch(args, fmt: str) -> int:
     if args.command == "color":
         d = resolve_diagram(args.diagram)
         data = resolve_system(args.system)
-        count = count_colourings(d, data, args.mode, jobs=max(1, args.jobs))
+        count = count_colourings(d, data, args.mode)
         if fmt == "json":
             print(json.dumps({"count": count, "mode": args.mode}))
         else:

@@ -1,4 +1,5 @@
-"""Proper colourings of diagrams by the associated quandle of a system.
+"""Proper colourings of diagrams by the associated quandle of a system,
+counted and enumerated as the solutions of one ``solve.Problem``.
 
 Crossing rule: at a positive crossing c(under_out) = c(under_in) . c(over)
 in the associated quandle; at a negative crossing c(under_in) =
@@ -6,17 +7,18 @@ c(under_out) . c(over), realised through the column-inverse (dual) table.
 
 Vertex rule: all incident arcs share one X element x.  With effective
 G elements g^ = g for in-ends and rho_x(g) for out-ends, a vertex of
-valence v is proper when Gamma_{v-1}(g^_1, ..., g^_{v-1}) = rho_x(g^_v),
-the arity-2 composition being (+).
+valence v is proper when Gamma_{v-1}(g^_1, ..., g^_{v-1}) = rho_x(g^_v).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .diagrams import IN, Diagram, validate_diagram
+from .solve import Problem
 from .systems import SystemData, associated_quandle
-from .tables import AxiomReport, ReportBuilder, dual_operation, generated_subalgebra
+from .tables import AxiomReport, ReportBuilder, generated_subalgebra, trivial_quandle
 
 
 @dataclass(frozen=True)
@@ -29,81 +31,72 @@ class Colouring:
         return ctx.assoc.pair_of(self.assignment[arc])
 
 
-class ColouringContext:
-    """Precomputed lookup data shared by verification and counting."""
+class ColouringContext(Problem):
+    """The colouring problem of a diagram by a system, shared by
+    verification and counting: one variable per arc over the associated
+    carrier, a table constraint (under_in, over, under_out) per crossing
+    over the associated table or its dual, with the other as the inverse,
+    and a rule per vertex."""
 
     def __init__(self, d: Diagram, sys: SystemData):
         report = validate_diagram(d)
         if not report.valid:
             raise ValueError(f"invalid diagram: {report.violations[:4]}")
-        self.diagram = d
         self.system = sys
         self.assoc, _ = associated_quandle(sys)
         self.table = self.assoc.table.entries
-        self.dual = dual_operation(self.assoc.table).entries
+        self.dual = self.assoc.table.dual.entries
         self.carrier = self.assoc.table.size
         self.g_size = sys.g_size
-        if d.vertices:
-            if sys.rho is None:
-                raise ValueError("vertex rules require the involution rho")
-            self.oplus = None
-            if self._needs_arity(2):
-                if sys.oplus is not None or sys.group is not None:
-                    self.oplus = sys.eff_oplus().entries
-                else:
-                    flat = sys.gamma_table(2)
-                    if flat is None:
-                        raise ValueError(
-                            "system lacks an arity-2 composition table "
-                            "for a trivalent vertex"
-                        )
-                    n = sys.g_size
-                    self.oplus = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            self.gammas = {}
-            for v in d.vertices:
-                arity = v.valence - 1
-                if arity == 2:
-                    continue
-                flat = sys.gamma_table(arity)
-                if flat is None:
-                    raise ValueError(
-                        f"system lacks an arity-{arity} composition table "
-                        f"for a valence-{v.valence} vertex"
-                    )
-                self.gammas[arity] = flat
-
-    def _needs_arity(self, arity: int) -> bool:
-        return any(v.valence - 1 == arity for v in self.diagram.vertices)
-
-    def gamma(self, arity: int, gs: tuple[int, ...]) -> int:
-        if arity == 2:
-            return self.oplus[gs[0]][gs[1]]
-        flat = self.gammas[arity]
-        idx = 0
-        for g in gs:
-            idx = idx * self.g_size + g
-        return flat[idx]
+        super().__init__(d.arc_count, self.carrier)
+        for c in d.crossings:
+            op, inverse = (self.table, self.dual) if c.sign > 0 else (self.dual, self.table)
+            self.add_table(c.under_in, c.over, c.under_out, op, inverse)
+        if d.vertices and sys.rho is None:
+            raise ValueError("vertex rules require the involution rho")
+        # ends share their X part, for a one-element G the whole colour
+        same = trivial_quandle(self.carrier).entries if d.vertices and self.g_size == 1 else None
+        for v in d.vertices:
+            ends = [a for a, _ in v.ends]
+            self.add_rule(ends, self.vertex_rule(v), (len(ends) - 1,))
+            for a, b in zip(ends, ends[1:] + ends[:1]) if same else ():
+                self.add_table(a, a, b, same)
 
     def crossing_ok(self, c, colours) -> bool:
-        if c.sign > 0:
-            return colours[c.under_out] == self.table[colours[c.under_in]][colours[c.over]]
-        return colours[c.under_out] == self.dual[colours[c.under_in]][colours[c.over]]
-
-    def vertex_x_ok(self, v, colours) -> bool:
-        xs = {colours[a] // self.g_size for a, _ in v.ends}
-        return len(xs) == 1
-
-    def vertex_g_ok(self, v, colours) -> bool:
-        x = colours[v.ends[0][0]] // self.g_size
-        rho_x = self.system.rho[x]
-        eff = [
-            colours[a] % self.g_size if direction == IN else rho_x[colours[a] % self.g_size]
-            for a, direction in v.ends
-        ]
-        return self.gamma(len(eff) - 1, tuple(eff[:-1])) == rho_x[eff[-1]]
+        op = self.table if c.sign > 0 else self.dual
+        return colours[c.under_out] == op[colours[c.under_in]][colours[c.over]]
 
     def vertex_ok(self, v, colours) -> bool:
-        return self.vertex_x_ok(v, colours) and self.vertex_g_ok(v, colours)
+        ends = [colours[a] for a, _ in v.ends]
+        return self.vertex_rule(v)(ends, len(ends) - 1) == ends[-1]
+
+    def vertex_rule(self, v):
+        """The rule of vertex v for its last end: the colour that end must
+        take given the others, or -1 if the ends disagree on X."""
+        n, rho = self.g_size, self.system.rho
+        flat = self.system.gamma_table(v.valence - 1)
+        if flat is None:
+            raise ValueError(f"system lacks a composition table for a valence-{v.valence} vertex")
+        rho_inv = [sorted(range(n), key=r.__getitem__) for r in rho]
+        outs = [direction != IN for _, direction in v.ends]
+        last = len(outs) - 1
+
+        def solve(colours, _):
+            x = colours[0] // n
+            idx = 0
+            for j in range(last):
+                y, g = divmod(colours[j], n)
+                if y != x:
+                    return -1
+                idx = idx * n + (rho[x][g] if outs[j] else g)
+            g = rho_inv[x][flat[idx]]
+            return x * n + (rho_inv[x][g] if outs[last] else g)
+
+        return solve
+
+
+# the benchmark's tracer counts solutions through this name
+_Backtracker = ColouringContext
 
 
 def verify_colouring(d: Diagram, sys: SystemData, c: Colouring) -> AxiomReport:
@@ -121,141 +114,82 @@ def verify_colouring(d: Diagram, sys: SystemData, c: Colouring) -> AxiomReport:
         if not ctx.crossing_ok(crossing, colours):
             rb.hit("crossing", (ci,))
     for vi, vertex in enumerate(d.vertices):
-        if not ctx.vertex_x_ok(vertex, colours):
+        if len({colours[a] // ctx.g_size for a, _ in vertex.ends}) > 1:
             rb.hit("vertex-x", (vi,))
-        elif not ctx.vertex_g_ok(vertex, colours):
+        elif not ctx.vertex_ok(vertex, colours):
             rb.hit("vertex-g", (vi,))
     return rb.report()
 
 
-def _search_order(d: Diagram):
-    """Arc assignment order: most constrained first, then by index."""
-    degree = [0] * d.arc_count
-    for c in d.crossings:
-        for a in (c.over, c.under_in, c.under_out):
-            degree[a] += 1
-    for v in d.vertices:
-        for a, _ in v.ends:
-            degree[a] += 1
-    return sorted(range(d.arc_count), key=lambda a: (-degree[a], a))
-
-
-class _Backtracker:
-    def __init__(self, d: Diagram, sys: SystemData):
-        self.ctx = ColouringContext(d, sys)
-        self.d = d
-        self.order = _search_order(d)
-        pos = {a: i for i, a in enumerate(self.order)}
-        # constraints become checkable once their last arc is coloured
-        self.checks_at = [[] for _ in self.order]
-        for c in d.crossings:
-            last = max(pos[a] for a in (c.over, c.under_in, c.under_out))
-            self.checks_at[last].append(("c", c))
-        for v in d.vertices:
-            last = max(pos[a] for a, _ in v.ends)
-            self.checks_at[last].append(("v", v))
-
-    def solutions(self, first_domain=None):
-        """Yield proper colourings as colour tuples, in backtracking order."""
-        n = self.d.arc_count
-        colours = [0] * n
-        ctx = self.ctx
-        order = self.order
-        domain = range(ctx.carrier)
-
-        def ok_at(k: int) -> bool:
-            for kind, site in self.checks_at[k]:
-                if kind == "c":
-                    if not ctx.crossing_ok(site, colours):
-                        return False
-                elif not ctx.vertex_ok(site, colours):
-                    return False
-            return True
-
-        def walk(k: int):
-            if k == len(order):
-                yield tuple(colours)
-                return
-            values = domain if (k > 0 or first_domain is None) else first_domain
-            for value in values:
-                colours[order[k]] = value
-                if ok_at(k):
-                    yield from walk(k + 1)
-
-        if n == 0:
-            yield ()
-            return
-        yield from walk(0)
-
-
 def _generates_all(ctx: ColouringContext, colours, cache) -> bool:
     image = frozenset(colours)
-    hit = cache.get(image)
-    if hit is None:
-        closure = generated_subalgebra(ctx.assoc.table, image)
-        hit = len(closure) == ctx.carrier
-        cache[image] = hit
-    return hit
+    if image not in cache:
+        cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
+    return cache[image]
 
 
-def count_colourings(d: Diagram, sys: SystemData, mode: str = "all", jobs: int = 1) -> int:
+def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     """Exact number of proper colourings.  Mode ``generating`` keeps only
-    colourings whose image generates the whole associated quandle.
-
-    ``jobs`` > 1 partitions the first arc's colour domain into that many
-    classes and sums the partial counts; the result is independent of the
-    partitioning.
-    """
+    colourings whose image generates the whole associated quandle."""
     if mode not in ("all", "generating"):
         raise ValueError(f"unknown mode {mode!r}")
-    bt = _Backtracker(d, sys)
+    ctx = ColouringContext(d, sys)
     cache: dict = {}
-
-    def tally(first_domain=None) -> int:
-        c = 0
-        for colours in bt.solutions(first_domain):
-            if mode == "all" or _generates_all(bt.ctx, colours, cache):
-                c += 1
-        return c
-
-    if jobs <= 1 or d.arc_count == 0:
-        return tally()
-    chunks = [range(r, bt.ctx.carrier, jobs) for r in range(jobs)]
-    return sum(tally(chunk) for chunk in chunks)
+    return sum(1 for c in ctx.solutions() if mode == "all" or _generates_all(ctx, c, cache))
 
 
 def enumerate_colourings(d: Diagram, sys: SystemData, cap: int) -> list[Colouring]:
-    """First ``cap`` proper colourings in backtracking order."""
+    """First ``cap`` proper colourings in search order."""
     if cap <= 0:
         raise ValueError("cap must be positive")
-    bt = _Backtracker(d, sys)
-    out = []
-    for colours in bt.solutions():
-        out.append(Colouring(colours))
-        if len(out) >= cap:
-            break
-    return out
+    return [Colouring(c) for c in itertools.islice(ColouringContext(d, sys).solutions(), cap)]
 
 
 def brute_force_count(d: Diagram, sys: SystemData, mode: str = "all") -> int:
-    """Independent oracle: filter all carrier^arcs assignments through
-    verify_colouring.  Only usable for small diagrams."""
-    ctx = ColouringContext(d, sys)
-    total = 0
-    cache: dict = {}
+    """Independent oracle: test all carrier^arcs assignments against the
+    product (x, g).(y, h) = (x *_{f(g,h)} y, g (x) h) and the vertex rule,
+    both taken straight from the system, and close images under that
+    product for ``generating``.  Only usable for small diagrams."""
+    if not validate_diagram(d).valid:
+        raise ValueError("invalid diagram")
+    n, size = sys.g_size, sys.x_size * sys.g_size
+    otimes = sys.eff_otimes().entries
 
-    def all_assignments(k, acc):
-        nonlocal total
-        if k == d.arc_count:
-            colours = tuple(acc)
-            if verify_colouring(d, sys, Colouring(colours)).valid:
-                if mode == "all" or _generates_all(ctx, colours, cache):
-                    total += 1
-            return
-        for v in range(ctx.carrier):
-            acc.append(v)
-            all_assignments(k + 1, acc)
-            acc.pop()
+    def product(p: int, q: int) -> int:
+        (x, g), (y, h) = divmod(p, n), divmod(q, n)
+        return sys.star[sys.f_at(g, h)].entries[x][y] * n + otimes[g][h]
 
-    all_assignments(0, [])
-    return total
+    prod = [[product(p, q) for q in range(size)] for p in range(size)]
+    # positive: out = in . over; negative: in = out . over
+    crossings = [(c.under_in, c.over, c.under_out)[:: c.sign] for c in d.crossings]
+    vertices = [(v.ends, sys.gamma_table(v.valence - 1)) for v in d.vertices]
+    if vertices and (sys.rho is None or any(flat is None for _, flat in vertices)):
+        raise ValueError("system has no rule for a vertex of this diagram")
+
+    def proper(colours) -> bool:
+        if any(colours[z] != prod[colours[x]][colours[y]] for x, y, z in crossings):
+            return False
+        for ends, flat in vertices:
+            x = colours[ends[0][0]] // n
+            if any(colours[a] // n != x for a, _ in ends):
+                return False
+            eff = [colours[a] % n if e == IN else sys.rho[x][colours[a] % n] for a, e in ends]
+            idx = 0
+            for g in eff[:-1]:
+                idx = idx * n + g
+            if flat[idx] != sys.rho[x][eff[-1]]:
+                return False
+        return True
+
+    def generates_all(colours) -> bool:
+        members = set(colours)
+        while True:
+            more = {prod[a][b] for a in members for b in members} - members
+            if not more:
+                return len(members) == size
+            members |= more
+
+    return sum(
+        proper(colours) and (mode == "all" or generates_all(colours))
+        for colours in itertools.product(range(size), repeat=d.arc_count)
+    )

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .diagrams import IN, Diagram, compute_edges, delete_edges, validate_diagram
+from .solve import Problem
 from .tables import GroupTable, ParseError, _content_lines
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
@@ -82,60 +83,37 @@ def wirtinger_presentation(d: Diagram) -> GroupPresentation:
 def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
     """Number of generator assignments into g satisfying every relator.
 
-    Backtracking with relator propagation: a relator whose unassigned part
-    is a single occurrence of a single generator determines it.
-    """
-    n = p.generator_count
-    if n == 0:
-        return 1  # only empty relators are expressible
+    A crossing relator y^-s x y^s z^-1 is the table constraint
+    z = y^-s x y^s; any other relator is a solver rule that fixes a
+    generator met once in it when every other letter is known."""
+    mul, inverse, elements = g.table.entries, g.inverse, range(g.size)
+    # conj[s][x][y] = y^-s x y^s, and conj[-s] solves it for x
+    conj = {
+        1: tuple(tuple(mul[mul[inverse[y]][x]][y] for y in elements) for x in elements),
+        -1: tuple(tuple(mul[mul[y][x]][inverse[y]] for y in elements) for x in elements),
+    }
+    problem = Problem(p.generator_count, g.size)
+    for rel in p.relators:
+        if len(rel) == 4 and rel[0] == (rel[2][0], -rel[2][1]) and rel[1][1] == 1 == -rel[3][1]:
+            s = rel[2][1]
+            problem.add_table(rel[1][0], rel[2][0], rel[3][0], conj[s], conj[-s])
+        elif rel:
+            problem.add_rule([gen for gen, _ in rel], _relator_rule(rel, g), range(len(rel)))
+    return sum(1 for _ in problem.solutions())
 
-    def evaluate(word, phi):
+
+def _relator_rule(rel, g: GroupTable):
+    mul, inverse = g.table.entries, g.inverse
+    letters = [(i, s > 0) for i, (_, s) in enumerate(rel)]
+
+    def solve(values, i):
+        # prefix . x^s . suffix = e  =>  x^s = (suffix . prefix)^-1
         acc = g.identity
-        for gen, s in word:
-            v = phi[gen]
-            acc = g.mul(acc, v if s > 0 else g.inverse[v])
-        return acc
+        for j, positive in letters[i + 1 :] + letters[:i]:
+            acc = mul[acc][values[j] if positive else inverse[values[j]]]
+        return inverse[acc] if letters[i][1] else acc
 
-    def propagate(phi) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for rel in p.relators:
-                unknown = [(i, gen) for i, (gen, _) in enumerate(rel) if phi[gen] < 0]
-                if not unknown:
-                    if evaluate(rel, phi) != g.identity:
-                        return False
-                elif len(unknown) == 1:
-                    i, gen = unknown[0]
-                    # prefix . x^s . suffix = e  =>  x^s = prefix^-1 . suffix^-1
-                    prefix = evaluate(rel[:i], phi)
-                    suffix = evaluate(rel[i + 1 :], phi)
-                    val = g.mul(g.inverse[prefix], g.inverse[suffix])
-                    if rel[i][1] < 0:
-                        val = g.inverse[val]
-                    phi[gen] = val
-                    changed = True
-        return True
-
-    count = 0
-
-    def search(phi):
-        nonlocal count
-        try:
-            free = phi.index(-1)
-        except ValueError:
-            count += 1
-            return
-        for v in range(g.size):
-            trial = phi[:]
-            trial[free] = v
-            if propagate(trial):
-                search(trial)
-
-    start = [-1] * n
-    if propagate(start):
-        search(start)
-    return count
+    return solve
 
 
 def hom_fingerprint(p: GroupPresentation, panel) -> tuple[int, ...]:

@@ -1,0 +1,126 @@
+"""The one counting engine: the assignments of n variables over the
+values 0..m-1 that satisfy every constraint, each of which is
+
+* a table constraint ``z = op[x][y]``, optionally with a table ``x_from``
+  giving ``x = x_from[z][y]``; or
+* a rule over a tuple of variables, where ``solve(values, i)`` is the value
+  position ``i`` must take when the other positions hold ``values``, or -1
+  if none fits.  It fixes a position listed in ``forcing`` once all other
+  variables are known, and is checked at its last position once all are.
+
+Each assignment propagates through a worklist over per-variable watch
+lists, and backtracking keeps an explicit stack and a trail, so size is
+limited by time, not by the recursion limit.  Propagation fixes the same
+variables whatever their values, so the branch variable chosen on the
+first arrival at a depth serves every path: the unknown variable sharing
+the most constraint slots with known ones.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+
+class Problem:
+    def __init__(self, variables: int, domain: int) -> None:
+        self.n, self.m = variables, domain
+        # the constraints on each variable: (x, y, z, op, x_from) for tables,
+        # (variables, forcing flags, solve) for rules
+        self.table_watch: list[list[tuple]] = [[] for _ in range(variables)]
+        self.rule_watch: list[list[tuple]] = [[] for _ in range(variables)]
+
+    def add_table(self, x: int, y: int, z: int, op, x_from=None) -> None:
+        for v in {x, y, z}:
+            self.table_watch[v].append((x, y, z, op, x_from))
+
+    def add_rule(self, variables, solve, forcing) -> None:
+        variables = tuple(variables)
+        # a variable met twice cannot be solved for from the others
+        flags = tuple(i in forcing and variables.count(v) == 1 for i, v in enumerate(variables))
+        for v in set(variables):
+            self.rule_watch[v].append((variables, flags, solve))
+
+    def _propagate(self, val: list[int], trail: list[int], queue: list[int]) -> bool:
+        """Apply every constraint watching a variable in ``queue``, and those
+        of every variable this fixes; False on a violated constraint."""
+        while queue:
+            v = queue.pop()
+            for x, y, z, op, x_from in self.table_watch[v]:
+                vx, vy, vz = val[x], val[y], val[z]
+                if vy < 0:
+                    continue
+                if vx >= 0:
+                    if vz < 0:
+                        val[z] = op[vx][vy]
+                        trail.append(z)
+                        queue.append(z)
+                    elif vz != op[vx][vy]:
+                        return False
+                elif vz >= 0 and x_from is not None:
+                    val[x] = x_from[vz][vy]
+                    trail.append(x)
+                    queue.append(x)
+            for variables, flags, solve in self.rule_watch[v]:
+                values = [val[u] for u in variables]
+                missing = [i for i, w in enumerate(values) if w < 0]
+                if not missing:
+                    if solve(values, len(values) - 1) != values[-1]:
+                        return False
+                elif len(missing) == 1 and flags[missing[0]]:
+                    w = solve(values, missing[0])
+                    if w < 0:
+                        return False
+                    u = variables[missing[0]]
+                    val[u] = w
+                    trail.append(u)
+                    queue.append(u)
+        return True
+
+    def solutions(self):
+        """Yield every satisfying assignment as a tuple, in search order."""
+        n, m = self.n, self.m
+        val = [-1] * n
+        trail: list[int] = []
+        if not self._propagate(val, trail, list(range(n))):
+            return
+        slots = [
+            [u for c in self.table_watch[v] for u in c[:3]]
+            + [u for c in self.rule_watch[v] for u in c[0]]
+            for v in range(n)
+        ]
+        score = [0] * n
+        heap = [(0, -len(slots[v]), v) for v in range(n)]  # lazy max-heap
+        heapq.heapify(heap)
+        order: list[int] = []
+        scored = 0  # the first ``scored`` trail entries have raised the scores
+        marks, tries = [0] * n, [0] * n
+        k, arrived = 0, True
+        while k >= 0:
+            if arrived:
+                arrived = False
+                if len(trail) == n:
+                    yield tuple(val)
+                    k -= 1
+                    continue
+                if k == len(order):
+                    for u in (u for v in trail[scored:] for u in slots[v] if val[u] < 0):
+                        score[u] += 1
+                        heapq.heappush(heap, (-score[u], -len(slots[u]), u))
+                    scored = len(trail)
+                    while val[heap[0][2]] >= 0 or -heap[0][0] != score[heap[0][2]]:
+                        heapq.heappop(heap)
+                    order.append(heapq.heappop(heap)[2])
+                marks[k], tries[k] = len(trail), 0
+            while len(trail) > marks[k]:
+                val[trail.pop()] = -1
+            t = tries[k]
+            if t == m:
+                k -= 1
+                continue
+            tries[k] = t + 1
+            v = order[k]
+            val[v] = t
+            trail.append(v)
+            if self._propagate(val, trail, [v]):
+                k += 1
+                arrived = True

@@ -36,7 +36,6 @@ from .tables import (
     _column_collision,
     _content_lines,
     _parse_int,
-    dual_operation,
     group_from_table,
     is_abelian,
     table_from,
@@ -149,9 +148,12 @@ class SystemData:
         raise ValueError("system has neither oplus nor a group")
 
     def gamma_table(self, arity: int) -> tuple[int, ...] | None:
+        """Gamma as a flat row-major table; at arity 2, (+) unless stored."""
         for k, flat in self.gamma:
             if k == arity:
                 return flat
+        if arity == 2 and (self.oplus is not None or self.group is not None):
+            return tuple(v for row in self.eff_oplus().entries for v in row)
         return None
 
     def gamma_at(self, arity: int, gs: tuple[int, ...]) -> int:
@@ -345,9 +347,6 @@ def _check_trivalent(data: SystemData, rb: ReportBuilder) -> None:
 def _check_n_compatible(data: SystemData, rb: ReportBuilder, arity: int) -> None:
     m, n = data.x_size, data.g_size
     flat = data.gamma_table(arity)
-    if flat is None and arity == 2 and (data.oplus is not None or data.group is not None):
-        oplus = data.eff_oplus()
-        flat = tuple(v for row in oplus.entries for v in row)
     if flat is None:
         raise ValueError(f"n_compatible({arity}) requires an arity-{arity} gamma table")
     tag = f"[{arity}]"
@@ -657,10 +656,10 @@ def validate_involution(q: OperationTable, rho) -> AxiomReport:
             if e[rho[u]][v] != rho[e[u][v]]:
                 rb.hit("inv3", (u, v))
                 inv3_bad = True
-    dual = dual_operation(q)
+    dual = q.dual.entries
     for u in range(n):
         for v in range(n):
-            if e[u][rho[v]] != dual.entries[u][v]:
+            if e[u][rho[v]] != dual[u][v]:
                 rb.hit("inv2p", (u, v))
                 inv2p_bad = True
     report = rb.report()

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
+
+from .solve import Problem
 
 MAX_WITNESSES = 16  # per axiom id, keeps reports bounded
 
@@ -100,6 +103,11 @@ class OperationTable:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.size))
+
+    @cached_property
+    def dual(self) -> "OperationTable":
+        """``dual_operation(self)``, built on first use and kept."""
+        return dual_operation(self)
 
 
 def table_from(size: int, op) -> OperationTable:
@@ -355,79 +363,34 @@ def dual_operation(table: OperationTable) -> OperationTable:
 
 
 def generated_subalgebra(table: OperationTable, seeds) -> tuple[int, ...]:
-    """Smallest subset containing seeds closed under * and its inverse.
-
-    Deterministic: a sorted-index worklist.  Requires right translations to
-    be permutations (so the inverse operation exists).
-    """
-    dual = dual_operation(table)
-    members = sorted(set(seeds))
+    """Smallest subset containing seeds closed under * and its inverse, in
+    increasing order.  Requires right translations to be permutations (so
+    the inverse operation exists)."""
+    e, dual = table.entries, table.dual.entries
+    members = set(seeds)
     for s in members:
         if not 0 <= s < table.size:
             raise ValueError(f"seed {s} out of range")
-    in_set = set(members)
     queue = list(members)
     while queue:
-        queue.sort()
-        a = queue.pop(0)
-        for b in sorted(in_set):
-            for v in (
-                table.entries[a][b],
-                table.entries[b][a],
-                dual.entries[a][b],
-                dual.entries[b][a],
-            ):
-                if v not in in_set:
-                    in_set.add(v)
+        a = queue.pop()
+        for b in list(members):
+            for v in (e[a][b], e[b][a], dual[a][b], dual[b][a]):
+                if v not in members:
+                    members.add(v)
                     queue.append(v)
-    return tuple(sorted(in_set))
+    return tuple(sorted(members))
 
 
 def hom_count(source: OperationTable, target: OperationTable, surjective_only: bool = False) -> int:
-    """Number of maps phi with phi(a*b) = phi(a)*phi(b).
-
-    Backtracking with closure propagation: once phi is fixed on a pair, it
-    is forced on the product, so images propagate through the generated
-    subalgebra before the next free choice.
-    """
-    n, m = source.size, target.size
-    se, te = source.entries, target.entries
-
-    def propagate(phi: list[int], newly: list[int]) -> bool:
-        queue = list(newly)
-        while queue:
-            a = queue.pop()
-            for b in range(n):
-                if phi[b] < 0:
-                    continue
-                for x, y in ((a, b), (b, a)):
-                    c = se[x][y]
-                    want = te[phi[x]][phi[y]]
-                    if phi[c] < 0:
-                        phi[c] = want
-                        queue.append(c)
-                    elif phi[c] != want:
-                        return False
-        return True
-
-    count = 0
-
-    def search(phi: list[int]) -> None:
-        nonlocal count
-        try:
-            a = phi.index(-1)
-        except ValueError:
-            if not surjective_only or len(set(phi)) == m:
-                count += 1
-            return
-        for v in range(m):
-            trial = phi[:]
-            trial[a] = v
-            if propagate(trial, [a]):
-                search(trial)
-
-    search([-1] * n)
-    return count
+    """Number of maps phi with phi(a*b) = phi(a)*phi(b): a table constraint
+    per pair (a, b), inverted through the target's dual if it has one."""
+    p = Problem(source.size, target.size)
+    x_from = target.dual.entries if is_right_invertible(target) else None
+    for a, row in enumerate(source.entries):
+        for b, c in enumerate(row):
+            p.add_table(a, b, c, target.entries, x_from)
+    return sum(1 for phi in p.solutions() if not surjective_only or len(set(phi)) == target.size)
 
 
 # ---------------------------------------------------------------------------

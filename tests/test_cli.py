@@ -27,10 +27,8 @@ def test_color_mwf_generating_zero_still_succeeds(capsys):
     assert out.strip() == "0"
 
 
-def test_color_json_and_jobs(capsys):
-    code, out, _ = run(
-        capsys, "--format", "json", "--jobs", "3", "color", "fixtures:theta", "systems:t3r3z2"
-    )
+def test_color_json(capsys):
+    code, out, _ = run(capsys, "--format", "json", "color", "fixtures:theta", "systems:t3r3z2")
     assert code == 0
     assert json.loads(out) == {"count": 12, "mode": "all"}
 

@@ -121,11 +121,19 @@ def test_backtracking_matches_brute_force_on_small_diagrams():
         assert count_colourings(d, T3R3) == brute_force_count(d, T3R3)
 
 
-def test_partitioned_count_is_independent_of_partitioning():
-    d = diagram("mwuf")
-    base = count_colourings(d, T3R3)
-    for jobs in (2, 3, 5):
-        assert count_colourings(d, T3R3, jobs=jobs) == base
+def test_counts_match_brute_force_beyond_keis():
+    # over S3 the product is no kei and rho_x is no identity, which the
+    # t3r3z2 comparisons cannot see; the poke crosses with both signs
+    point = g_family_system(tuple(trivial_quandle(1) for _ in range(6)), symmetric_group(3))
+    poke = parse_diagram(
+        "arcs 3\n"
+        "crossing over=2 under_in=0 under_out=1 sign=+\n"
+        "crossing over=2 under_in=1 under_out=0 sign=-\n"
+    )
+    small = (random_diagram(f"small-{s}", 2, 2) for s in range(200))
+    for d in [poke, *itertools.islice((d for d in small if d.arc_count <= 4), 12)]:
+        for mode in ("all", "generating"):
+            assert count_colourings(d, point, mode) == brute_force_count(d, point, mode)
 
 
 def test_single_arc_reversal_preserves_counts():

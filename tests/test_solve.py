@@ -1,0 +1,75 @@
+"""The counting engine on its own, and diagrams of a thousand arcs or more
+counted through it under the default recursion limit."""
+
+import sys
+
+from test_acceptance import Timer
+
+from quandlekit.coloring import count_colourings
+from quandlekit.diagrams import Crossing, Diagram
+from quandlekit.fixtures import diagram, system
+from quandlekit.invariants import group_hom_count, wirtinger_presentation
+from quandlekit.solve import Problem
+from quandlekit.systems import g_family_system, quandle_system
+from quandlekit.tables import conjugation_quandle, dihedral_quandle, symmetric_group, trivial_quandle
+
+R3 = system("r3")
+S3 = symmetric_group(3)
+S3_POINT = g_family_system(tuple(trivial_quandle(1) for _ in range(6)), S3)
+
+
+def kink_chain(n, over):
+    """An unknot with n R1 kinks; kink i turns arc i into arc i+1 and
+    passes over arc over(i), which is i or i+1."""
+    return Diagram(n, tuple(Crossing(over(i), i, (i + 1) % n, 1) for i in range(n)), ())
+
+
+def torus(n):
+    """The closed 2-braid sigma_1^n."""
+    return Diagram(n, tuple(Crossing((i - 1) % n, (i - 2) % n, i, 1) for i in range(n)), ())
+
+
+def test_free_variables_and_empty_problem():
+    assert len(list(Problem(3, 4).solutions())) == 64
+    assert list(Problem(0, 4).solutions()) == [()]
+
+
+def test_table_constraint_with_inverse_forces_both_ways():
+    r3 = dihedral_quandle(3).entries
+    p = Problem(3, 3)
+    p.add_table(0, 1, 2, r3, r3)  # z = x * y, x = z * y in a kei
+    p.add_table(2, 1, 0, r3, r3)
+    assert sorted(p.solutions()) == [(x, y, (2 * y - x) % 3) for x in range(3) for y in range(3)]
+
+
+def test_long_kink_chain_counts():
+    assert sys.getrecursionlimit() <= 1000
+    d = kink_chain(1100, lambda i: i)
+    with Timer(10.0):
+        assert count_colourings(d, R3) == 3
+        assert count_colourings(d, S3_POINT) == 6
+
+
+def test_long_torus_link_counts():
+    with Timer(10.0):
+        assert count_colourings(torus(1250), R3) == 3
+
+
+def test_wirtinger_homs_of_long_chain_over_outgoing_arcs():
+    pres = wirtinger_presentation(kink_chain(2000, lambda i: (i + 1) % 2000))
+    with Timer(10.0):
+        assert group_hom_count(pres, S3) == 6
+
+
+def test_kink_chain_alternating_its_over_arc():
+    d = kink_chain(200, lambda i: i if i % 2 == 0 else (i + 1) % 200)
+    with Timer(5.0):
+        assert count_colourings(d, R3) == 3
+
+
+def test_handcuff_graphs_by_the_conjugation_quandle_of_s5():
+    # a vertex shares its X part, so with a one-element G it fixes every end
+    conj_s5 = quandle_system(conjugation_quandle(symmetric_group(5)))
+    with Timer(10.0):
+        assert count_colourings(diagram("mwf"), conj_s5) == 840
+        assert count_colourings(diagram("athlete-happy"), conj_s5) == 840

@@ -30,7 +30,15 @@ from .systems import (
     search_involutions,
     validate_family,
 )
-from .tables import AxiomReport, ParseError, parse_group, parse_table, serialize_table, validate_axioms
+from .tables import (
+    AxiomReport,
+    ParseError,
+    _parse_magma,
+    parse_group,
+    parse_table,
+    serialize_table,
+    validate_axioms,
+)
 
 
 def _read(path: str) -> str:
@@ -156,14 +164,9 @@ def _dispatch(args, fmt: str) -> int:
     if args.command == "check-table":
         text = _read(args.file)
         if args.profile == "group":
-            table, identity = None, None
-            try:
-                group = parse_group(text)
-                report = validate_axioms(group.table, "group", identity=group.identity)
-            except ValueError as exc:
-                if isinstance(exc, ParseError):
-                    raise
-                report = validate_axioms(parse_table(text), "group")
+            # the file's identity line, when present, pins the identity
+            table, identity = _parse_magma(text)
+            report = validate_axioms(table, "group", identity=identity)
         else:
             report = validate_axioms(parse_table(text), args.profile)
         return _emit_report(report, fmt)

@@ -1050,26 +1050,38 @@ def parse_axet(text: str) -> AxetData:
         raise ParseError("expected 'axet' header", lines[0][0] if lines else 1)
     pos = 1
 
+    def next_line(what):
+        if pos >= len(lines):
+            raise ParseError(f"unexpected end of file: expected {what}", lines[-1][0])
+        return lines[pos]
+
     def expect_size(key):
         nonlocal pos
-        lineno, line = lines[pos]
+        lineno, line = next_line(f"'{key} <size>'")
         toks = line.split()
         if len(toks) != 2 or toks[0] != key:
             raise ParseError(f"expected '{key} <size>'", lineno, 1)
+        size = _parse_int(toks[1], lineno, line)
+        if size <= 0:
+            raise ParseError(f"{key} size must be positive", lineno, line.find(toks[1]) + 1)
         pos += 1
-        return _parse_int(toks[1], lineno, line)
+        return size
 
     def read_group(size):
         nonlocal pos
-        rows, pos2 = _read_matrix(lines, pos, size, size, "group table", size)
-        pos = pos2
-        lineno, line = lines[pos]
+        rows, pos = _read_matrix(lines, pos, size, size, "group table", size)
+        lineno, line = next_line("'identity <k>'")
         toks = line.split()
         if len(toks) != 2 or toks[0] != "identity":
             raise ParseError("expected 'identity <k>'", lineno, 1)
         identity = _parse_int(toks[1], lineno, line)
+        if not 0 <= identity < size:
+            raise ParseError(f"identity {identity} out of range", lineno, line.find(toks[1]) + 1)
         pos += 1
-        return group_from_table(OperationTable(size, rows), identity=identity)
+        try:
+            return group_from_table(OperationTable(size, rows), identity=identity)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
 
     m = expect_size("X")
     s_group = read_group(expect_size("S"))
@@ -1081,11 +1093,17 @@ def parse_axet(text: str) -> AxetData:
         if len(toks) < 4 or toks[2] != "=":
             raise ParseError("expected 'action <g> = <permutation>'", lineno, 1)
         g = _parse_int(toks[1], lineno, line)
+        if not 0 <= g < g_group.size:
+            raise ParseError(f"action {g} out of range", lineno, line.find(toks[1]) + 1)
         action[g] = tuple(_parse_int(t, lineno, line) for t in toks[3:])
+        if sorted(action[g]) != list(range(m)):
+            raise ParseError(f"action {g} must permute X", lineno, 1)
         pos += 1
     if pos >= len(lines) or lines[pos][1] != "tau":
         raise ParseError("expected 'tau' block", lines[pos - 1][0])
     tau, pos = _read_matrix(lines, pos + 1, m, s_group.size, "tau", g_group.size)
+    if pos < len(lines):
+        raise ParseError("unexpected content after the tau block", lines[pos][0], 1)
     missing = sorted(set(range(g_group.size)) - set(action))
     if missing:
         raise ParseError(f"missing action rows for g = {missing}", lines[0][0])

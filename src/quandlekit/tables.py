@@ -12,10 +12,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 
 from .solve import Problem
 
 MAX_WITNESSES = 16  # per axiom id, keeps reports bounded
+SCAN_BELOW = 8  # validate_axioms scans smaller tables element by element
 
 
 class ParseError(ValueError):
@@ -68,6 +70,13 @@ class ReportBuilder:
         if len(bucket) < MAX_WITNESSES:
             bucket.append(tuple(witness))
 
+    def hit_first(self, axiom: str, witnesses) -> None:
+        """Record witnesses from a possibly lazy iterable, taking no more
+        of it than the report keeps."""
+        room = MAX_WITNESSES - len(self._buckets.get(axiom, ()))
+        for witness in itertools.islice(witnesses, room):
+            self.hit(axiom, witness)
+
     def merge(self, report: AxiomReport, prefix: str = "") -> None:
         for axiom, witness in report.violations:
             self.hit(prefix + axiom, witness)
@@ -102,7 +111,12 @@ class OperationTable:
         return self.entries[i][j]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.size))
+        return self.columns[j]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``columns[j][i] = i * j``, built on first use and kept."""
+        return tuple(zip(*self.entries))
 
     @cached_property
     def dual(self) -> "OperationTable":
@@ -130,56 +144,174 @@ def is_right_invertible(table: OperationTable) -> bool:
     return all(_column_collision(table, j) is None for j in range(table.size))
 
 
+def _composer(p: tuple[int, ...]):
+    """The map q -> q o p, that is (q[p[0]], q[p[1]], ...), run at C speed."""
+    if len(p) == 1:
+        (i,) = p
+        return lambda q: (q[i],)
+    return itemgetter(*p)
+
+
+def _close(lines, members: set[int], new: set[int]) -> None:
+    """Add the elements of ``new`` to ``members``, a set closed under some
+    operations that holds none of them, and close it again.
+
+    ``lines`` holds the rows and the columns of each operation, so the
+    products a*b and b*a of an element a with every member b are read off
+    row a and column a.  Each element meets the members once, when it
+    leaves the queue, so closing one element at a time costs no more than
+    closing all at once.
+    """
+    members |= new
+    queue = list(new)
+    while queue:
+        a = queue.pop()
+        at_members = _composer(tuple(members))
+        fresh: set[int] = set()
+        for line in lines:
+            fresh.update(at_members(line[a]))
+        fresh -= members
+        members |= fresh
+        queue.extend(fresh)
+
+
+def _mismatches(n: int, lhs, rhs, lines) -> list[tuple[int, list[int]]]:
+    """Where lhs(k)[j] != rhs(k)[j] over every k < n, as (j, [k, ...])
+    pairs in increasing order of j and of k.
+
+    When ``lines`` is not empty, the k with lhs(k) == rhs(k) must form a
+    set closed under its operations.  Then every k inside the closure of
+    the k already found good is skipped, since it is good too.
+    """
+    good: set[int] = set()
+    ks: dict[int, list[int]] = {}
+    for k in range(n):
+        if k in good:
+            continue
+        left, right = lhs(k), rhs(k)
+        if left != right:
+            for j, (a, b) in enumerate(zip(left, right)):
+                if a != b:
+                    ks.setdefault(j, []).append(k)
+        elif lines:
+            _close(lines, good, {k})
+    return sorted(ks.items())
+
+
+def _q3_witnesses(e, candidates):
+    """The (i, j, k) with (i*j)*k != (i*k)*(j*k), in scan order, for the
+    columns j and the ks listed with them."""
+    for i, row in enumerate(e):
+        for j, ks in candidates:
+            ij, jrow = e[row[j]], e[j]
+            for k in ks:
+                if ij[k] != e[row[k]][jrow[k]]:
+                    yield i, j, k
+
+
+def _assoc_witnesses(e, candidates):
+    """The (x, a, y) with (x*a)*y != x*(a*y), in scan order, for the left
+    elements x and the middle elements a listed with them."""
+    n = len(e)
+    for x, middles in candidates:
+        row = e[x]
+        for a in middles:
+            xa, arow = e[row[a]], e[a]
+            for y in range(n):
+                if xa[y] != row[arow[y]]:
+                    yield x, a, y
+
+
+def _identity_of(table: OperationTable) -> int | None:
+    """The two-sided identity of the table, if it has one."""
+    ident = tuple(range(table.size))
+    rows, cols = table.entries, table.columns
+    return next((c for c in range(table.size) if rows[c] == ident == cols[c]), None)
+
+
 def validate_axioms(table: OperationTable, profile: str, identity: int | None = None) -> AxiomReport:
-    """Exhaustively check the axioms of the given profile.
+    """Check the axioms of the given profile at every element, pair and
+    triple.
 
     Profiles: ``quandle`` (Q1 idempotency, Q2 right translations are
     permutations, Q3 right self-distributivity), ``rack`` (Q2+Q3),
     ``kei`` (quandle + involutive right translations), ``group``
     (associativity, identity, inverses; ``identity`` may pin the candidate).
+
+    Q3, K4 and associativity are checked a whole translation at a time,
+    Q3 and associativity only on a generating set (see README.md, "Axiom
+    checks").  Witnesses are then found by an element-by-element scan of
+    the failing translations alone, so the report is that of a scan of
+    every triple.  Tables of fewer than SCAN_BELOW elements are scanned
+    whole, which is cheaper there.
     """
     n = table.size
     e = table.entries
+    cols = table.columns
+    if identity is not None and not 0 <= identity < n:
+        raise ValueError(f"identity {identity} out of range 0..{n - 1}")
     rb = ReportBuilder()
+    # what the scans below visit: everything in a small table, else the
+    # columns or rows whose whole translations disagree
+    everything = [(a, range(n)) for a in range(n)] if n < SCAN_BELOW else None
 
     if profile in ("quandle", "kei"):
         for i in range(n):
             if e[i][i] != i:
                 rb.hit("Q1", (i,))
     if profile in ("quandle", "rack", "kei"):
-        for j in range(n):
-            collision = _column_collision(table, j)
-            if collision is not None:
-                rb.hit("Q2", (j, collision[0], collision[1]))
-        for i in range(n):
-            for j in range(n):
-                ij = e[i][j]
-                for k in range(n):
-                    if e[ij][k] != e[e[i][k]][e[j][k]]:
-                        rb.hit("Q3", (i, j, k))
-        if profile == "kei":
-            for i in range(n):
-                for j in range(n):
-                    if e[e[i][j]][j] != i:
-                        rb.hit("K4", (i, j))
-    elif profile == "group":
-        for a in range(n):
-            for b in range(n):
-                ab = e[a][b]
-                for c in range(n):
-                    if e[ab][c] != e[a][e[b][c]]:
-                        rb.hit("assoc", (a, b, c))
-        if identity is None:
-            identity = next(
-                (c for c in range(n) if all(e[c][g] == g == e[g][c] for g in range(n))), None
+        permutes = True
+        for j, col in enumerate(cols):
+            if len(set(col)) < n:
+                permutes = False
+                rb.hit("Q2", (j, *_column_collision(table, j)))
+        candidates = everything
+        if candidates is None:
+            after = [_composer(col) for col in cols]
+            # column j of each side: (i*j)*k against (i*k)*(j*k) over i.
+            # When every R_k is a bijection, the k whose R_k is an
+            # automorphism are closed under *: R_{a*b} = R_b R_a R_b^-1.
+            candidates = _mismatches(
+                n,
+                lambda k: [g(cols[k]) for g in after],
+                lambda k: list(map(after[k], after[k](cols))),
+                (e, cols) if permutes else (),
             )
+        rb.hit_first("Q3", _q3_witnesses(e, candidates))
+        if profile == "kei":
+            # K4 can fail only in a column that, composed with itself, is
+            # not the identity map
+            ident = tuple(range(n))
+            k4_columns = [j for j, col in enumerate(cols) if _composer(col)(col) != ident]
+            rb.hit_first(
+                "K4", ((i, j) for i in range(n) for j in k4_columns if e[e[i][j]][j] != i)
+            )
+    elif profile == "group":
+        candidates = everything
+        if candidates is None:
+            # Light's test: row(x.a) against row_x o row_a, over x.  The
+            # middle elements a at which the product associates are closed
+            # under it.
+            candidates = _mismatches(
+                n,
+                lambda a: list(map(e.__getitem__, cols[a])),
+                lambda a: list(map(_composer(e[a]), e)),
+                (e, cols),
+            )
+        rb.hit_first("assoc", _assoc_witnesses(e, candidates))
+        if identity is None:
+            identity = _identity_of(table)
         if identity is None:
             rb.hit("identity", ())
         else:
             for g in range(n):
                 if e[identity][g] != g or e[g][identity] != g:
                     rb.hit("identity", (g,))
-            for g in range(n):
+            for g, row in enumerate(e):
+                # in a group the first right inverse is the two-sided one;
+                # other tables get the full search
+                if identity in row and cols[g][row.index(identity)] == identity:
+                    continue
                 if not any(e[g][h] == identity == e[h][g] for h in range(n)):
                     rb.hit("inverse", (g,))
     else:
@@ -227,11 +359,9 @@ def group_from_table(table: OperationTable, identity: int | None = None) -> Grou
     report = validate_axioms(table, "group", identity=identity)
     if not report.valid:
         raise ValueError(f"not a group: {report.violations[:4]}")
-    n = table.size
-    e = table.entries
     if identity is None:
-        identity = next(c for c in range(n) if all(e[c][g] == g == e[g][c] for g in range(n)))
-    inverse = tuple(next(h for h in range(n) if e[g][h] == identity) for g in range(n))
+        identity = _identity_of(table)
+    inverse = tuple(row.index(identity) for row in table.entries)
     return GroupTable(table, identity, inverse)
 
 
@@ -366,19 +496,13 @@ def generated_subalgebra(table: OperationTable, seeds) -> tuple[int, ...]:
     """Smallest subset containing seeds closed under * and its inverse, in
     increasing order.  Requires right translations to be permutations (so
     the inverse operation exists)."""
-    e, dual = table.entries, table.dual.entries
-    members = set(seeds)
-    for s in members:
+    dual = table.dual
+    seeds = set(seeds)
+    for s in seeds:
         if not 0 <= s < table.size:
             raise ValueError(f"seed {s} out of range")
-    queue = list(members)
-    while queue:
-        a = queue.pop()
-        for b in list(members):
-            for v in (e[a][b], e[b][a], dual[a][b], dual[b][a]):
-                if v not in members:
-                    members.add(v)
-                    queue.append(v)
+    members: set[int] = set()
+    _close((table.entries, table.columns, dual.entries, dual.columns), members, seeds)
     return tuple(sorted(members))
 
 
@@ -415,6 +539,7 @@ def _parse_int(token: str, lineno: int, line: str) -> int:
 
 
 def _parse_magma(text: str) -> tuple[OperationTable, int | None]:
+    """The table of a magma file and its ``identity`` line, if any."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty table file", 1)
@@ -433,6 +558,8 @@ def _parse_magma(text: str) -> tuple[OperationTable, int | None]:
         if len(toks) != 2:
             raise ParseError("expected 'identity <k>'", lineno)
         identity = _parse_int(toks[1], lineno, line)
+        if not 0 <= identity < size:
+            raise ParseError(f"identity {identity} out of range", lineno, line.find(toks[1]) + 1)
         body = body[1:]
     if len(body) != size:
         raise ParseError(f"expected {size} matrix rows, found {len(body)}", lines[0][0])

@@ -65,6 +65,31 @@ def test_check_table_group_profile(tmp_path, capsys):
     assert code == 0 and out.strip() == "valid"
 
 
+def test_check_table_group_profile_uses_the_recorded_identity(tmp_path, capsys):
+    # Z3 under addition, with the identity line naming 1 instead of 0
+    path = tmp_path / "z3.magma"
+    path.write_text("magma 3\nidentity 1\n0 1 2\n1 2 0\n2 0 1\n")
+    code, out, _ = run(capsys, "--format", "json", "check-table", str(path), "--profile=group")
+    assert code == 1
+    axioms = {v["axiom"] for v in json.loads(out)["violations"]}
+    assert "identity" in axioms and "assoc" not in axioms
+    pres = tmp_path / "unknot.pres"
+    assert run(capsys, "wirtinger", "fixtures:unknot", "-o", str(pres))[0] == 0
+    code, _, err = run(capsys, "homs", str(pres), str(path))
+    assert code == 2 and "not a group" in err
+
+
+def test_identity_line_out_of_range_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.magma"
+    path.write_text("magma 3\nidentity 7\n0 1 2\n1 2 0\n2 0 1\n")
+    code, out, err = run(capsys, "check-table", str(path), "--profile=group")
+    assert code == 2 and out == "" and "line 2" in err
+    pres = tmp_path / "unknot.pres"
+    assert run(capsys, "wirtinger", "fixtures:unknot", "-o", str(pres))[0] == 0
+    code, out, err = run(capsys, "homs", str(pres), str(path))
+    assert code == 2 and out == "" and "line 2" in err
+
+
 def test_check_system_kinds(capsys):
     code, out, _ = run(capsys, "check-system", "systems:t3r3z2", "--kind=g_family")
     assert code == 0

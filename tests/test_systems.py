@@ -549,3 +549,40 @@ def test_group_record_entries_must_be_in_range():
         with pytest.raises(ParseError) as exc:
             parse_system(text.replace("group identity=0 inverse=0 1", bad))
         assert exc.value.line == 4
+
+
+AXET_MUTANTS = st.sampled_from(
+    ["", "x", "=", "action", "tau", "identity", "X", "S", "G", "axet"]
+) | st.integers(-2, 12).map(str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_token_axet_mutations_parse_or_raise_parse_error_with_a_line(data):
+    lines = [line.split() for line in serialize_axet(axet_z2_s3()).splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    i, j = data.draw(st.sampled_from(spots))
+    lines[i][j] = data.draw(AXET_MUTANTS)
+    try:
+        parse_axet("\n".join(" ".join(toks) for toks in lines))
+    except ParseError as exc:
+        assert exc.line is not None
+
+
+def test_axet_errors_name_their_line():
+    text = serialize_axet(axet_z2_s3())
+    lines = text.splitlines()
+    cases = {
+        # an action row that is not a permutation of X
+        "action 1 = 0 2 1": ("action 1 = 0 2 2", 16),
+        # an identity outside G
+        "identity 0\naction": ("identity 7\naction", 14),
+        # a G table that is not a group: its first row repeats 1
+        "0 1 2 3 4 5": ("0 1 1 3 4 5", 14),
+    }
+    assert lines[15] == "action 1 = 0 2 1"
+    for old, (new, line) in cases.items():
+        assert old in text
+        with pytest.raises(ParseError) as exc:
+            parse_axet(text.replace(old, new, 1))
+        assert exc.value.line == line, old

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -271,3 +272,172 @@ def test_violation_report_is_capped():
     report = validate_axioms(bad, "quandle")
     q1 = [w for axiom, w in report.violations if axiom == "Q1"]
     assert len(q1) <= 16
+
+
+# --- validate_axioms against a plain scan --------------------------------
+
+
+def reference_report(entries, profile, identity=None):
+    """Independent oracle: an element-by-element scan of every element,
+    pair and triple, in lexicographic order, keeping the first 16
+    witnesses of each axiom.  It shares no code with quandlekit.tables."""
+    e, n = entries, len(entries)
+    order, hits = [], {}
+
+    def hit(axiom, witness):
+        if axiom not in hits:
+            order.append(axiom)
+            hits[axiom] = []
+        hits[axiom].append(witness)
+
+    if profile in ("quandle", "kei"):
+        for i in range(n):
+            if e[i][i] != i:
+                hit("Q1", (i,))
+    if profile in ("quandle", "rack", "kei"):
+        for j in range(n):
+            first_row = {}
+            for i in range(n):
+                if e[i][j] in first_row:
+                    hit("Q2", (j, first_row[e[i][j]], i))
+                    break
+                first_row[e[i][j]] = i
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if e[e[i][j]][k] != e[e[i][k]][e[j][k]]:
+                hit("Q3", (i, j, k))
+        if profile == "kei":
+            for i, j in itertools.product(range(n), repeat=2):
+                if e[e[i][j]][j] != i:
+                    hit("K4", (i, j))
+    else:
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if e[e[a][b]][c] != e[a][e[b][c]]:
+                hit("assoc", (a, b, c))
+        if identity is None:
+            for c in range(n):
+                if all(e[c][g] == g and e[g][c] == g for g in range(n)):
+                    identity = c
+                    break
+        if identity is None:
+            hit("identity", ())
+        else:
+            for g in range(n):
+                if e[identity][g] != g or e[g][identity] != g:
+                    hit("identity", (g,))
+            for g in range(n):
+                if not any(e[g][h] == identity and e[h][g] == identity for h in range(n)):
+                    hit("inverse", (g,))
+    violations = tuple((axiom, w) for axiom in order for w in hits[axiom][:16])
+    return not order, violations
+
+
+PROFILES = ("quandle", "rack", "kei", "group")
+
+
+def assert_matches_reference(table, profiles=PROFILES, identities=(None,)):
+    """validate_axioms agrees with the plain scan, both through the
+    generating-set check and through a whole scan of a small table."""
+    from quandlekit import tables
+
+    small = table.size < tables.SCAN_BELOW
+    for profile in profiles:
+        for identity in identities if profile == "group" else (None,):
+            want = reference_report(table.entries, profile, identity)
+            for below in (1, tables.SCAN_BELOW) if small else (tables.SCAN_BELOW,):
+                with mock.patch.object(tables, "SCAN_BELOW", below):
+                    report = validate_axioms(table, profile, identity=identity)
+                assert (report.valid, report.violations) == want, (profile, identity, below)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_axiom_reports_match_a_plain_scan_on_arbitrary_tables(rows):
+    table = OperationTable(len(rows), tuple(map(tuple, rows)))
+    assert_matches_reference(table, identities=(None, 0, len(rows) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=n, max_size=n)))
+def test_axiom_reports_match_a_plain_scan_when_columns_permute(columns):
+    n = len(columns)
+    table = table_from(n, lambda i, j: columns[j][i])
+    assert_matches_reference(table)
+
+
+REAL_QUANDLES = [
+    dihedral_quandle(3),
+    dihedral_quandle(5),
+    dihedral_quandle(6),
+    trivial_quandle(4),
+    conjugation_quandle(S3, 1),
+    conjugation_quandle(dihedral_group(4), 1),
+    takasaki_quandle(cyclic_group(7)),
+    alexander_quandle(cyclic_group(7), tuple(3 * a % 7 for a in range(7))),
+    conjugation_quandle(symmetric_group(4), 1),
+]
+REAL_GROUPS = [
+    cyclic_group(5).table,
+    klein_group().table,
+    S3.table,
+    dihedral_group(4).table,
+    dihedral_group(5).table,
+    symmetric_group(4).table,
+]
+
+
+def swap_in_column(table, j, i1, i2):
+    """The table with entries (i1, j) and (i2, j) exchanged: column j stays
+    a permutation, so Q2 still holds wherever it held."""
+    rows = [list(row) for row in table.entries]
+    rows[i1][j], rows[i2][j] = rows[i2][j], rows[i1][j]
+    return OperationTable(table.size, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(REAL_QUANDLES + REAL_GROUPS), st.data())
+def test_axiom_reports_match_a_plain_scan_on_swapped_columns(table, data):
+    n = table.size
+    j, i1, i2 = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    mutated = swap_in_column(table, j, i1, i2)
+    assert_matches_reference(mutated, identities=(None, data.draw(st.integers(0, n - 1))))
+
+
+def test_real_quandles_and_groups_pass_and_a_swap_is_caught():
+    for table in REAL_QUANDLES:
+        assert validate_axioms(table, "quandle").valid
+    for table in REAL_GROUPS:
+        assert validate_axioms(table, "group").valid
+    # one swap in one column leaves Q2 intact and breaks Q3 at a few triples
+    bad = swap_in_column(conjugation_quandle(symmetric_group(4), 1), 5, 1, 2)
+    report = validate_axioms(bad, "quandle")
+    assert report.axioms_violated() == ("Q3",)
+    assert (report.valid, report.violations) == reference_report(bad.entries, "quandle")
+
+
+def test_conjugation_quandle_of_s5_and_s5_match_a_plain_scan():
+    s5 = symmetric_group(5)
+    conj = conjugation_quandle(s5, 1)
+    assert_matches_reference(conj, profiles=("quandle", "rack", "kei"))
+    assert validate_axioms(conj, "quandle").valid
+    assert not validate_axioms(conj, "kei").valid
+    assert_matches_reference(s5.table, profiles=("group",))
+    assert validate_axioms(s5.table, "group").valid
+    broken = swap_in_column(conj, 7, 3, 90)
+    assert_matches_reference(broken, profiles=("quandle",))
+    assert not validate_axioms(broken, "quandle").valid
+    broken = swap_in_column(s5.table, 7, 3, 90)
+    assert_matches_reference(broken, profiles=("group",))
+    assert not validate_axioms(broken, "group").valid
+
+
+def test_identity_out_of_range_is_refused():
+    for identity in (-1, 6, 7):
+        with pytest.raises(ValueError):
+            validate_axioms(S3.table, "group", identity=identity)
+    from quandlekit.tables import ParseError
+
+    with pytest.raises(ParseError) as err:
+        parse_group("magma 3\nidentity 7\n0 1 2\n1 2 0\n2 0 1\n")
+    assert err.value.line == 2

@@ -20,22 +20,37 @@ Axiom ids used in reports:
 Condition nc2 is checked as Gamma(h2, h1 (x) h2, rest) = Gamma(h1, h2, rest)
 and nc7 in its rotation-coherent form (the folded term alone is passed
 through rho); at n = 2 these reduce exactly to tc1 and tc6a/tc6b.
+
+Reports are those of an element-by-element scan, which checks the axioms
+of a kind in turn (qf1 with qf2 for each a, tc6a with tc6b for each
+(x, g, h)) and runs over the G elements that pick a table (g, h, q, the x
+of rho_x, the arguments gs of Gamma) before the others, lexicographically;
+tc2 and nc3 scan h before g, nc2 scans rest before (h1, h2), and fw2 keeps
+only the first bad column for each (g, h).  The checks compare whole
+tables, rows or columns, each distinct tuple of star tables once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import product, repeat
+from operator import getitem
 
 from .tables import (
     AxiomReport,
     GroupTable,
     OperationTable,
     ParseError,
+    SCAN_BELOW,
     ReportBuilder,
+    _associativity_misses,
     _column_collision,
+    _composer,
     _content_lines,
     _parse_int,
+    _read_matrix,
     group_from_table,
     is_abelian,
     table_from,
@@ -93,7 +108,7 @@ class SystemData:
             rows = tuple(tuple(r) for r in self.f_map)
             if len(rows) != self.g_size or any(len(r) != self.g_size for r in rows):
                 raise ValueError("f_map must be g_size x g_size")
-            if any(not 0 <= v < self.g_size for r in rows for v in r):
+            if any(min(r) < 0 or max(r) >= self.g_size for r in rows):
                 raise ValueError("f_map entries out of range")
             object.__setattr__(self, "f_map", rows)
         for table, name in ((self.otimes, "otimes"), (self.oplus, "oplus")):
@@ -107,7 +122,7 @@ class SystemData:
                 raise ValueError(f"gamma arity {k} outside 2..{MAX_GAMMA_ARITY}")
             if len(flat) != self.g_size**k:
                 raise ValueError(f"gamma[{k}] must have g_size^{k} entries")
-            if any(not 0 <= v < self.g_size for v in flat):
+            if min(flat) < 0 or max(flat) >= self.g_size:
                 raise ValueError("gamma entries out of range")
         object.__setattr__(self, "gamma", gamma)
         if self.oplus is not None:
@@ -224,15 +239,16 @@ def quandle_system(table: OperationTable) -> SystemData:
 def associated_quandle(data: SystemData) -> tuple[AssociatedQuandle, AxiomReport]:
     """Build the product table (x, g) . (y, h) = (x *_{f(g,h)} y, g (x) h)
     and validate it as a quandle."""
-    otimes = data.eff_otimes()
+    otimes = data.eff_otimes().entries
+    if data.f_map is None:
+        raise ValueError("system has no f map")
     m, n = data.x_size, data.g_size
-
-    def op(p: int, q: int) -> int:
-        x, g = divmod(p, n)
-        y, h = divmod(q, n)
-        return data.star[data.f_at(g, h)].entries[x][y] * n + otimes.entries[g][h]
-
-    table = table_from(m * n, op)
+    star = [op.entries for op in data.star]
+    # row (x, g), over y and then h: the pair (x *_{f(g,h)} y, g (x) h)
+    rows = tuple(
+        tuple(star[f_row[h]][x][y] * n + ot_row[h] for y in range(m) for h in range(n))
+        for x in range(m) for f_row, ot_row in zip(data.f_map, otimes))
+    table = OperationTable(m * n, rows)
     return AssociatedQuandle(table, m, n), validate_axioms(table, "quandle")
 
 
@@ -240,295 +256,305 @@ def associated_quandle(data: SystemData) -> tuple[AssociatedQuandle, AxiomReport
 # family validation
 
 
-def _require(data: SystemData, kind: str, *fields: str) -> None:
-    missing = []
-    for field in fields:
-        if field == "group" and data.group is None:
-            missing.append("group")
-        elif field == "f_map" and data.f_map is None:
-            missing.append("f")
-        elif field == "otimes" and data.otimes is None and data.group is None:
-            missing.append("otimes")
-        elif field == "oplus" and data.oplus is None and data.group is None:
-            missing.append("oplus")
-        elif field == "rho" and data.rho is None:
-            missing.append("rho")
-    if missing:
-        raise ValueError(f"kind {kind!r} requires: {', '.join(missing)}")
+class _Family:
+    """The tables of one system as the checks read them, None where the
+    system lacks them.  Equal star tables share one index: the first g
+    with that table."""
+
+    def __init__(self, data: SystemData, arities=()):
+        self.data, self.m, self.n = data, data.x_size, data.g_size
+        self.arities = tuple(dict.fromkeys(arities))  # each once, first seen first
+        first: dict = {}
+        self.star = tuple(first.setdefault(op.entries, g) for g, op in enumerate(data.star))
+        # f[g][h] is the index of *_{f(g,h)}
+        self.f = data.f_map and tuple(_composer(row)(self.star) for row in data.f_map)
+        self.group, self.rho = data.group, data.rho
+        self.otimes = data.eff_otimes() if data.group or data.otimes else None
+        self.oplus = data.eff_oplus() if data.group or data.oplus else None
+        self._composites: dict = {}  # by key, once worked out
+        self._distributes: dict = {}
+
+    def diagonal(self, k: int) -> list[int]:
+        """The x with x *_k x != x."""
+        return [x for x, row in enumerate(self.data.star[k].entries) if row[x] != x]
+
+    def collisions(self, k: int) -> list[tuple[int, ...]]:
+        """(y, i1, i2) for each column y of *_k that is not a permutation,
+        i1 < i2 its first repeat."""
+        op = self.data.star[k]
+        return [(y, *_column_collision(op, y))
+                for y, col in enumerate(op.columns) if len(set(col)) < self.m]
+
+    def composite(self, seq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Column y of x -> (..(x *_{seq[0]} y)..) *_{seq[-1]} y, for each y."""
+        if seq not in self._composites:
+            cols = self.data.star[seq[0]].columns
+            for k in seq[1:]:
+                cols = tuple(_composer(c)(d) for c, d in zip(cols, self.data.star[k].columns))
+            self._composites[seq] = cols
+        return self._composites[seq]
+
+    def distributes(self, key) -> bool:
+        if key not in self._distributes:
+            self._distributes[key] = _distributes(*_composer(key)(self.data.star))
+        return self._distributes[key]
+
+    def composes(self, key) -> bool:
+        return self.composite(key[0]) == self.composite(key[1])
+
+    def composition_witnesses(self, key):
+        """(x, y) where the composites of key[0] and key[1] differ."""
+        left, right = self.composite(key[0]), self.composite(key[1])
+        return ((x, y) for x in range(self.m) for y in range(self.m) if left[y][x] != right[y][x])
+
+    def distributivity_witnesses(self, key):
+        return _distributivity_witnesses(*_composer(key)(self.data.star))
 
 
-def _check_fw(data: SystemData, rb: ReportBuilder) -> None:
-    m, n = data.x_size, data.g_size
-    f = data.f_at
-    star = data.star
-    otimes = data.eff_otimes().entries
-    for g in range(n):
-        op = star[f(g, g)].entries
-        for x in range(m):
-            if op[x][x] != x:
-                rb.hit("fw1", (x, g))
-    for g in range(n):
-        for h in range(n):
-            table = star[f(g, h)]
-            for y in range(m):
-                collision = _column_collision(table, y)
-                if collision is not None:
-                    rb.hit("fw2", (g, h, y, collision[0], collision[1]))
-                    break
-    for g in range(n):
-        for h in range(n):
-            for q in range(n):
-                a = star[f(g, h)].entries
-                b = star[f(otimes[g][h], q)].entries
-                c = star[f(g, q)].entries
-                d = star[f(otimes[g][q], otimes[h][q])].entries
-                e = star[f(h, q)].entries
-                for x, y, z in itertools.product(range(m), repeat=3):
-                    if b[a[x][y]][z] != d[c[x][z]][e[y][z]]:
-                        rb.hit("fw3", (x, y, z, g, h, q))
+def _distributivity_witnesses(a, b, c, d, e):
+    """(x, y, z) with b[a[x][y]][z] != d[c[x][z]][e[y][z]], in scan order."""
+    a, b, c, d, e = (t.entries for t in (a, b, c, d, e))
+    r = range(len(a))
+    for x in r:
+        ax, cx = a[x], c[x]
+        for y in r:
+            left, ey = b[ax[y]], e[y]
+            for z in r:
+                if left[z] != d[cx[z]][ey[z]]:
+                    yield x, y, z
 
 
-def _check_oplus_def(data: SystemData, rb: ReportBuilder) -> None:
-    m, n = data.x_size, data.g_size
-    oplus = data.eff_oplus().entries
-    for g in range(n):
-        for h in range(n):
-            lhs_g, lhs_h = data.star[g].entries, data.star[h].entries
-            rhs = data.star[oplus[g][h]].entries
-            for x in range(m):
-                for y in range(m):
-                    if lhs_h[lhs_g[x][y]][y] != rhs[x][y]:
-                        rb.hit("oplus-def", (x, y, g, h))
+def _distributes(a, b, c, d, e) -> bool:
+    """No (x, y, z) is a distributivity witness.  From SCAN_BELOW elements
+    on, checked a row over y at a time."""
+    if a.size < SCAN_BELOW:
+        return next(_distributivity_witnesses(a, b, c, d, e), None) is None
+    after_a = [_composer(row) for row in a.entries]
+    return all(
+        [ax(bz) for ax in after_a] == list(map(_composer(ez), map(d.entries.__getitem__, cz)))
+        for bz, cz, ez in zip(b.columns, c.columns, e.columns)
+    )
 
 
-def _check_trivalent(data: SystemData, rb: ReportBuilder) -> None:
-    m, n = data.x_size, data.g_size
-    otimes = data.eff_otimes().entries
-    oplus = data.eff_oplus().entries
-    f = data.f_at
-    rho = data.rho
-    for x in range(m):
-        for g in range(n):
-            if rho[x][rho[x][g]] != g:
-                rb.hit("rho-inv", (x, g))
-    for g in range(n):
-        for h in range(n):
-            if oplus[h][otimes[g][h]] != oplus[g][h]:
-                rb.hit("tc1", (g, h))
-    for h in range(n):
-        base = f(0, h)
-        for g in range(1, n):
-            if f(g, h) != base:
-                rb.hit("tc2", (g, h))
-    for g in range(n):
-        for h in range(n):
-            for q in range(n):
-                if otimes[g][oplus[h][q]] != otimes[otimes[g][h]][q]:
-                    rb.hit("tc3", (g, h, q))
-    for h in range(n):
-        for q in range(n):
-            if f(0, oplus[h][q]) != oplus[f(0, h)][f(0, q)]:
-                rb.hit("tc4", (h, q))
-    for u in range(n):
-        for v in range(n):
-            for g in range(n):
-                if otimes[oplus[u][v]][g] != oplus[otimes[u][g]][otimes[v][g]]:
-                    rb.hit("tc5", (u, v, g))
-    for x in range(m):
-        for g in range(n):
-            for h in range(n):
-                gh = oplus[g][h]
-                if oplus[h][rho[x][gh]] != rho[x][g]:
-                    rb.hit("tc6a", (x, g, h))
-                if oplus[rho[x][gh]][g] != rho[x][h]:
-                    rb.hit("tc6b", (x, g, h))
+def _failing(blocks, keys, holds):
+    """The (block, key) pairs, in scan order, whose key fails ``holds``.
+    Each distinct key is tested once."""
+    keys = list(keys)
+    bad = {key for key in set(keys) if not holds(key)}
+    return ((block, key) for block, key in zip(blocks, keys) if key in bad) if bad else ()
 
 
-def _check_n_compatible(data: SystemData, rb: ReportBuilder, arity: int) -> None:
-    m, n = data.x_size, data.g_size
-    flat = data.gamma_table(arity)
-    if flat is None:
-        raise ValueError(f"n_compatible({arity}) requires an arity-{arity} gamma table")
-    tag = f"[{arity}]"
+def _subscript_misses(fam: _Family, arity: int, nested):
+    """(x, y) + gs where (..(x *_{g1} y)..) *_{gk} y != x *_{Gamma(gs)} y,
+    for Gamma(gs) = nested[g1]..[gk]."""
+    s, blocks = fam.star, list(product(range(fam.n), repeat=arity))
+    keys = ((tuple(map(s.__getitem__, gs)), (s[reduce(getitem, gs, nested)],)) for gs in blocks)
+    failing = _failing(blocks, keys, fam.composes)
+    return (w + gs for gs, key in failing for w in fam.composition_witnesses(key))
 
-    def gamma(gs: tuple[int, ...]) -> int:
-        idx = 0
-        for g in gs:
-            idx = idx * n + g
-        return flat[idx]
 
-    otimes = data.eff_otimes().entries
-    f = data.f_at
-    rho = data.rho
-    for x in range(m):
-        for g in range(n):
-            if rho[x][rho[x][g]] != g:
-                rb.hit("rho-inv" + tag, (x, g))
-    for gs in itertools.product(range(n), repeat=arity):
-        target = data.star[gamma(gs)].entries
-        for x in range(m):
-            for y in range(m):
-                acc = x
-                for g in gs:
-                    acc = data.star[g].entries[acc][y]
-                if acc != target[x][y]:
-                    rb.hit("nc1" + tag, (x, y) + gs)
-    for rest in itertools.product(range(n), repeat=arity - 2):
-        for h1 in range(n):
-            for h2 in range(n):
-                if gamma((h2, otimes[h1][h2]) + rest) != gamma((h1, h2) + rest):
-                    rb.hit("nc2" + tag, (h1, h2) + rest)
-    for h in range(n):
-        base = f(0, h)
-        for g in range(1, n):
-            if f(g, h) != base:
-                rb.hit("nc3" + tag, (g, h))
-    for gs in itertools.product(range(n), repeat=arity):
-        for h in range(n):
-            acc = h
-            for g in gs:
-                acc = otimes[acc][g]
-            if otimes[h][gamma(gs)] != acc:
-                rb.hit("nc4" + tag, (h,) + gs)
-    for gs in itertools.product(range(n), repeat=arity):
-        if f(0, gamma(gs)) != gamma(tuple(f(0, g) for g in gs)):
-            rb.hit("nc5" + tag, gs)
-    for gs in itertools.product(range(n), repeat=arity):
-        for h in range(n):
-            if otimes[gamma(gs)][h] != gamma(tuple(otimes[g][h] for g in gs)):
-                rb.hit("nc6" + tag, (h,) + gs)
-    # rotation coherence: wrapping the folded value around the argument list
-    # through rho_x reproduces rho_x of the dropped argument
-    for x in range(m):
-        for gs in itertools.product(range(n), repeat=arity):
-            folded = rho[x][gamma(gs)]
+def _untwisted_misses(fam: _Family, product_of):
+    """(x, y, z, g, h) where (x *_g y) *_h z != (x *_h z) *_{gh} (y *_h z),
+    for gh = product_of(g, h)."""
+    s, blocks = fam.star, list(product(range(fam.n), repeat=2))
+    keys = ((s[g], s[h], s[h], s[product_of(g, h)], s[h]) for g, h in blocks)
+    failing = _failing(blocks, keys, fam.distributes)
+    return (w + gh for gh, key in failing for w in fam.distributivity_witnesses(key))
+
+
+def _twisted_misses(fam: _Family, form, holds, witnesses):
+    """w + (g, h, q) for each witness w of each key = form(A, B, C, D, E)
+    that fails ``holds``, for the indices A = f(g,h), B = f(g(x)h, q),
+    C = f(g,q), D = f(g(x)q, h(x)q) and E = f(h,q), a row over q at a time."""
+    n, f, ot = fam.n, fam.f, fam.otimes.entries
+    at = [_composer(row)(f) for row in ot]  # at[g][q] = row g (x) q of f
+    rows = ((f[g][h], f[ot[g][h]], f[g], tuple(map(getitem, at[g], ot[h])), f[h])
+            for g in range(n) for h in range(n))
+
+    def keys(rows):
+        return form(repeat(rows[0]), *rows[1:])
+
+    failing = _failing(product(range(n), repeat=2), rows, lambda r: all(map(holds, set(keys(r)))))
+    return (w + gh + (q,) for gh, rows in failing
+            for q, key in enumerate(keys(rows)) if not holds(key) for w in witnesses(key))
+
+
+def _fw3_misses(fam: _Family):
+    return _twisted_misses(fam, zip, fam.distributes, fam.distributivity_witnesses)
+
+
+def _rho_misses(fam: _Family):
+    """(x, g) with rho_x(rho_x(g)) != g."""
+    return ((x, g) for x, r in enumerate(fam.data.rho) for g in range(fam.n) if r[r[g]] != g)
+
+
+def _f_first_misses(fam: _Family):
+    """(g, h) with f(g, h) != f(0, h), over h and then g."""
+    f = fam.data.f_map
+    return ((g, h) for h in range(fam.n) for g in range(1, fam.n) if f[g][h] != f[0][h])
+
+
+def _swap_misses(fam: _Family, arity: int, nested):
+    """(h1, h2) + rest with Gamma(h2, h1 (x) h2, rest) != Gamma(h1, h2, rest),
+    over rest and then (h1, h2)."""
+    r, ot = range(fam.n), fam.otimes.entries
+    return ((h1, h2) + rest for rest in product(r, repeat=arity - 2) for h1 in r for h2 in r
+            if reduce(getitem, (h2, ot[h1][h2]) + rest, nested)
+            != reduce(getitem, (h1, h2) + rest, nested))
+
+
+def _f_hom_misses(fam: _Family, arity: int, nested):
+    """gs with f(0, Gamma(gs)) != Gamma(f(0, g) for g in gs)."""
+    f0 = fam.data.f_map[0]
+    return (gs for gs in product(range(fam.n), repeat=arity)
+            if f0[reduce(getitem, gs, nested)] != reduce(getitem, map(f0.__getitem__, gs), nested))
+
+
+def _column_misses(n: int, arity: int, lhs, rhs):
+    """(h,) + gs wherever lhs(gs)[h] != rhs(gs)[h], over gs and then h."""
+    for gs in product(range(n), repeat=arity):
+        left, right = lhs(gs), rhs(gs)
+        if left != right:
+            yield from ((h,) + gs for h in range(n) if left[h] != right[h])
+
+
+def _rotation_misses(fam: _Family, arity: int, nested):
+    """(x, i) + gs where rho_x(Gamma(gs)), wrapped i places around gs, does
+    not give rho_x of the argument it replaces."""
+    for x, r in enumerate(fam.data.rho):
+        for gs in product(range(fam.n), repeat=arity):
+            folded = r[reduce(getitem, gs, nested)]
             for i in range(arity):
                 args = gs[arity - i :] + (folded,) + gs[: arity - i - 1]
-                if gamma(args) != rho[x][gs[arity - i - 1]]:
-                    rb.hit("nc7" + tag, (x, i) + gs)
+                if reduce(getitem, args, nested) != r[gs[arity - i - 1]]:
+                    yield (x, i) + gs
+
+
+def _check_qf1_qf2(fam: _Family, rb: ReportBuilder) -> None:
+    """qf1 then qf2 for each a, in one scan."""
+    for a, k in enumerate(fam.star):
+        for x in fam.diagonal(k):
+            rb.hit("qf1", (x, a))
+        for c in fam.collisions(k):
+            rb.hit("qf2", (a,) + c)
+
+
+def _check_tc6(fam: _Family, rb: ReportBuilder) -> None:
+    """tc6a then tc6b for each (x, g, h), in one scan."""
+    oplus = fam.oplus.entries
+    for x, r in enumerate(fam.data.rho):
+        for g, h in product(range(fam.n), repeat=2):
+            if oplus[h][r[oplus[g][h]]] != r[g]:
+                rb.hit("tc6a", (x, g, h))
+            if oplus[r[oplus[g][h]]][g] != r[h]:
+                rb.hit("tc6b", (x, g, h))
+
+
+def _check_n_compatible(fam: _Family, rb: ReportBuilder) -> None:
+    if not fam.arities:
+        raise ValueError("n_compatible requires a list of arities")
+    n, ot, cols = fam.n, fam.otimes.entries, fam.otimes.columns
+    for arity in fam.arities:
+        flat = fam.data.gamma_table(arity)
+        if flat is None:
+            raise ValueError(f"n_compatible({arity}) requires an arity-{arity} gamma table")
+        nested = flat  # nested[g1][g2]..[gk] = Gamma(g1, .., gk)
+        for _ in range(arity - 1):
+            nested = tuple(nested[i : i + n] for i in range(0, len(nested), n))
+        tag = f"[{arity}]"
+        rb.hit_first("rho-inv" + tag, _rho_misses(fam))
+        rb.hit_first("nc1" + tag, _subscript_misses(fam, arity, nested))
+        rb.hit_first("nc2" + tag, _swap_misses(fam, arity, nested))
+        rb.hit_first("nc3" + tag, _f_first_misses(fam))
+        # column Gamma(gs) of (x) against the composite of its columns gs
+        rb.hit_first("nc4" + tag, _column_misses(
+            n, arity, lambda gs: cols[reduce(getitem, gs, nested)],
+            lambda gs: reduce(lambda acc, g: _composer(acc)(cols[g]), gs[1:], cols[gs[0]])))
+        rb.hit_first("nc5" + tag, _f_hom_misses(fam, arity, nested))
+        # row Gamma(gs) of (x) against Gamma of its rows gs, entry by entry
+        rb.hit_first("nc6" + tag, _column_misses(
+            n, arity, lambda gs: ot[reduce(getitem, gs, nested)],
+            lambda gs: reduce(lambda acc, g: tuple(map(getitem, acc, ot[g])), gs[1:],
+                              _composer(ot[gs[0]])(nested))))
+        rb.hit_first("nc7" + tag, _rotation_misses(fam, arity, nested))
+
+
+def _tc5_misses(fam: _Family):
+    """(u, v, g) with (u (+) v) (x) g != (u (x) g) (+) (v (x) g)."""
+    tables = (fam.oplus, fam.otimes, fam.otimes, fam.oplus, fam.otimes)
+    return () if _distributes(*tables) else _distributivity_witnesses(*tables)
+
+
+def _hits(axiom: str, witnesses):
+    """The check that records witnesses(fam) under one axiom id."""
+    return lambda fam, rb: rb.hit_first(axiom, witnesses(fam))
+
+
+def _g_family_checks(prefix: str, third):
+    """Idempotency, *_e trivial, *_{gh} = *_g then *_h, and ``third``."""
+    return (
+        _hits(prefix + "1", lambda fam: (
+            (x, g) for g, k in enumerate(fam.star) for x in fam.diagonal(k))),
+        _hits(prefix + "2-unit", lambda fam: (
+            (x, y) for x, row in enumerate(fam.data.star[fam.data.group.identity].entries)
+            for y, v in enumerate(row) if v != x)),
+        _hits(prefix + "2-prod", lambda fam: _subscript_misses(
+            fam, 2, fam.data.group.table.entries)),
+        _hits(prefix + "3", third),
+    )
+
+
+_FW_CHECKS = (
+    _hits("fw1", lambda fam: ((x, g) for g, row in enumerate(fam.f) for x in fam.diagonal(row[g]))),
+    _hits("fw2", lambda fam: (  # the first column that is not a permutation
+        (g, h) + c for g, row in enumerate(fam.f) for h, k in enumerate(row)
+        for c in fam.collisions(k)[:1])),
+    _hits("fw3", _fw3_misses),
+)
+
+# kind -> (required fields, checks in report order)
+_KINDS = {
+    "g_family": (("group",), _g_family_checks(
+        "gf", lambda fam: _untwisted_misses(fam, fam.data.group.conjugate))),
+    "gsf_family": (("group", "f", "otimes"),
+                   (lambda fam, rb: rb.merge(validate_axioms(fam.otimes, "quandle"), "gq-"),)
+                   + _g_family_checks("gsf", _fw3_misses)),
+    "q_family": (("otimes",), (
+        lambda fam, rb: rb.merge(validate_axioms(fam.otimes, "quandle"), "qq-"),
+        _check_qf1_qf2,
+        _hits("qf3", lambda fam: _untwisted_misses(fam, lambda a, b: fam.otimes.entries[a][b])),
+    )),
+    "fw_system": (("f", "otimes"), _FW_CHECKS),
+    "trivalent_compatible": (("f", "otimes", "oplus", "rho"), _FW_CHECKS + (
+        _hits("oplus-def", lambda fam: _subscript_misses(fam, 2, fam.oplus.entries)),
+        _hits("rho-inv", _rho_misses),
+        _hits("tc1", lambda fam: _swap_misses(fam, 2, fam.oplus.entries)),
+        _hits("tc2", _f_first_misses),
+        _hits("tc3", lambda fam: _associativity_misses(fam.otimes, fam.oplus)),
+        _hits("tc4", lambda fam: _f_hom_misses(fam, 2, fam.oplus.entries)),
+        _hits("tc5", _tc5_misses),
+        _check_tc6,
+    )),
+    "associative_composition": (("oplus",), (
+        _hits("assoc", lambda fam: _associativity_misses(fam.oplus)),)),
+    "n_compatible": (("f", "otimes", "rho"), (_check_n_compatible,)),
+}
 
 
 def validate_family(data: SystemData, kind: str, arities=()) -> AxiomReport:
-    """Exhaustively check the axioms of the named structure over the finite
-    carriers; see the module docstring for axiom ids."""
-    rb = ReportBuilder()
-    m, n = data.x_size, data.g_size
-
-    if kind == "g_family":
-        _require(data, kind, "group")
-        grp = data.group
-        for g in range(n):
-            op = data.star[g].entries
-            for x in range(m):
-                if op[x][x] != x:
-                    rb.hit("gf1", (x, g))
-        e = grp.identity
-        for x in range(m):
-            for y in range(m):
-                if data.star[e].entries[x][y] != x:
-                    rb.hit("gf2-unit", (x, y))
-        for g in range(n):
-            for h in range(n):
-                prod = data.star[grp.mul(g, h)].entries
-                sg, sh = data.star[g].entries, data.star[h].entries
-                for x in range(m):
-                    for y in range(m):
-                        if prod[x][y] != sh[sg[x][y]][y]:
-                            rb.hit("gf2-prod", (x, y, g, h))
-        for g in range(n):
-            for h in range(n):
-                conj = grp.conjugate(g, h)
-                sg, sh, sc = data.star[g].entries, data.star[h].entries, data.star[conj].entries
-                for x, y, z in itertools.product(range(m), repeat=3):
-                    if sh[sg[x][y]][z] != sc[sh[x][z]][sh[y][z]]:
-                        rb.hit("gf3", (x, y, z, g, h))
-
-    elif kind == "gsf_family":
-        _require(data, kind, "group", "f_map", "otimes")
-        grp = data.group
-        rb.merge(validate_axioms(data.eff_otimes(), "quandle"), prefix="gq-")
-        for g in range(n):
-            op = data.star[g].entries
-            for x in range(m):
-                if op[x][x] != x:
-                    rb.hit("gsf1", (x, g))
-        e = grp.identity
-        for x in range(m):
-            for y in range(m):
-                if data.star[e].entries[x][y] != x:
-                    rb.hit("gsf2-unit", (x, y))
-        for g in range(n):
-            for h in range(n):
-                prod = data.star[grp.mul(g, h)].entries
-                sg, sh = data.star[g].entries, data.star[h].entries
-                for x in range(m):
-                    for y in range(m):
-                        if prod[x][y] != sh[sg[x][y]][y]:
-                            rb.hit("gsf2-prod", (x, y, g, h))
-        otimes = data.eff_otimes().entries
-        f = data.f_at
-        for g in range(n):
-            for h in range(n):
-                for q in range(n):
-                    a = data.star[f(g, h)].entries
-                    b = data.star[f(otimes[g][h], q)].entries
-                    c = data.star[f(g, q)].entries
-                    d = data.star[f(otimes[g][q], otimes[h][q])].entries
-                    ee = data.star[f(h, q)].entries
-                    for x, y, z in itertools.product(range(m), repeat=3):
-                        if b[a[x][y]][z] != d[c[x][z]][ee[y][z]]:
-                            rb.hit("gsf3", (x, y, z, g, h, q))
-
-    elif kind == "q_family":
-        _require(data, kind, "otimes")
-        rb.merge(validate_axioms(data.eff_otimes(), "quandle"), prefix="qq-")
-        for a in range(n):
-            op = data.star[a]
-            for x in range(m):
-                if op.entries[x][x] != x:
-                    rb.hit("qf1", (x, a))
-            for x in range(m):
-                collision = _column_collision(op, x)
-                if collision is not None:
-                    rb.hit("qf2", (a, x, collision[0], collision[1]))
-        circ = data.eff_otimes().entries
-        for a in range(n):
-            for b in range(n):
-                sa, sb = data.star[a].entries, data.star[b].entries
-                sc = data.star[circ[a][b]].entries
-                for x, y, z in itertools.product(range(m), repeat=3):
-                    if sb[sa[x][y]][z] != sc[sb[x][z]][sb[y][z]]:
-                        rb.hit("qf3", (x, y, z, a, b))
-
-    elif kind == "fw_system":
-        _require(data, kind, "f_map", "otimes")
-        _check_fw(data, rb)
-
-    elif kind == "trivalent_compatible":
-        _require(data, kind, "f_map", "otimes", "oplus", "rho")
-        _check_fw(data, rb)
-        _check_oplus_def(data, rb)
-        _check_trivalent(data, rb)
-
-    elif kind == "associative_composition":
-        _require(data, kind, "oplus")
-        oplus = data.eff_oplus().entries
-        for g in range(n):
-            for h in range(n):
-                for q in range(n):
-                    if oplus[g][oplus[h][q]] != oplus[oplus[g][h]][q]:
-                        rb.hit("assoc", (g, h, q))
-
-    elif kind == "n_compatible":
-        _require(data, kind, "f_map", "otimes", "rho")
-        if not arities:
-            raise ValueError("n_compatible requires a list of arities")
-        for arity in arities:
-            _check_n_compatible(data, rb, arity)
-
-    else:
+    """Check the axioms of the named structure at every element tuple of
+    the finite carriers; see the module docstring for axiom ids and report
+    order.  ``arities`` lists the arities checked by ``n_compatible``."""
+    if kind not in _KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
-
+    fields, checks = _KINDS[kind]
+    fam = _Family(data, arities)
+    missing = [field for field in fields if getattr(fam, field) is None]
+    if missing:
+        raise ValueError(f"kind {kind!r} requires: {', '.join(missing)}")
+    rb = ReportBuilder()
+    for check in checks:
+        check(fam, rb)
     return rb.report()
 
 
@@ -541,21 +567,11 @@ def check_lemma_for(data: SystemData) -> AxiomReport:
     pre = validate_family(data, "gsf_family")
     if not pre.valid:
         raise ValueError(f"not a valid gsf_family: {pre.violations[:4]}")
-    m, n = data.x_size, data.g_size
-    otimes = data.eff_otimes().entries
-    f = data.f_at
+    fam = _Family(data)
     rb = ReportBuilder()
-    for g in range(n):
-        for h in range(n):
-            for q in range(n):
-                a1 = data.star[f(g, h)].entries
-                a2 = data.star[f(otimes[g][h], q)].entries
-                b1 = data.star[f(g, q)].entries
-                b2 = data.star[f(otimes[g][q], otimes[h][q])].entries
-                for x in range(m):
-                    for y in range(m):
-                        if a2[a1[x][y]][y] != b2[b1[x][y]][y]:
-                            rb.hit("lemma", (x, y, g, h, q))
+    # (x *_A y) *_B y against (x *_C y) *_D y
+    keys = lambda a, b, c, d, e: zip(zip(a, b), zip(c, d))  # noqa: E731
+    rb.hit_first("lemma", _twisted_misses(fam, keys, fam.composes, fam.composition_witnesses))
     return rb.report()
 
 
@@ -881,27 +897,6 @@ def serialize_system(data: SystemData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_matrix(lines, pos, rows, cols, what, bound):
-    """Read rows x cols integers, each in 0..bound-1."""
-    out = []
-    for _ in range(rows):
-        if pos >= len(lines):
-            raise ParseError(f"unexpected end of file in {what} block", lines[-1][0])
-        lineno, line = lines[pos]
-        toks = line.split()
-        if len(toks) != cols:
-            raise ParseError(f"{what}: expected {cols} entries", lineno, 1)
-        row = tuple(_parse_int(t, lineno, line) for t in toks)
-        for t, v in zip(toks, row):
-            if not 0 <= v < bound:
-                raise ParseError(
-                    f"{what}: entry {v} out of range 0..{bound - 1}", lineno, line.find(t) + 1
-                )
-        out.append(row)
-        pos += 1
-    return tuple(out), pos
-
-
 def parse_system(text: str) -> SystemData:
     lines = list(_content_lines(text))
     if not lines or lines[0][1] != "system":
@@ -939,18 +934,18 @@ def parse_system(text: str) -> SystemData:
             group_line = (lineno, line, toks)
             pos += 1
         elif head == "otimes":
-            rows, pos = _read_matrix(lines, pos + 1, n, n, "otimes", n)
+            rows, pos = _read_matrix(lines, pos + 1, n, n, n, "otimes")
             otimes = OperationTable(n, rows)
         elif head == "oplus":
-            rows, pos = _read_matrix(lines, pos + 1, n, n, "oplus", n)
+            rows, pos = _read_matrix(lines, pos + 1, n, n, n, "oplus")
             oplus = OperationTable(n, rows)
         elif head == "f":
-            f_map, pos = _read_matrix(lines, pos + 1, n, n, "f", n)
+            f_map, pos = _read_matrix(lines, pos + 1, n, n, n, "f")
         elif head == "star":
             if len(toks) != 2:
                 raise ParseError("expected 'star <g>'", lineno, 1)
             g = _parse_int(toks[1], lineno, line)
-            rows, pos = _read_matrix(lines, pos + 1, m, m, f"star {g}", m)
+            rows, pos = _read_matrix(lines, pos + 1, m, m, m, f"star {g}")
             star[g] = OperationTable(m, rows)
         elif head == "rho":
             if len(toks) < 4 or toks[2] != "=":
@@ -968,7 +963,7 @@ def parse_system(text: str) -> SystemData:
                 raise ParseError(
                     f"gamma arity {k} outside 2..{MAX_GAMMA_ARITY}", lineno, line.find(toks[1]) + 1
                 )
-            rows, pos = _read_matrix(lines, pos + 1, n ** (k - 1), n, f"gamma {k}", n)
+            rows, pos = _read_matrix(lines, pos + 1, n ** (k - 1), n, n, f"gamma {k}")
             gamma.append((k, tuple(v for row in rows for v in row)))
             if k == 2:
                 gamma_line = lineno
@@ -1069,7 +1064,7 @@ def parse_axet(text: str) -> AxetData:
 
     def read_group(size):
         nonlocal pos
-        rows, pos = _read_matrix(lines, pos, size, size, "group table", size)
+        rows, pos = _read_matrix(lines, pos, size, size, size, "group table")
         lineno, line = next_line("'identity <k>'")
         toks = line.split()
         if len(toks) != 2 or toks[0] != "identity":
@@ -1101,7 +1096,7 @@ def parse_axet(text: str) -> AxetData:
         pos += 1
     if pos >= len(lines) or lines[pos][1] != "tau":
         raise ParseError("expected 'tau' block", lines[pos - 1][0])
-    tau, pos = _read_matrix(lines, pos + 1, m, s_group.size, "tau", g_group.size)
+    tau, pos = _read_matrix(lines, pos + 1, m, s_group.size, g_group.size, "tau")
     if pos < len(lines):
         raise ParseError("unexpected content after the tau block", lines[pos][0], 1)
     missing = sorted(set(range(g_group.size)) - set(action))

@@ -209,17 +209,43 @@ def _q3_witnesses(e, candidates):
                     yield i, j, k
 
 
-def _assoc_witnesses(e, candidates):
-    """The (x, a, y) with (x*a)*y != x*(a*y), in scan order, for the left
-    elements x and the middle elements a listed with them."""
+def _assoc_witnesses(e, m, candidates):
+    """The (x, a, y) with (x.a).y != x.(a*y), in scan order, for the left
+    elements x and the middle elements a listed with them, where . is the
+    operation e and * the operation m."""
     n = len(e)
     for x, middles in candidates:
         row = e[x]
         for a in middles:
-            xa, arow = e[row[a]], e[a]
+            xa, arow = e[row[a]], m[a]
             for y in range(n):
                 if xa[y] != row[arow[y]]:
                     yield x, a, y
+
+
+def _associativity_misses(table: OperationTable, middle: OperationTable | None = None):
+    """The (x, a, y) with (x.a).y != x.(a*y), in scan order, where . is
+    ``table`` and * is ``middle``, or ``table`` again when it is None.
+
+    Light's test over rows: row(x.a) against row_x o row_a, for every x.
+    With one operation, the middle elements a at which it associates are
+    closed under it, so only a generating set of them is checked.  Tables
+    of fewer than SCAN_BELOW elements are scanned whole.
+    """
+    e = table.entries
+    m = e if middle is None else middle.entries
+    n = len(e)
+    if n < SCAN_BELOW:
+        candidates = [(x, range(n)) for x in range(n)]
+    else:
+        cols = table.columns
+        candidates = _mismatches(
+            n,
+            lambda a: list(map(e.__getitem__, cols[a])),
+            lambda a: list(map(_composer(m[a]), e)),
+            (e, cols) if middle is None else (),
+        )
+    return _assoc_witnesses(e, m, candidates)
 
 
 def _identity_of(table: OperationTable) -> int | None:
@@ -287,18 +313,7 @@ def validate_axioms(table: OperationTable, profile: str, identity: int | None = 
                 "K4", ((i, j) for i in range(n) for j in k4_columns if e[e[i][j]][j] != i)
             )
     elif profile == "group":
-        candidates = everything
-        if candidates is None:
-            # Light's test: row(x.a) against row_x o row_a, over x.  The
-            # middle elements a at which the product associates are closed
-            # under it.
-            candidates = _mismatches(
-                n,
-                lambda a: list(map(e.__getitem__, cols[a])),
-                lambda a: list(map(_composer(e[a]), e)),
-                (e, cols),
-            )
-        rb.hit_first("assoc", _assoc_witnesses(e, candidates))
+        rb.hit_first("assoc", _associativity_misses(table))
         if identity is None:
             identity = _identity_of(table)
         if identity is None:
@@ -538,6 +553,34 @@ def _parse_int(token: str, lineno: int, line: str) -> int:
         raise ParseError(f"expected integer, got {token!r}", lineno, column) from None
 
 
+def _read_matrix(lines, pos, rows, cols, bound, what=None):
+    """Read rows x cols integers, each in 0..bound-1, from ``lines[pos:]``;
+    return them and the position after them.  ``what`` names the block in
+    error messages.
+
+    A row is converted and range-checked whole; the offending token is
+    looked for only when the row fails, to give its column.
+    """
+    label = f"{what}: " if what else ""
+    out = []
+    for lineno, line in lines[pos : pos + rows]:
+        toks = line.split()
+        if len(toks) != cols:
+            raise ParseError(f"{label}expected {cols} entries", lineno, 1)
+        try:
+            row = tuple(map(int, toks))
+        except ValueError:
+            row = tuple(_parse_int(t, lineno, line) for t in toks)
+        if min(row) < 0 or max(row) >= bound:
+            t, v = next((t, v) for t, v in zip(toks, row) if not 0 <= v < bound)
+            span = f" 0..{bound - 1}" if what else ""
+            raise ParseError(f"{label}entry {v} out of range{span}", lineno, line.find(t) + 1)
+        out.append(row)
+    if len(out) < rows:
+        raise ParseError(f"unexpected end of file in {what} block", lines[-1][0])
+    return tuple(out), pos + rows
+
+
 def _parse_magma(text: str) -> tuple[OperationTable, int | None]:
     """The table of a magma file and its ``identity`` line, if any."""
     lines = list(_content_lines(text))
@@ -563,17 +606,8 @@ def _parse_magma(text: str) -> tuple[OperationTable, int | None]:
         body = body[1:]
     if len(body) != size:
         raise ParseError(f"expected {size} matrix rows, found {len(body)}", lines[0][0])
-    rows = []
-    for lineno, line in body:
-        toks = line.split()
-        if len(toks) != size:
-            raise ParseError(f"expected {size} entries", lineno, 1)
-        row = tuple(_parse_int(t, lineno, line) for t in toks)
-        for t, v in zip(toks, row):
-            if not 0 <= v < size:
-                raise ParseError(f"entry {v} out of range", lineno, line.find(t) + 1)
-        rows.append(row)
-    return OperationTable(size, tuple(rows)), identity
+    rows, _ = _read_matrix(body, 0, size, size, size)
+    return OperationTable(size, rows), identity
 
 
 def parse_table(text: str) -> OperationTable:

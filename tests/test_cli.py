@@ -102,6 +102,13 @@ def test_check_system_kinds(capsys):
         "--kind=n_compatible", "--arities=2",
     )
     assert code == 0 and json.loads(out)["valid"]
+    # an arity given twice is checked once: broken-tc4 fails nc5[2] at 4 pairs
+    for arities in ("2", "2,2"):
+        code, out, _ = run(
+            capsys, "--format", "json", "check-system", "systems:broken-tc4",
+            "--kind=n_compatible", f"--arities={arities}",
+        )
+        assert code == 1 and len(json.loads(out)["violations"]) == 4, arities
 
 
 def test_associated_writes_table(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import itertools
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit import systems
 from quandlekit.fixtures import axet_z2_s3, list_systems, system
 from quandlekit.systems import (
+    FAMILY_KINDS,
     AxetData,
     SystemData,
     associated_quandle,
@@ -26,8 +30,12 @@ from quandlekit.systems import (
     validate_involution,
 )
 from quandlekit.tables import (
+    AxiomReport,
+    GroupTable,
     OperationTable,
     ParseError,
+    ReportBuilder,
+    _column_collision,
     conjugation_quandle,
     cyclic_group,
     dihedral_quandle,
@@ -521,6 +529,25 @@ def test_quandle_system_wraps_bare_quandle():
     assert assoc.table.entries == R3.entries
 
 
+@st.composite
+def serializable_systems(draw):
+    """Arbitrary systems that a file carries whole: a group record is kept
+    only when its product is the stored (+)."""
+    data = draw(arbitrary_systems())
+    if data.group is not None:
+        data = replace(data, oplus=data.group.table)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(serializable_systems())
+def test_system_files_round_trip(data):
+    text = serialize_system(data)
+    again = parse_system(text)
+    assert again == data
+    assert serialize_system(again) == text
+
+
 SYSTEM_TEXTS = [serialize_system(system(name)) for name in list_systems()] + [
     serialize_system(gamma_from_oplus(system("t3r3z2"), k)[0]) for k in (2, 3)
 ]
@@ -586,3 +613,542 @@ def test_axet_errors_name_their_line():
         with pytest.raises(ParseError) as exc:
             parse_axet(text.replace(old, new, 1))
         assert exc.value.line == line, old
+
+
+# --- validate_family against element-by-element loops -------------------
+#
+# The oracle below is the loop code that validate_family and
+# check_lemma_for ran before their checks compared whole tables, kept
+# verbatim but for the names, the checks for missing fields, and the
+# lemma's precondition.  It shares only the report assembly
+# (ReportBuilder), validate_axioms for the gq-/qq- merges and
+# _column_collision for the first repeat in a column.
+
+
+def _ref_check_fw(data: SystemData, rb: ReportBuilder) -> None:
+    m, n = data.x_size, data.g_size
+    f = data.f_at
+    star = data.star
+    otimes = data.eff_otimes().entries
+    for g in range(n):
+        op = star[f(g, g)].entries
+        for x in range(m):
+            if op[x][x] != x:
+                rb.hit("fw1", (x, g))
+    for g in range(n):
+        for h in range(n):
+            table = star[f(g, h)]
+            for y in range(m):
+                collision = _column_collision(table, y)
+                if collision is not None:
+                    rb.hit("fw2", (g, h, y, collision[0], collision[1]))
+                    break
+    for g in range(n):
+        for h in range(n):
+            for q in range(n):
+                a = star[f(g, h)].entries
+                b = star[f(otimes[g][h], q)].entries
+                c = star[f(g, q)].entries
+                d = star[f(otimes[g][q], otimes[h][q])].entries
+                e = star[f(h, q)].entries
+                for x, y, z in itertools.product(range(m), repeat=3):
+                    if b[a[x][y]][z] != d[c[x][z]][e[y][z]]:
+                        rb.hit("fw3", (x, y, z, g, h, q))
+
+
+def _ref_check_oplus_def(data: SystemData, rb: ReportBuilder) -> None:
+    m, n = data.x_size, data.g_size
+    oplus = data.eff_oplus().entries
+    for g in range(n):
+        for h in range(n):
+            lhs_g, lhs_h = data.star[g].entries, data.star[h].entries
+            rhs = data.star[oplus[g][h]].entries
+            for x in range(m):
+                for y in range(m):
+                    if lhs_h[lhs_g[x][y]][y] != rhs[x][y]:
+                        rb.hit("oplus-def", (x, y, g, h))
+
+
+def _ref_check_trivalent(data: SystemData, rb: ReportBuilder) -> None:
+    m, n = data.x_size, data.g_size
+    otimes = data.eff_otimes().entries
+    oplus = data.eff_oplus().entries
+    f = data.f_at
+    rho = data.rho
+    for x in range(m):
+        for g in range(n):
+            if rho[x][rho[x][g]] != g:
+                rb.hit("rho-inv", (x, g))
+    for g in range(n):
+        for h in range(n):
+            if oplus[h][otimes[g][h]] != oplus[g][h]:
+                rb.hit("tc1", (g, h))
+    for h in range(n):
+        base = f(0, h)
+        for g in range(1, n):
+            if f(g, h) != base:
+                rb.hit("tc2", (g, h))
+    for g in range(n):
+        for h in range(n):
+            for q in range(n):
+                if otimes[g][oplus[h][q]] != otimes[otimes[g][h]][q]:
+                    rb.hit("tc3", (g, h, q))
+    for h in range(n):
+        for q in range(n):
+            if f(0, oplus[h][q]) != oplus[f(0, h)][f(0, q)]:
+                rb.hit("tc4", (h, q))
+    for u in range(n):
+        for v in range(n):
+            for g in range(n):
+                if otimes[oplus[u][v]][g] != oplus[otimes[u][g]][otimes[v][g]]:
+                    rb.hit("tc5", (u, v, g))
+    for x in range(m):
+        for g in range(n):
+            for h in range(n):
+                gh = oplus[g][h]
+                if oplus[h][rho[x][gh]] != rho[x][g]:
+                    rb.hit("tc6a", (x, g, h))
+                if oplus[rho[x][gh]][g] != rho[x][h]:
+                    rb.hit("tc6b", (x, g, h))
+
+
+def _ref_check_n_compatible(data: SystemData, rb: ReportBuilder, arity: int) -> None:
+    m, n = data.x_size, data.g_size
+    flat = data.gamma_table(arity)
+    if flat is None:
+        raise ValueError(f"n_compatible({arity}) requires an arity-{arity} gamma table")
+    tag = f"[{arity}]"
+
+    def gamma(gs: tuple[int, ...]) -> int:
+        idx = 0
+        for g in gs:
+            idx = idx * n + g
+        return flat[idx]
+
+    otimes = data.eff_otimes().entries
+    f = data.f_at
+    rho = data.rho
+    for x in range(m):
+        for g in range(n):
+            if rho[x][rho[x][g]] != g:
+                rb.hit("rho-inv" + tag, (x, g))
+    for gs in itertools.product(range(n), repeat=arity):
+        target = data.star[gamma(gs)].entries
+        for x in range(m):
+            for y in range(m):
+                acc = x
+                for g in gs:
+                    acc = data.star[g].entries[acc][y]
+                if acc != target[x][y]:
+                    rb.hit("nc1" + tag, (x, y) + gs)
+    for rest in itertools.product(range(n), repeat=arity - 2):
+        for h1 in range(n):
+            for h2 in range(n):
+                if gamma((h2, otimes[h1][h2]) + rest) != gamma((h1, h2) + rest):
+                    rb.hit("nc2" + tag, (h1, h2) + rest)
+    for h in range(n):
+        base = f(0, h)
+        for g in range(1, n):
+            if f(g, h) != base:
+                rb.hit("nc3" + tag, (g, h))
+    for gs in itertools.product(range(n), repeat=arity):
+        for h in range(n):
+            acc = h
+            for g in gs:
+                acc = otimes[acc][g]
+            if otimes[h][gamma(gs)] != acc:
+                rb.hit("nc4" + tag, (h,) + gs)
+    for gs in itertools.product(range(n), repeat=arity):
+        if f(0, gamma(gs)) != gamma(tuple(f(0, g) for g in gs)):
+            rb.hit("nc5" + tag, gs)
+    for gs in itertools.product(range(n), repeat=arity):
+        for h in range(n):
+            if otimes[gamma(gs)][h] != gamma(tuple(otimes[g][h] for g in gs)):
+                rb.hit("nc6" + tag, (h,) + gs)
+    # rotation coherence: wrapping the folded value around the argument list
+    # through rho_x reproduces rho_x of the dropped argument
+    for x in range(m):
+        for gs in itertools.product(range(n), repeat=arity):
+            folded = rho[x][gamma(gs)]
+            for i in range(arity):
+                args = gs[arity - i :] + (folded,) + gs[: arity - i - 1]
+                if gamma(args) != rho[x][gs[arity - i - 1]]:
+                    rb.hit("nc7" + tag, (x, i) + gs)
+
+
+def reference_family_report(data, kind, arities=()):
+    rb = ReportBuilder()
+    m, n = data.x_size, data.g_size
+
+    if kind == "g_family":
+        grp = data.group
+        for g in range(n):
+            op = data.star[g].entries
+            for x in range(m):
+                if op[x][x] != x:
+                    rb.hit("gf1", (x, g))
+        e = grp.identity
+        for x in range(m):
+            for y in range(m):
+                if data.star[e].entries[x][y] != x:
+                    rb.hit("gf2-unit", (x, y))
+        for g in range(n):
+            for h in range(n):
+                prod = data.star[grp.mul(g, h)].entries
+                sg, sh = data.star[g].entries, data.star[h].entries
+                for x in range(m):
+                    for y in range(m):
+                        if prod[x][y] != sh[sg[x][y]][y]:
+                            rb.hit("gf2-prod", (x, y, g, h))
+        for g in range(n):
+            for h in range(n):
+                conj = grp.conjugate(g, h)
+                sg, sh, sc = data.star[g].entries, data.star[h].entries, data.star[conj].entries
+                for x, y, z in itertools.product(range(m), repeat=3):
+                    if sh[sg[x][y]][z] != sc[sh[x][z]][sh[y][z]]:
+                        rb.hit("gf3", (x, y, z, g, h))
+
+    elif kind == "gsf_family":
+        grp = data.group
+        rb.merge(validate_axioms(data.eff_otimes(), "quandle"), prefix="gq-")
+        for g in range(n):
+            op = data.star[g].entries
+            for x in range(m):
+                if op[x][x] != x:
+                    rb.hit("gsf1", (x, g))
+        e = grp.identity
+        for x in range(m):
+            for y in range(m):
+                if data.star[e].entries[x][y] != x:
+                    rb.hit("gsf2-unit", (x, y))
+        for g in range(n):
+            for h in range(n):
+                prod = data.star[grp.mul(g, h)].entries
+                sg, sh = data.star[g].entries, data.star[h].entries
+                for x in range(m):
+                    for y in range(m):
+                        if prod[x][y] != sh[sg[x][y]][y]:
+                            rb.hit("gsf2-prod", (x, y, g, h))
+        otimes = data.eff_otimes().entries
+        f = data.f_at
+        for g in range(n):
+            for h in range(n):
+                for q in range(n):
+                    a = data.star[f(g, h)].entries
+                    b = data.star[f(otimes[g][h], q)].entries
+                    c = data.star[f(g, q)].entries
+                    d = data.star[f(otimes[g][q], otimes[h][q])].entries
+                    ee = data.star[f(h, q)].entries
+                    for x, y, z in itertools.product(range(m), repeat=3):
+                        if b[a[x][y]][z] != d[c[x][z]][ee[y][z]]:
+                            rb.hit("gsf3", (x, y, z, g, h, q))
+
+    elif kind == "q_family":
+        rb.merge(validate_axioms(data.eff_otimes(), "quandle"), prefix="qq-")
+        for a in range(n):
+            op = data.star[a]
+            for x in range(m):
+                if op.entries[x][x] != x:
+                    rb.hit("qf1", (x, a))
+            for x in range(m):
+                collision = _column_collision(op, x)
+                if collision is not None:
+                    rb.hit("qf2", (a, x, collision[0], collision[1]))
+        circ = data.eff_otimes().entries
+        for a in range(n):
+            for b in range(n):
+                sa, sb = data.star[a].entries, data.star[b].entries
+                sc = data.star[circ[a][b]].entries
+                for x, y, z in itertools.product(range(m), repeat=3):
+                    if sb[sa[x][y]][z] != sc[sb[x][z]][sb[y][z]]:
+                        rb.hit("qf3", (x, y, z, a, b))
+
+    elif kind == "fw_system":
+        _ref_check_fw(data, rb)
+
+    elif kind == "trivalent_compatible":
+        _ref_check_fw(data, rb)
+        _ref_check_oplus_def(data, rb)
+        _ref_check_trivalent(data, rb)
+
+    elif kind == "associative_composition":
+        oplus = data.eff_oplus().entries
+        for g in range(n):
+            for h in range(n):
+                for q in range(n):
+                    if oplus[g][oplus[h][q]] != oplus[oplus[g][h]][q]:
+                        rb.hit("assoc", (g, h, q))
+
+    elif kind == "n_compatible":
+        if not arities:
+            raise ValueError("n_compatible requires a list of arities")
+        for arity in arities:
+            _ref_check_n_compatible(data, rb, arity)
+
+    elif kind == "lemma":
+        m, n = data.x_size, data.g_size
+        otimes = data.eff_otimes().entries
+        f = data.f_at
+        for g in range(n):
+            for h in range(n):
+                for q in range(n):
+                    a1 = data.star[f(g, h)].entries
+                    a2 = data.star[f(otimes[g][h], q)].entries
+                    b1 = data.star[f(g, q)].entries
+                    b2 = data.star[f(otimes[g][q], otimes[h][q])].entries
+                    for x in range(m):
+                        for y in range(m):
+                            if a2[a1[x][y]][y] != b2[b1[x][y]][y]:
+                                rb.hit("lemma", (x, y, g, h, q))
+
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+
+    return rb.report()
+
+
+NEEDS = {
+    "g_family": ("group",),
+    "gsf_family": ("group", "f_map", "otimes"),
+    "q_family": ("otimes",),
+    "fw_system": ("f_map", "otimes"),
+    "trivalent_compatible": ("f_map", "otimes", "oplus", "rho"),
+    "associative_composition": ("oplus",),
+    "n_compatible": ("f_map", "otimes", "rho"),
+    "lemma": ("group", "f_map", "otimes"),
+}
+
+
+def has(data, field):
+    if field in ("otimes", "oplus"):
+        return getattr(data, field) is not None or data.group is not None
+    return getattr(data, field) is not None
+
+
+def family_report(data, kind, arities=()):
+    """validate_family, or check_lemma_for with its gsf_family
+    precondition waived so that it runs on any system."""
+    if kind != "lemma":
+        return validate_family(data, kind, arities)
+    with mock.patch.object(systems, "validate_family", return_value=AxiomReport(True, ())):
+        return check_lemma_for(data)
+
+
+def assert_family_reports_match(data, kinds=FAMILY_KINDS + ("lemma",)):
+    """Every kind that data has the fields for reports what the loops do,
+    n_compatible at each arity with a composition table.  Tables under
+    SCAN_BELOW elements are also checked with whole rows compared."""
+    compared = 0
+    for kind in kinds:
+        arities = ()
+        if kind == "n_compatible":
+            arities = [k for k in (2, 3, 4) if data.gamma_table(k) is not None]
+            if not arities:
+                continue
+        if all(has(data, field) for field in NEEDS[kind]):
+            want = reference_family_report(data, kind, arities)
+            for below in {1, systems.SCAN_BELOW}:
+                with mock.patch.object(systems, "SCAN_BELOW", below):
+                    assert family_report(data, kind, arities) == want, (kind, below)
+            compared += 1
+    return compared
+
+
+def point_family(group):
+    """The family of one-point quandles over a group: its product is the
+    conjugation quandle of the group."""
+    return g_family_system(tuple(trivial_quandle(1) for _ in range(group.size)), group)
+
+
+P4 = point_family(symmetric_group(4))
+BUNDLED = [system(name) for name in list_systems()] + [
+    axet_to_system(axet_z2_s3())[0],
+    gamma_from_oplus(system("t3r3z2"), 3)[0],
+    gamma_from_oplus(axet_to_system(axet_z2_s3())[0], 4)[0],
+]
+
+
+DISTRIBUTIVITY_POOL = {n: [trivial_quandle(n), dihedral_quandle(n), table_from(n, lambda i, j: (i + 1) % n),
+                          table_from(n, lambda i, j: (i * j + 1) % n)] for n in (1, 2, 3, 8, 9)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DISTRIBUTIVITY_POOL)).flatmap(
+    lambda n: st.lists(st.sampled_from(DISTRIBUTIVITY_POOL[n]), min_size=5, max_size=5)))
+def test_whole_row_distributivity_agrees_with_a_scan(tables):
+    # b[a[x][y]][z] = d[c[x][z]][e[y][z]], compared a row at a time and
+    # element by element
+    for below in (1, systems.SCAN_BELOW):
+        with mock.patch.object(systems, "SCAN_BELOW", below):
+            found = next(systems._distributivity_witnesses(*tables), None)
+            assert systems._distributes(*tables) == (found is None)
+            a, b, c, d, e = (t.entries for t in tables)
+            if found is not None:
+                x, y, z = found
+                assert b[a[x][y]][z] != d[c[x][z]][e[y][z]]
+
+
+def test_bundled_systems_match_the_reference():
+    compared = sum(assert_family_reports_match(data) for data in BUNDLED + [P4])
+    assert compared >= 40
+
+
+def tables(size):
+    row = st.lists(st.integers(0, size - 1), min_size=size, max_size=size).map(tuple)
+    rows = st.lists(row, min_size=size, max_size=size).map(tuple)
+    return rows.map(lambda r: OperationTable(size, r))
+
+
+@st.composite
+def arbitrary_systems(draw):
+    """Systems with |X| <= 3 and |G| <= 3 whose tables, f, group record,
+    rho and arity-3 composition table are arbitrary, each field present
+    or not."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g_index = st.integers(0, n - 1)
+    maybe = lambda strategy: st.none() | strategy  # noqa: E731
+    group = maybe(st.builds(
+        GroupTable, tables(n), g_index, st.lists(g_index, min_size=n, max_size=n).map(tuple)))
+    rho = st.lists(st.permutations(range(n)).map(tuple), min_size=m, max_size=m).map(tuple)
+    gamma3 = st.lists(g_index, min_size=n**3, max_size=n**3).map(lambda flat: ((3, tuple(flat)),))
+    return SystemData(
+        x_size=m,
+        g_size=n,
+        star=tuple(draw(st.lists(tables(m), min_size=n, max_size=n))),
+        f_map=draw(maybe(st.lists(
+            st.lists(g_index, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n))),
+        otimes=draw(maybe(tables(n))),
+        group=draw(group),
+        oplus=draw(maybe(tables(n))),
+        gamma=draw(st.just(()) | gamma3),
+        rho=draw(maybe(rho)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbitrary_systems())
+def test_arbitrary_systems_match_the_reference(data):
+    assert_family_reports_match(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arbitrary_systems())
+def test_associated_product_matches_its_formula_on_arbitrary_systems(data):
+    if data.f_map is None or (data.otimes is None and data.group is None):
+        return
+    assoc, report = associated_quandle(data)
+    m, n = data.x_size, data.g_size
+    otimes = data.eff_otimes().entries
+    for x, g, y, h in itertools.product(range(m), range(n), range(m), range(n)):
+        want = data.star[data.f_map[g][h]].entries[x][y] * n + otimes[g][h]
+        assert assoc.table.entries[x * n + g][y * n + h] == want
+    assert report == validate_axioms(assoc.table, "quandle")
+
+
+def mutated(data, field, draw):
+    """data with one entry of star, f, otimes or oplus changed, or two
+    entries of one rho_x exchanged; None when the field has no entry that
+    can change."""
+    m, n = data.x_size, data.g_size
+    if field == "star":
+        if m == 1:
+            return None
+        g, x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows = [list(row) for row in data.star[g].entries]
+        rows[x][y] = draw(st.integers(0, m - 1).filter(lambda v: v != rows[x][y]))
+        star = list(data.star)
+        star[g] = OperationTable(m, tuple(map(tuple, rows)))
+        return replace(data, star=tuple(star))
+    if n == 1 or getattr(data, "f_map" if field == "f" else field) is None:
+        return None
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if field == "rho":
+        x, k = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1).filter(lambda k: k != i))
+        perm = list(data.rho[x])
+        perm[i], perm[k] = perm[k], perm[i]
+        return replace(data, rho=data.rho[:x] + (tuple(perm),) + data.rho[x + 1 :])
+    rows = [list(row) for row in (data.f_map if field == "f" else getattr(data, field).entries)]
+    rows[i][j] = draw(st.integers(0, n - 1).filter(lambda v: v != rows[i][j]))
+    rows = tuple(map(tuple, rows))
+    if field == "f":
+        return replace(data, f_map=rows)
+    return replace(data, **{field: OperationTable(n, rows)}, gamma=())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUNDLED), st.sampled_from(["star", "f", "otimes", "oplus", "rho"]), st.data())
+def test_single_entry_mutations_match_the_reference(data, field, draw):
+    changed = mutated(data, field, draw.draw)
+    if changed is not None:
+        assert_family_reports_match(changed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["f", "otimes", "oplus", "rho"]), st.data())
+def test_single_entry_mutations_of_the_s4_point_family_match_the_reference(field, draw):
+    assert_family_reports_match(mutated(P4, field, draw.draw))
+
+
+def q_family(star, circ):
+    return SystemData(x_size=star[0].size, g_size=len(star), star=tuple(star), otimes=circ)
+
+
+def trivalent(rho, oplus):
+    """t3r3z2 with rho and (+) replaced."""
+    return replace(system("t3r3z2"), rho=rho, oplus=oplus, group=None)
+
+
+def test_axioms_scanned_side_by_side_enter_the_report_at_their_first_witness():
+    shift = table_from(2, lambda i, j: 1 - i)  # not idempotent, columns permute
+    const = table_from(2, lambda i, j: i * j)  # idempotent, column 0 repeats
+    # qf1 and qf2 are checked for each a in turn
+    for star, order in (((const, shift), ("qf2", "qf1")), ((shift, const), ("qf1", "qf2"))):
+        data = q_family(star, T2)
+        report = validate_family(data, "q_family")
+        assert report == reference_family_report(data, "q_family")
+        assert report.axioms_violated()[:2] == order
+    # tc6a and tc6b are checked for each (x, g, h) in turn
+    swap = ((1, 0), (1, 0), (1, 0))
+    for oplus, first in ((OperationTable(2, ((0, 1), (1, 1))), "tc6a"),
+                         (OperationTable(2, ((0, 1), (0, 0))), "tc6b")):
+        data = trivalent(swap, oplus)
+        report = validate_family(data, "trivalent_compatible")
+        assert report == reference_family_report(data, "trivalent_compatible")
+        tc6 = [axiom for axiom in report.axioms_violated() if axiom.startswith("tc6")]
+        assert tc6[0] == first, tc6
+
+
+def test_duplicate_arities_are_checked_once():
+    data = system("broken-tc4")
+    once = validate_family(data, "n_compatible", [2])
+    assert not once.valid
+    assert validate_family(data, "n_compatible", [2, 2]) == once
+    data3, _ = gamma_from_oplus(system("t3r3z2"), 3)
+    assert validate_family(data3, "n_compatible", [3, 2, 3, 2]) == reference_family_report(
+        data3, "n_compatible", [3, 2])
+
+
+P5 = point_family(symmetric_group(5))
+
+
+def test_every_kind_over_the_s5_point_family_is_quick_and_valid():
+    # P5 meets every axiom, so each report is empty, as the loops found
+    from test_acceptance import Timer
+
+    for kind in FAMILY_KINDS:
+        with Timer(2.0):
+            assert validate_family(P5, kind, [2]) == AxiomReport(True, ())
+    with Timer(2.0):
+        assert check_lemma_for(P5) == AxiomReport(True, ())
+
+
+def test_s5_point_family_with_one_entry_changed_matches_the_reference():
+    # (x) changed at one entry: gq- and several tc and nc axioms fail
+    rows = [list(row) for row in P5.otimes.entries]
+    rows[7][90] = (rows[7][90] + 1) % 120
+    data = replace(P5, otimes=OperationTable(120, tuple(map(tuple, rows))))
+    for kind in FAMILY_KINDS + ("lemma",):
+        arities = [2] if kind == "n_compatible" else ()
+        report = family_report(data, kind, arities)
+        assert report == reference_family_report(data, kind, arities), kind
+    assert not validate_family(data, "trivalent_compatible").valid

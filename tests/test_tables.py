@@ -441,3 +441,63 @@ def test_identity_out_of_range_is_refused():
     with pytest.raises(ParseError) as err:
         parse_group("magma 3\nidentity 7\n0 1 2\n1 2 0\n2 0 1\n")
     assert err.value.line == 2
+
+
+# --- the table file reader -------------------------------------------------
+
+
+def square_tables(max_size=7):
+    return st.integers(1, max_size).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+        min_size=n, max_size=n).map(lambda rows: OperationTable(n, tuple(rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_tables())
+def test_table_files_round_trip(table):
+    text = serialize_table(table)
+    again = parse_table(text)
+    assert again == table
+    assert serialize_table(again) == text
+
+
+TABLE_TEXTS = [serialize_table(t) for t in (R3, T3, conjugation_quandle(S3, 1))] + [
+    serialize_group(S3), serialize_group(cyclic_group(4))]
+TABLE_MUTANTS = st.sampled_from(
+    ["", "x", "magma", "identity", "1.5", "0x1", "-0", "+1", "=", "9" * 30]
+) | st.integers(-2, 9).map(str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TABLE_TEXTS), st.data())
+def test_single_token_table_mutations_parse_or_raise_parse_error_with_a_line(text, data):
+    from quandlekit.tables import ParseError
+
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    i, j = data.draw(st.sampled_from(spots))
+    lines[i][j] = data.draw(TABLE_MUTANTS)
+    try:
+        parse_table("\n".join(" ".join(toks) for toks in lines))
+    except ParseError as exc:
+        assert exc.line is not None
+
+
+def test_table_entry_errors_name_their_line_and_column():
+    from quandlekit.tables import ParseError
+
+    for bad, line, column in (
+        ("magma 3\n0 2 1\n2 1 0\n1 0 5\n", 4, 5),  # out of range
+        ("magma 3\n0 2 1\n2 y 0\n1 0 2\n", 3, 3),  # not an integer
+        ("magma 3\n0 2 1\n2 1 -1\n1 0 2\n", 3, 5),  # negative
+        ("magma 3\n0 2 1\n2 1\n1 0 2\n", 3, 1),  # too short
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_table(bad)
+        assert (err.value.line, err.value.column) == (line, column), bad
+
+
+def test_operation_tables_refuse_entries_out_of_range_or_not_integers():
+    for rows, bad in ((((0, 1), (1, 2)), "2"), (((0, 1), (-1, 0)), "-1"), (((0, 1.0), (1, 0)), "1.0")):
+        with pytest.raises(ValueError, match=f"entry {bad} out of range 0..1"):
+            OperationTable(2, rows)

@@ -13,7 +13,7 @@ import sys
 
 from . import fixtures
 from .coloring import count_colourings
-from .diagrams import Diagram, parse_diagram, serialize_diagram
+from .diagrams import parse_diagram
 from .invariants import (
     group_hom_count,
     kauffman_summary,
@@ -24,7 +24,6 @@ from .invariants import (
 from .moves import MOVE_KINDS, SCOPES, ScopeError, fuzz_invariance
 from .systems import (
     FAMILY_KINDS,
-    SystemData,
     associated_quandle,
     parse_system,
     search_involutions,
@@ -49,44 +48,169 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
 
 
-def resolve_diagram(spec: str) -> Diagram:
-    if spec.startswith("fixtures:"):
+# the prefix that names a bundled resource -> (its lookup, the parser of a file)
+_SOURCES = {
+    "fixtures:": (fixtures.diagram, parse_diagram),
+    "systems:": (fixtures.system, parse_system),
+}
+
+
+def resolve(spec: str, prefix: str):
+    """The bundled resource that ``prefix`` + NAME names, else the file at
+    ``spec`` read as that kind: a diagram for ``fixtures:``, a system for
+    ``systems:``."""
+    bundled, parse = _SOURCES[prefix]
+    if spec.startswith(prefix):
         try:
-            return fixtures.diagram(spec[len("fixtures:") :])
+            return bundled(spec[len(prefix) :])
         except KeyError as exc:
             raise ParseError(str(exc.args[0]))
-    return parse_diagram(_read(spec))
+    return parse(_read(spec))
 
 
-def resolve_system(spec: str) -> SystemData:
-    if spec.startswith("systems:"):
-        try:
-            return fixtures.system(spec[len("systems:") :])
-        except KeyError as exc:
-            raise ParseError(str(exc.args[0]))
-    return parse_system(_read(spec))
+def _write(path: str | None, text: str) -> str:
+    """Write ``text`` to the ``-o`` file when one is given; return what is
+    left for stdout."""
+    if not path:
+        return text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return ""
 
 
-def _report_payload(report: AxiomReport) -> dict:
-    return {
-        "valid": report.valid,
-        "violations": [
-            {"axiom": axiom, "witness": list(witness)} for axiom, witness in report.violations
-        ],
-    }
+def _lines(items) -> str:
+    return "".join(f"{item}\n" for item in items)
 
 
-def _emit_report(report: AxiomReport, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps(_report_payload(report)))
+# Each handler returns (JSON payload, text, exit code).  A payload of None
+# means the command prints its text under --format json as well.
+
+
+def _report(report: AxiomReport):
+    violations = [{"axiom": axiom, "witness": list(w)} for axiom, w in report.violations]
+    lines = [f"  {v['axiom']} witness {v['witness']}" for v in violations]
+    text = _lines(["valid" if report.valid else "invalid", *lines])
+    return {"valid": report.valid, "violations": violations}, text, 0 if report.valid else 1
+
+
+def _check_table(args):
+    text = _read(args.file)
+    if args.profile == "group":
+        # the file's identity line, when present, pins the identity
+        table, identity = _parse_magma(text)
+        return _report(validate_axioms(table, "group", identity=identity))
+    return _report(validate_axioms(parse_table(text), args.profile))
+
+
+def _check_system(args):
+    data = resolve(args.file, "systems:")
+    arities = [int(a) for a in args.arities.split(",") if a] or [2]
+    return _report(validate_family(data, args.kind, arities))
+
+
+def _associated(args):
+    assoc, report = associated_quandle(resolve(args.file, "systems:"))
+    payload, text, code = _report(report)
+    payload["size"] = assoc.table.size
+    return payload, _write(args.output, serialize_table(assoc.table)) + text, code
+
+
+def _involutions(args):
+    table = parse_table(_read(args.file))
+    report = validate_axioms(table, "quandle")
+    if not report.valid:
+        return _report(report)
+    involutions = [list(rho) for rho in search_involutions(table)]
+    return involutions, _lines(" ".join(map(str, rho)) for rho in involutions), 0
+
+
+def _color(args):
+    d = resolve(args.diagram, "fixtures:")
+    count = count_colourings(d, resolve(args.system, "systems:"), args.mode)
+    return {"count": count, "mode": args.mode}, f"{count}\n", 0
+
+
+def _fuzz(args):
+    data = resolve(args.system, "systems:")
+    move_set = tuple(m for m in args.moves.split(",") if m) or None
+    unknown = [m for m in move_set or () if m not in MOVE_KINDS]
+    if unknown:
+        raise ParseError(f"unknown move kinds {unknown}")
+    report = fuzz_invariance(
+        data,
+        trials=args.trials,
+        seed=args.seed,
+        move_set=move_set,
+        scope=args.scope,
+        force=args.force,
+        crossings_max=args.crossings_max,
+        vertices_max=args.vertices_max,
+    )
+    fields = ("index", "seed", "move", "before", "after", "ok")
+    trials = [{k: getattr(t, k) for k in fields} for t in report.trials]
+    payload = {"trials": trials, "skipped": report.skipped, "mismatches": len(report.mismatches)}
+    return payload, report.text(), 0 if report.ok else 1
+
+
+def _wirtinger(args):
+    pres = wirtinger_presentation(resolve(args.diagram, "fixtures:"))
+    return None, _write(args.output, serialize_presentation(pres)), 0
+
+
+def _homs(args):
+    pres = parse_presentation(_read(args.presentation))
+    count = group_hom_count(pres, parse_group(_read(args.group)))
+    return {"count": count}, f"{count}\n", 0
+
+
+def _kauffman(args):
+    d = resolve(args.diagram, "fixtures:")
+    if args.invariant == "linking":
+        values = kauffman_summary(d, "linking")
+    elif args.invariant.startswith(("colour:", "color:")):
+        data = resolve(args.invariant.split(":", 1)[1], "systems:")
+        values = kauffman_summary(d, "colour_count", sys=data)
     else:
-        if report.valid:
-            print("valid")
-        else:
-            print("invalid")
-            for axiom, witness in report.violations:
-                print(f"  {axiom} witness {list(witness)}")
-    return 0 if report.valid else 1
+        raise ParseError(f"unknown invariant {args.invariant!r}")
+    values = [list(v) if isinstance(v, tuple) else v for v in values]
+    text = _lines(f"[{' '.join(map(str, v))}]" if isinstance(v, list) else v for v in values)
+    return values, text, 0
+
+
+def _fixtures(args):
+    if args.action == "list":
+        return None, _lines(fixtures.list_diagrams()), 0
+    if not args.name:
+        raise ParseError("fixtures show needs a name")
+    try:
+        return None, fixtures.DIAGRAMS[args.name], 0
+    except KeyError:
+        raise ParseError(f"no bundled diagram {args.name!r}")
+
+
+_COMMANDS = {
+    "check-table": _check_table,
+    "check-system": _check_system,
+    "associated": _associated,
+    "involutions": _involutions,
+    "color": _color,
+    "fuzz": _fuzz,
+    "wirtinger": _wirtinger,
+    "homs": _homs,
+    "kauffman": _kauffman,
+    "fixtures": _fixtures,
+}
+
+
+def _emit(result, fmt: str) -> int:
+    """Print a handler's result, as JSON when asked for and the command has
+    a payload, else as its text; return its exit code."""
+    payload, text, code = result
+    if fmt == "json" and payload is not None:
+        print(json.dumps(payload))
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def main(argv=None) -> int:
@@ -146,175 +270,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    fmt = args.format
     try:
-        return _dispatch(args, fmt)
-    except ParseError as exc:
+        return _emit(_COMMANDS[args.command](args), args.format)
+    except (ValueError, KeyError) as exc:  # ParseError and ScopeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _dispatch(args, fmt: str) -> int:
-    if args.command == "check-table":
-        text = _read(args.file)
-        if args.profile == "group":
-            # the file's identity line, when present, pins the identity
-            table, identity = _parse_magma(text)
-            report = validate_axioms(table, "group", identity=identity)
-        else:
-            report = validate_axioms(parse_table(text), args.profile)
-        return _emit_report(report, fmt)
-
-    if args.command == "check-system":
-        data = resolve_system(args.file)
-        arities = [int(a) for a in args.arities.split(",") if a] or [2]
-        if args.kind == "n_compatible":
-            report = validate_family(data, args.kind, arities)
-        else:
-            report = validate_family(data, args.kind)
-        return _emit_report(report, fmt)
-
-    if args.command == "associated":
-        data = resolve_system(args.file)
-        assoc, report = associated_quandle(data)
-        text = serialize_table(assoc.table)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        elif fmt == "text":
-            sys.stdout.write(text)
-        if fmt == "json":
-            payload = _report_payload(report)
-            payload["size"] = assoc.table.size
-            print(json.dumps(payload))
-            return 0 if report.valid else 1
-        return _emit_report(report, fmt)
-
-    if args.command == "involutions":
-        table = parse_table(_read(args.file))
-        report = validate_axioms(table, "quandle")
-        if not report.valid:
-            return _emit_report(report, fmt)
-        involutions = search_involutions(table)
-        if fmt == "json":
-            print(json.dumps([list(r) for r in involutions]))
-        else:
-            for rho in involutions:
-                print(" ".join(str(v) for v in rho))
-        return 0
-
-    if args.command == "color":
-        d = resolve_diagram(args.diagram)
-        data = resolve_system(args.system)
-        count = count_colourings(d, data, args.mode)
-        if fmt == "json":
-            print(json.dumps({"count": count, "mode": args.mode}))
-        else:
-            print(count)
-        return 0
-
-    if args.command == "fuzz":
-        data = resolve_system(args.system)
-        move_set = tuple(m for m in args.moves.split(",") if m) or None
-        if move_set:
-            unknown = [m for m in move_set if m not in MOVE_KINDS]
-            if unknown:
-                raise ParseError(f"unknown move kinds {unknown}")
-        report = fuzz_invariance(
-            data,
-            trials=args.trials,
-            seed=args.seed,
-            move_set=move_set,
-            scope=args.scope,
-            force=args.force,
-            crossings_max=args.crossings_max,
-            vertices_max=args.vertices_max,
-        )
-        if fmt == "json":
-            print(
-                json.dumps(
-                    {
-                        "trials": [
-                            {
-                                "index": t.index,
-                                "seed": t.seed,
-                                "move": t.move,
-                                "before": t.before,
-                                "after": t.after,
-                                "ok": t.ok,
-                            }
-                            for t in report.trials
-                        ],
-                        "skipped": report.skipped,
-                        "mismatches": len(report.mismatches),
-                    }
-                )
-            )
-        else:
-            sys.stdout.write(report.text())
-        return 0 if report.ok else 1
-
-    if args.command == "wirtinger":
-        d = resolve_diagram(args.diagram)
-        pres = wirtinger_presentation(d)
-        text = serialize_presentation(pres)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    if args.command == "homs":
-        pres = parse_presentation(_read(args.presentation))
-        group = parse_group(_read(args.group))
-        count = group_hom_count(pres, group)
-        if fmt == "json":
-            print(json.dumps({"count": count}))
-        else:
-            print(count)
-        return 0
-
-    if args.command == "kauffman":
-        d = resolve_diagram(args.diagram)
-        if args.invariant == "linking":
-            values = kauffman_summary(d, "linking")
-        elif args.invariant.startswith("colour:") or args.invariant.startswith("color:"):
-            data = resolve_system(args.invariant.split(":", 1)[1])
-            values = kauffman_summary(d, "colour_count", sys=data)
-        else:
-            raise ParseError(f"unknown invariant {args.invariant!r}")
-        if fmt == "json":
-            print(json.dumps([list(v) if isinstance(v, tuple) else v for v in values]))
-        else:
-            for v in values:
-                if isinstance(v, tuple):
-                    print("[" + " ".join(str(x) for x in v) + "]")
-                else:
-                    print(v)
-        return 0
-
-    if args.command == "fixtures":
-        if args.action == "list":
-            for name in fixtures.list_diagrams():
-                print(name)
-            return 0
-        if not args.name:
-            raise ParseError("fixtures show needs a name")
-        try:
-            text = fixtures.DIAGRAMS[args.name]
-        except KeyError:
-            raise ParseError(f"no bundled diagram {args.name!r}")
-        sys.stdout.write(text)
-        return 0
-
-    raise ParseError(f"unknown command {args.command!r}")
+        return 1 if isinstance(exc, ScopeError) else 2
 
 
 if __name__ == "__main__":

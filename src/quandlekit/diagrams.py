@@ -139,10 +139,15 @@ def parse_diagram(text: str) -> Diagram:
 
         if kind == "crossing":
             fields = {}
+            end = len(kind)
             for tok in toks[1:]:
+                start = line.index(tok, end)  # this token, not an equal earlier one
+                end = start + len(tok)
                 if "=" not in tok:
-                    raise ParseError(f"bad crossing field {tok!r}", lineno, line.find(tok) + 1)
+                    raise ParseError(f"bad crossing field {tok!r}", lineno, start + 1)
                 key, val = tok.split("=", 1)
+                if key in fields:
+                    raise ParseError(f"repeated crossing field {key!r}", lineno, start + 1)
                 fields[key] = val
             missing = {"over", "under_in", "under_out", "sign"} - set(fields)
             if missing:

@@ -28,6 +28,8 @@ class GroupPresentation:
     relators: tuple[tuple[Letter, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.generator_count < 0:
+            raise ValueError("generator count must be non-negative")
         rels = tuple(tuple((int(g), int(s)) for g, s in rel) for rel in self.relators)
         for rel in rels:
             for g, s in rel:
@@ -146,6 +148,8 @@ def parse_presentation(text: str) -> GroupPresentation:
         count = int(toks[1])
     except ValueError:
         raise ParseError(f"bad generator count {toks[1]!r}", lineno) from None
+    if count < 0:
+        raise ParseError("generator count must be non-negative", lineno, header.find(toks[1]) + 1)
     relators = []
     for lineno, line in lines[1:]:
         toks = line.split()
@@ -175,39 +179,17 @@ def parse_presentation(text: str) -> GroupPresentation:
 # linking numbers
 
 
-def _components(d: Diagram) -> list[int]:
-    """Component id per arc, chaining arcs through undercrossings;
-    components numbered by smallest arc index."""
-    parent = list(range(d.arc_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for c in d.crossings:
-        union(c.under_in, c.under_out)
-    roots = sorted({find(a) for a in range(d.arc_count)})
-    number = {r: i for i, r in enumerate(roots)}
-    return [number[find(a)] for a in range(d.arc_count)]
-
-
 def linking_matrix(d: Diagram) -> LinkingMatrix:
     """Pairwise linking numbers: half the signed count of inter-component
     crossings.  Defined for vertex-free diagrams."""
     if d.vertices:
         raise ValueError("linking matrix requires a vertex-free diagram")
-    report = validate_diagram(d)
-    if not report.valid:
-        raise ValueError(f"invalid diagram: {report.violations[:4]}")
-    comp = _components(d)
-    k = max(comp) + 1 if comp else 0
+    edges = compute_edges(d)  # closed loops, by smallest arc
+    comp = [0] * d.arc_count
+    for i, edge in enumerate(edges):
+        for a in edge.arcs:
+            comp[a] = i
+    k = len(edges)
     sums = [[0] * k for _ in range(k)]
     for c in d.crossings:
         i, j = comp[c.over], comp[c.under_in]

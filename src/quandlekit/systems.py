@@ -925,11 +925,27 @@ def parse_system(text: str) -> SystemData:
     gamma: list[tuple[int, tuple[int, ...]]] = []
     group_line = None
     gamma_line = None
+    seen = set()  # the records read so far, each of which may appear once
+
+    def once(record, lineno: int) -> None:
+        if record in seen:
+            raise ParseError(f"repeated {record!r} record", lineno, 1)
+        seen.add(record)
+
+    def index(toks, lineno: int, line: str, size: int) -> int:
+        v = _parse_int(toks[1], lineno, line)
+        if not 0 <= v < size:
+            column = line.find(toks[1]) + 1
+            raise ParseError(f"{toks[0]} {v} out of range 0..{size - 1}", lineno, column)
+        once(f"{toks[0]} {v}", lineno)
+        return v
 
     while pos < len(lines):
         lineno, line = lines[pos]
         toks = line.split()
         head = toks[0]
+        if head in ("group", "otimes", "oplus", "f"):
+            once(head, lineno)
         if head == "group":
             group_line = (lineno, line, toks)
             pos += 1
@@ -944,13 +960,13 @@ def parse_system(text: str) -> SystemData:
         elif head == "star":
             if len(toks) != 2:
                 raise ParseError("expected 'star <g>'", lineno, 1)
-            g = _parse_int(toks[1], lineno, line)
+            g = index(toks, lineno, line, n)
             rows, pos = _read_matrix(lines, pos + 1, m, m, m, f"star {g}")
             star[g] = OperationTable(m, rows)
         elif head == "rho":
             if len(toks) < 4 or toks[2] != "=":
                 raise ParseError("expected 'rho <x> = <permutation>'", lineno, 1)
-            x = _parse_int(toks[1], lineno, line)
+            x = index(toks, lineno, line, m)
             rho[x] = tuple(_parse_int(t, lineno, line) for t in toks[3:])
             if sorted(rho[x]) != list(range(n)):
                 raise ParseError(f"rho {x} must permute G", lineno, 1)
@@ -963,6 +979,7 @@ def parse_system(text: str) -> SystemData:
                 raise ParseError(
                     f"gamma arity {k} outside 2..{MAX_GAMMA_ARITY}", lineno, line.find(toks[1]) + 1
                 )
+            once(f"gamma {k}", lineno)
             rows, pos = _read_matrix(lines, pos + 1, n ** (k - 1), n, n, f"gamma {k}")
             gamma.append((k, tuple(v for row in rows for v in row)))
             if k == 2:

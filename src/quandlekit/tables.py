@@ -617,7 +617,12 @@ def parse_table(text: str) -> OperationTable:
 
 def parse_group(text: str) -> GroupTable:
     table, identity = _parse_magma(text)
-    return group_from_table(table, identity=identity)
+    try:
+        return group_from_table(table, identity=identity)
+    except ValueError as exc:
+        # at the identity line when the file has one, else at the header
+        lines = list(_content_lines(text))
+        raise ParseError(str(exc), lines[0 if identity is None else 1][0]) from None
 
 
 def serialize_table(table: OperationTable) -> str:

@@ -76,7 +76,7 @@ def test_check_table_group_profile_uses_the_recorded_identity(tmp_path, capsys):
     pres = tmp_path / "unknot.pres"
     assert run(capsys, "wirtinger", "fixtures:unknot", "-o", str(pres))[0] == 0
     code, _, err = run(capsys, "homs", str(pres), str(path))
-    assert code == 2 and "not a group" in err
+    assert code == 2 and "not a group" in err and "(line 2)" in err
 
 
 def test_identity_line_out_of_range_is_a_parse_error(tmp_path, capsys):
@@ -88,6 +88,16 @@ def test_identity_line_out_of_range_is_a_parse_error(tmp_path, capsys):
     assert run(capsys, "wirtinger", "fixtures:unknot", "-o", str(pres))[0] == 0
     code, out, err = run(capsys, "homs", str(pres), str(path))
     assert code == 2 and out == "" and "line 2" in err
+
+
+def test_homs_refuses_a_negative_generator_count(tmp_path, capsys):
+    pres = tmp_path / "negative.pres"
+    pres.write_text("gens -2\n")
+    group = tmp_path / "s3.magma"
+    group.write_text(serialize_group(symmetric_group(3)))
+    code, out, err = run(capsys, "homs", str(pres), str(group))
+    assert code == 2 and out == ""
+    assert err == "error: generator count must be non-negative (line 1, column 6)\n"
 
 
 def test_check_system_kinds(capsys):

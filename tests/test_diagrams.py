@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.diagrams import (
     Crossing,
@@ -52,6 +54,39 @@ def test_parse_errors_report_location():
         parse_diagram("arcs 1\ncrossing over=0 under_in=0 under_out=0 sign=*\n")
     with pytest.raises(ParseError):
         parse_diagram("arcs 2\nvertex ends=0:in,1:sideways,0:out\n")
+
+
+def test_a_repeated_crossing_field_is_a_parse_error_at_its_column():
+    for text, column in (
+        ("arcs 2\ncrossing over=0 under_in=1 under_out=0 sign=+ over=1\n", 47),
+        ("arcs 2\ncrossing over=0 over=0 under_in=1 under_out=0 sign=+\n", 17),
+        ("arcs 2\ncrossing sign=- under_in=1 under_out=0 over=1 sign=-\n", 47),
+    ):
+        with pytest.raises(ParseError, match="repeated crossing field") as err:
+            parse_diagram(text)
+        assert (err.value.line, err.value.column) == (2, column), text
+
+
+DIAGRAM_MUTANTS = st.sampled_from([
+    "", "x", "=", "arcs", "crossing", "vertex", "loop", "over=0", "over=9", "under_in=1",
+    "under_out=-1", "sign=+", "sign=*", "sign=", "ends=0:in,1:out,2:in", "ends=0:in",
+    "ends=", "ends=0:up,1:in,2:out", "0:in",
+]) | st.integers(-2, 9).map(str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DIAGRAMS)), st.data())
+def test_single_token_diagram_mutations_parse_or_raise_parse_error_with_a_line(name, data):
+    lines = [line.split() for line in DIAGRAMS[name].splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    i, j = data.draw(st.sampled_from(spots))
+    mutant = data.draw(DIAGRAM_MUTANTS)
+    # replace the token, or insert the mutant after it
+    lines[i][j : j + 1] = data.draw(st.sampled_from([[mutant], [lines[i][j], mutant]]))
+    try:
+        parse_diagram("\n".join(" ".join(toks) for toks in lines))
+    except ParseError as exc:
+        assert exc.line is not None
 
 
 def test_validate_rejects_double_consumption():

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.diagrams import parse_diagram
-from quandlekit.fixtures import diagram
+from quandlekit.fixtures import DIAGRAMS, diagram
 from quandlekit.invariants import (
     GroupPresentation,
     group_hom_count,
@@ -16,7 +18,7 @@ from quandlekit.invariants import (
     wirtinger_presentation,
 )
 from quandlekit.moves import MoveSpec, apply_move, applicable_moves, random_diagram
-from quandlekit.tables import cyclic_group, symmetric_group
+from quandlekit.tables import ParseError, cyclic_group, symmetric_group
 
 S3 = symmetric_group(3)
 PANEL = (cyclic_group(2), cyclic_group(3), S3)
@@ -115,6 +117,57 @@ def test_presentation_file_roundtrip():
     assert serialize_presentation(again) == text
 
 
+def test_a_negative_generator_count_is_refused():
+    with pytest.raises(ParseError, match="non-negative") as err:
+        parse_presentation("# no generators\ngens -2\n")
+    assert (err.value.line, err.value.column) == (2, 6)
+    with pytest.raises(ValueError, match="non-negative"):
+        GroupPresentation(-1, ())
+
+
+def presentations():
+    def with_count(n):
+        letters = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+        relators = st.lists(st.lists(letters, max_size=6).map(tuple), max_size=5)
+        return relators.map(lambda rels: GroupPresentation(n, tuple(rels)))
+
+    return st.integers(1, 6).flatmap(with_count) | st.just(GroupPresentation(0, ((),)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_presentation_files_round_trip(p):
+    text = serialize_presentation(p)
+    again = parse_presentation(text)
+    assert again == p
+    assert serialize_presentation(again) == text
+
+
+PRESENTATION_TEXTS = [
+    serialize_presentation(wirtinger_presentation(diagram(name))) for name in sorted(DIAGRAMS)
+]
+PRESENTATION_MUTANTS = st.sampled_from(
+    ["", "x", "gens", "rel", "+", "-", "+-1", "--1", "+x", "1.5", "99"]
+) | st.integers(-2, 9).map(lambda k: f"{'+-'[k % 2]}{k}") | st.integers(-2, 9).map(str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRESENTATION_TEXTS), st.data())
+def test_single_token_presentation_mutations_parse_or_raise_parse_error_with_a_line(text, data):
+    """A presentation that parses has exactly one homomorphism into the
+    trivial group."""
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    i, j = data.draw(st.sampled_from(spots))
+    lines[i][j] = data.draw(PRESENTATION_MUTANTS)
+    try:
+        p = parse_presentation("\n".join(" ".join(toks) for toks in lines))
+    except ParseError as exc:
+        assert exc.line is not None
+    else:
+        assert group_hom_count(p, cyclic_group(1)) == 1
+
+
 def test_linking_examples():
     hopf = linking_matrix(diagram("hopf"))
     assert hopf.component_count == 2 and hopf.matrix[0][1] == 1
@@ -122,6 +175,12 @@ def test_linking_examples():
     assert unlink.off_diagonal() == (0,)
     trefoil = linking_matrix(diagram("trefoil"))
     assert trefoil.component_count == 1 and trefoil.matrix == ((0,),)
+    # components are numbered by their smallest arc: a Hopf link on arcs 1
+    # and 3 beside free loops 0 and 2
+    split = linking_matrix(parse_diagram(
+        "arcs 4\ncrossing over=1 under_in=3 under_out=3 sign=-\n"
+        "crossing over=3 under_in=1 under_out=1 sign=-\n"))
+    assert split.matrix == ((0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, -1, 0, 0))
 
 
 def test_linking_requires_vertex_free():

@@ -39,6 +39,8 @@ from quandlekit.tables import (
     conjugation_quandle,
     cyclic_group,
     dihedral_quandle,
+    group_from_table,
+    klein_group,
     symmetric_group,
     table_from,
     trivial_quandle,
@@ -576,6 +578,77 @@ def test_group_record_entries_must_be_in_range():
         with pytest.raises(ParseError) as exc:
             parse_system(text.replace("group identity=0 inverse=0 1", bad))
         assert exc.value.line == 4
+
+
+SYSTEM_RECORDS = ("group", "otimes", "oplus", "f", "star", "rho", "gamma")
+
+
+def record_spans(lines):
+    """(first, end) line indices of each record of a system file, with the
+    matrix rows that follow its head."""
+    heads = [i for i, line in enumerate(lines) if line.split()[0] in SYSTEM_RECORDS]
+    return list(zip(heads, heads[1:] + [len(lines)]))
+
+
+@pytest.mark.parametrize("text", SYSTEM_TEXTS)
+def test_a_repeated_record_is_a_parse_error_at_the_repeat(text):
+    lines = text.splitlines()
+    for first, end in record_spans(lines):
+        repeated = lines[:end] + lines[first:end] + lines[end:]
+        with pytest.raises(ParseError, match="repeated") as exc:
+            parse_system("\n".join(repeated) + "\n")
+        assert (exc.value.line, exc.value.column) == (end + 1, 1), lines[first]
+
+
+@pytest.mark.parametrize("text", SYSTEM_TEXTS)
+def test_star_and_rho_indices_out_of_range_are_parse_errors_at_their_line(text):
+    lines = text.splitlines()
+    sizes = {"rho": int(lines[1].split()[1]), "star": int(lines[2].split()[1])}  # X, G
+    for first, _ in record_spans(lines):
+        head, *toks = lines[first].split()
+        if head not in sizes:
+            continue
+        for bad in (sizes[head], sizes[head] + 5, -1):
+            renumbered = lines.copy()
+            renumbered[first] = " ".join([head, str(bad), *toks[1:]])
+            with pytest.raises(ParseError, match=f"{head} {bad} out of range") as exc:
+                parse_system("\n".join(renumbered) + "\n")
+            assert (exc.value.line, exc.value.column) == (first + 1, len(head) + 2)
+
+
+@st.composite
+def renumbered_groups(draw):
+    """Groups of order 1 to 6 with their elements renumbered, so that the
+    identity may be any element."""
+    g = draw(st.sampled_from(
+        [cyclic_group(n) for n in range(1, 5)] + [klein_group(), symmetric_group(3)]))
+    new = draw(st.permutations(range(g.size)))  # element a becomes new[a]
+    old = {b: a for a, b in enumerate(new)}
+    e = g.table.entries
+    rows = tuple(tuple(new[e[old[i]][old[j]]] for j in range(g.size)) for i in range(g.size))
+    return group_from_table(OperationTable(g.size, rows), identity=new[g.identity])
+
+
+@st.composite
+def axets(draw):
+    """Axets whose groups, action permutations and tau are arbitrary; the
+    file format does not require the stabiliser axioms."""
+    s_group, g_group = draw(renumbered_groups()), draw(renumbered_groups())
+    m = draw(st.integers(1, 4))
+    action = draw(st.lists(st.permutations(range(m)).map(tuple), min_size=g_group.size,
+                           max_size=g_group.size))
+    row = st.lists(st.integers(0, g_group.size - 1), min_size=s_group.size, max_size=s_group.size)
+    tau = draw(st.lists(row.map(tuple), min_size=m, max_size=m))
+    return AxetData(s_group, g_group, tuple(action), tuple(tau))
+
+
+@settings(max_examples=100, deadline=None)
+@given(axets())
+def test_axet_files_round_trip(axet):
+    text = serialize_axet(axet)
+    again = parse_axet(text)
+    assert again == axet
+    assert serialize_axet(again) == text
 
 
 AXET_MUTANTS = st.sampled_from(

@@ -443,6 +443,19 @@ def test_identity_out_of_range_is_refused():
     assert err.value.line == 2
 
 
+def test_a_table_that_is_not_a_group_is_a_parse_error_at_its_identity_or_header_line():
+    from quandlekit.tables import ParseError
+
+    for text, line in (
+        ("magma 3\n0 1 2\n1 1 0\n2 0 1\n", 1),  # not associative, no identity line
+        ("# Z3 with the wrong identity\n\nmagma 3\nidentity 1\n0 1 2\n1 2 0\n2 0 1\n", 4),
+        ("magma 2\nidentity 0\n0 1\n1 1\n", 2),  # no inverse of 1
+    ):
+        with pytest.raises(ParseError, match="not a group") as err:
+            parse_group(text)
+        assert err.value.line == line, text
+
+
 # --- the table file reader -------------------------------------------------
 
 

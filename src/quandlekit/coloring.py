@@ -8,6 +8,8 @@ c(under_out) . c(over), realised through the column-inverse (dual) table.
 Vertex rule: all incident arcs share one X element x.  With effective
 G elements g^ = g for in-ends and rho_x(g) for out-ends, a vertex of
 valence v is proper when Gamma_{v-1}(g^_1, ..., g^_{v-1}) = rho_x(g^_v).
+The rule fixes the last end, and each other end at which Gamma_{v-1} is a
+bijection of that argument once the others are fixed.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class ColouringContext(Problem):
         same = trivial_quandle(self.carrier).entries if d.vertices and self.g_size == 1 else None
         for v in d.vertices:
             ends = [a for a, _ in v.ends]
-            self.add_rule(ends, self.vertex_rule(v), (len(ends) - 1,))
+            self.add_rule(ends, *self.vertex_rule(v))
             for a, b in zip(ends, ends[1:] + ends[:1]) if same else ():
                 self.add_table(a, a, b, same)
 
@@ -78,31 +80,65 @@ class ColouringContext(Problem):
 
     def vertex_ok(self, v, colours) -> bool:
         ends = [colours[a] for a, _ in v.ends]
-        return self.vertex_rule(v)(ends, len(ends) - 1) == ends[-1]
+        solve, _ = self.vertex_rule(v)
+        return solve(ends, len(ends) - 1) == ends[-1]
 
     def vertex_rule(self, v):
-        """The rule of vertex v for its last end: the colour that end must
-        take given the others, or -1 if the ends disagree on X."""
-        n, rho = self.g_size, self.system.rho
-        flat = self.system.gamma_table(v.valence - 1)
+        """The rule of vertex v, solve(colours, i): the colour end i must
+        take given the others, or -1 if they disagree on X.  Returned with
+        the ends it fixes: the last, and each end of which Gamma is a
+        bijection once the other ends are fixed."""
+        n, rho, rho_inv = self.g_size, self.system.rho, self.system.rho_inverse
+        last = v.valence - 1
+        flat = self.system.gamma_table(last)
         if flat is None:
             raise ValueError(f"system lacks a composition table for a valence-{v.valence} vertex")
-        rho_inv = [sorted(range(n), key=r.__getitem__) for r in rho]
+        inverses = self.system.gamma_inverses(last)
         outs = [direction != IN for _, direction in v.ends]
-        last = len(outs) - 1
+        weights = [n ** (last - 1 - j) for j in range(last)]
 
-        def solve(colours, _):
-            x = colours[0] // n
+        def solve(colours, i):
+            x = colours[i - 1] // n  # an end other than i
+            r = rho[x]
             idx = 0
             for j in range(last):
-                y, g = divmod(colours[j], n)
+                if j != i:
+                    y, g = divmod(colours[j], n)
+                    if y != x:
+                        return -1
+                    idx += (r[g] if outs[j] else g) * weights[j]
+            if i == last:
+                h = rho_inv[x][flat[idx]]
+            else:
+                # Gamma(.., h, ..) = rho_x(g^_last), solved for argument i
+                y, g = divmod(colours[last], n)
                 if y != x:
                     return -1
-                idx = idx * n + (rho[x][g] if outs[j] else g)
-            g = rho_inv[x][flat[idx]]
-            return x * n + (rho_inv[x][g] if outs[last] else g)
+                idx += r[r[g] if outs[last] else g] * weights[i]
+                h = inverses[i][idx]
+            return x * n + (rho_inv[x][h] if outs[i] else h)
 
-        return solve
+        forcing = [i for i, inverse in enumerate(inverses) if inverse is not None]
+        return solve, forcing + [last]
+
+    def components(self) -> list[int]:
+        """The component of each element of the associated quandle: its
+        orbit under the right translations, read off the rows of the table,
+        since row a holds a * y for every y."""
+        comp = [-1] * self.carrier
+        parts = 0
+        for a in range(self.carrier):
+            if comp[a] >= 0:
+                continue
+            orbit, queue = {a}, [a]
+            while queue:
+                fresh = set(self.table[queue.pop()]) - orbit
+                orbit |= fresh
+                queue.extend(fresh)
+            for b in orbit:
+                comp[b] = parts
+            parts += 1
+        return comp
 
 
 # the benchmark's tracer counts solutions through this name
@@ -131,21 +167,30 @@ def verify_colouring(d: Diagram, sys: SystemData, c: Colouring) -> AxiomReport:
     return rb.report()
 
 
-def _generates_all(ctx: ColouringContext, colours, cache) -> bool:
-    image = frozenset(colours)
-    if image not in cache:
-        cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
-    return cache[image]
-
-
 def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     """Exact number of proper colourings.  Mode ``generating`` keeps only
     colourings whose image generates the whole associated quandle."""
     if mode not in ("all", "generating"):
         raise ValueError(f"unknown mode {mode!r}")
     ctx = ColouringContext(d, sys)
+    if mode == "all":
+        return sum(1 for _ in ctx.solutions())
+    # a * b and its inverse lie in the component of a, so a generating
+    # image meets every component
+    comp = ctx.components()
+    parts = max(comp) + 1
+    if d.arc_count < parts:
+        return 0
     cache: dict = {}
-    return sum(1 for c in ctx.solutions() if mode == "all" or _generates_all(ctx, c, cache))
+    count = 0
+    for colours in ctx.solutions():
+        if len(set(map(comp.__getitem__, colours))) < parts:
+            continue
+        image = frozenset(colours)
+        if image not in cache:
+            cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
+        count += cache[image]
+    return count
 
 
 def enumerate_colourings(d: Diagram, sys: SystemData, cap: int) -> list[Colouring]:

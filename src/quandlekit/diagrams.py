@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .tables import AxiomReport, ParseError, ReportBuilder
 
 IN, OUT = "in", "out"
+CROSSING_FIELDS = frozenset(("over", "under_in", "under_out", "sign"))
 
 
 @dataclass(frozen=True)
@@ -146,12 +147,14 @@ def parse_diagram(text: str) -> Diagram:
                 if "=" not in tok:
                     raise ParseError(f"bad crossing field {tok!r}", lineno, start + 1)
                 key, val = tok.split("=", 1)
+                if key not in CROSSING_FIELDS:
+                    raise ParseError(f"unknown crossing field {key!r}", lineno, start + 1)
                 if key in fields:
                     raise ParseError(f"repeated crossing field {key!r}", lineno, start + 1)
                 fields[key] = val
-            missing = {"over", "under_in", "under_out", "sign"} - set(fields)
-            if missing:
-                raise ParseError(f"crossing missing fields {sorted(missing)}", lineno, 1)
+            if len(fields) < len(CROSSING_FIELDS):  # each field is known and given once
+                missing = sorted(CROSSING_FIELDS - fields.keys())
+                raise ParseError(f"crossing missing fields {missing}", lineno, 1)
             if fields["sign"] not in ("+", "-"):
                 raise ParseError(
                     f"bad sign {fields['sign']!r}", lineno, line.find("sign=") + 6

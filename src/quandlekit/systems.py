@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product, repeat
 from operator import getitem
 
@@ -162,14 +162,44 @@ class SystemData:
             return self.group.table
         raise ValueError("system has neither oplus nor a group")
 
+    @cached_property
+    def _gammas(self) -> dict[int, tuple[int, ...]]:
+        gammas = dict(self.gamma)
+        if 2 not in gammas and (self.oplus is not None or self.group is not None):
+            gammas[2] = tuple(v for row in self.eff_oplus().entries for v in row)
+        return gammas
+
     def gamma_table(self, arity: int) -> tuple[int, ...] | None:
-        """Gamma as a flat row-major table; at arity 2, (+) unless stored."""
-        for k, flat in self.gamma:
-            if k == arity:
-                return flat
-        if arity == 2 and (self.oplus is not None or self.group is not None):
-            return tuple(v for row in self.eff_oplus().entries for v in row)
-        return None
+        """Gamma as a flat row-major table; at arity 2, (+) unless stored.
+        Built on first use and kept."""
+        return self._gammas.get(arity)
+
+    @cached_property
+    def _gamma_inverses(self) -> dict[int, tuple[tuple[int, ...] | None, ...]]:
+        return {}
+
+    def gamma_inverses(self, arity: int) -> tuple[tuple[int, ...] | None, ...] | None:
+        """For each argument i of Gamma, the flat table inv of Gamma's shape
+        that solves for it: where idx holds the arguments gs, inv[idx] is the
+        g with Gamma(gs with g at place i) = gs[i].  None where Gamma is not
+        a bijection of argument i once the others are fixed.  Built on first
+        use and kept."""
+        if arity not in self._gamma_inverses:
+            flat = self.gamma_table(arity)
+            if flat is None:
+                return None
+            n = self.g_size
+            self._gamma_inverses[arity] = tuple(
+                _argument_inverse(flat, n, n ** (arity - 1 - i)) for i in range(arity)
+            )
+        return self._gamma_inverses[arity]
+
+    @cached_property
+    def rho_inverse(self) -> tuple[tuple[int, ...], ...] | None:
+        """rho_x^-1 for each x, built on first use and kept."""
+        if self.rho is None:
+            return None
+        return tuple(tuple(sorted(range(self.g_size), key=r.__getitem__)) for r in self.rho)
 
     def gamma_at(self, arity: int, gs: tuple[int, ...]) -> int:
         flat = self.gamma_table(arity)
@@ -184,6 +214,21 @@ class SystemData:
         if self.rho is None:
             raise ValueError("system has no involution rho")
         return self.rho[x][g]
+
+
+def _argument_inverse(flat: tuple[int, ...], n: int, stride: int) -> tuple[int, ...] | None:
+    """The inverse of a flat table in its digit of weight ``stride``, one
+    fibre (that digit running, the others fixed) at a time, or None if a
+    fibre is not a permutation."""
+    inv = [0] * len(flat)
+    block, digits = n * stride, range(n)
+    for start in range(0, len(flat), block):
+        for s in range(start, start + stride):
+            digit_of = dict(zip(flat[s : s + block : stride], digits))
+            if len(digit_of) < n:
+                return None
+            inv[s : s + block : stride] = map(digit_of.__getitem__, digits)
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -1107,6 +1152,8 @@ def parse_axet(text: str) -> AxetData:
         g = _parse_int(toks[1], lineno, line)
         if not 0 <= g < g_group.size:
             raise ParseError(f"action {g} out of range", lineno, line.find(toks[1]) + 1)
+        if g in action:
+            raise ParseError(f"repeated 'action {g}' record", lineno, 1)
         action[g] = tuple(_parse_int(t, lineno, line) for t in toks[3:])
         if sorted(action[g]) != list(range(m)):
             raise ParseError(f"action {g} must permute X", lineno, 1)

@@ -1,8 +1,11 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
 from quandlekit.coloring import (
+    ColouringContext,
     Colouring,
     ScopeError,
     brute_force_count,
@@ -10,10 +13,17 @@ from quandlekit.coloring import (
     enumerate_colourings,
     verify_colouring,
 )
-from quandlekit.diagrams import Diagram, Vertex, parse_diagram
+from quandlekit.diagrams import Crossing, Diagram, Vertex, parse_diagram
 from quandlekit.fixtures import axet_z2_s3, diagram, system
 from quandlekit.invariants import group_hom_count, wirtinger_presentation
-from quandlekit.moves import MoveSpec, apply_move, random_diagram
+from quandlekit.moves import (
+    DEFAULT_MOVES,
+    InapplicableMoveError,
+    MoveSpec,
+    apply_move,
+    candidate_moves,
+    random_diagram,
+)
 from quandlekit.systems import (
     associated_quandle,
     axet_to_system,
@@ -29,6 +39,7 @@ from quandlekit.tables import (
 
 T3R3 = system("t3r3z2")
 ASSOC, _ = associated_quandle(T3R3)
+S3_POINT = g_family_system(tuple(trivial_quandle(1) for _ in range(6)), symmetric_group(3))
 
 
 def pair(x, g):
@@ -223,3 +234,127 @@ def test_non_quandle_products_are_refused(rows):
     for d in (diagram("unknot"), kinked):
         with pytest.raises(ScopeError, match="not a quandle: axiom Q1"):
             count_colourings(d, non_quandle)
+
+
+def component_count(d, sys_):
+    return max(ColouringContext(d, sys_).components()) + 1
+
+
+def test_components_are_the_orbits_of_the_right_translations():
+    # Conj(S3): the identity, the transpositions and the 3-cycles, the
+    # elements of order 1, 2 and 3
+    s3 = symmetric_group(3)
+
+    def order(g):
+        power, k = g, 1
+        while power != s3.identity:
+            power, k = s3.table.entries[power][g], k + 1
+        return k
+
+    comp = ColouringContext(diagram("unknot"), S3_POINT).components()
+    classes = {}
+    for g, c in enumerate(comp):
+        classes.setdefault(c, set()).add(order(g))
+    assert sorted(map(sorted, classes.values())) == [[1], [2], [3]]
+    assert ColouringContext(diagram("unknot"), system("r3")).components() == [0, 0, 0]
+    assert component_count(diagram("unknot"), T3R3) == 2
+    assert component_count(diagram("unknot"), system("t2t2z2")) == 4
+
+
+def test_both_modes_match_brute_force_on_small_diagrams_with_vertices():
+    few_arcs = 0
+    small = [random_diagram(f"vertex-{s}", c, 2) for s in range(16) for c in (0, 1, 2)]
+    fixtures = [diagram(name) for name in ("unknot", "hopf", "theta", "muf", "mwuf")]
+    for d in fixtures + [d for d in small if d.arc_count <= 4]:
+        for sys_ in (T3R3, S3_POINT, system("t2t2z2")):
+            few_arcs += d.arc_count < component_count(d, sys_)
+            for mode in ("all", "generating"):
+                assert count_colourings(d, sys_, mode) == brute_force_count(d, sys_, mode), (
+                    d, mode)
+    # unknot and hopf by S3, unknot by t3r3z2, three-arc graphs by t2t2z2
+    assert few_arcs >= 5
+
+
+def partial_gamma(gamma3):
+    """t3r3z2 with a stored arity-3 Gamma."""
+    return replace(T3R3, gamma=((3, tuple(gamma3)),))
+
+
+@pytest.mark.parametrize(
+    "gamma3, bijective",
+    [
+        # Gamma(a, b, c) = a (+) c ignores b
+        ([a ^ c for a in range(2) for b in range(2) for c in range(2)], [True, False, True]),
+        # a (+) b (+) c: every argument is solved for
+        ([a ^ b ^ c for a in range(2) for b in range(2) for c in range(2)], [True] * 3),
+        # a AND b AND c: no argument is, so only the last end is forced
+        ([a & b & c for a in range(2) for b in range(2) for c in range(2)], [False] * 3),
+    ],
+)
+def test_vertex_rules_force_only_the_ends_gamma_determines(gamma3, bijective):
+    data = partial_gamma(gamma3)
+    assert [inv is not None for inv in data.gamma_inverses(3)] == bijective
+    d = parse_diagram(
+        "arcs 4\n"
+        "vertex ends=0:in,1:in,2:in,3:out\n"
+        "vertex ends=3:in,0:out,1:out,2:out\n"
+    )
+    ctx = ColouringContext(d, data)
+    for v in d.vertices:
+        solve, forcing = ctx.vertex_rule(v)
+        assert forcing == [i for i, b in enumerate(bijective) if b] + [3]
+    graphs = [d] + [random_diagram(f"valence-{s}", 1, 2, (3, 4)) for s in range(12)]
+    graphs = [g for g in graphs if all(v.valence == 4 for v in g.vertices) and g.vertices]
+    assert len(graphs) >= 3
+    for g in graphs:
+        for mode in ("all", "generating"):
+            assert count_colourings(g, data, mode) == brute_force_count(g, data, mode), (g, mode)
+
+
+def test_a_forced_end_satisfies_the_vertex_rule():
+    # every end a rule fixes, taken back into the colouring, makes it proper
+    ctx = ColouringContext(diagram("theta"), S3_POINT)
+    for v in diagram("theta").vertices:
+        solve, forcing = ctx.vertex_rule(v)
+        assert forcing == [0, 1, 2]
+        for colours in itertools.product(range(6), repeat=3):
+            for i in forcing:
+                fixed = list(colours)
+                fixed[i] = solve(colours, i)
+                assert 0 <= fixed[i] < 6
+                assert solve(fixed, 2) == fixed[2]
+                assert (fixed == list(colours)) == (solve(colours, 2) == colours[2])
+
+
+def disjoint_union(d, e):
+    shift = d.arc_count
+    moved = tuple(
+        Crossing(c.over + shift, c.under_in + shift, c.under_out + shift, c.sign)
+        for c in e.crossings
+    )
+    return Diagram(d.arc_count + e.arc_count, d.crossings + moved, ())
+
+
+def test_generating_counts_are_invariant_under_link_moves():
+    # random link diagrams: random walks of link moves from the trefoil
+    # and from the trefoil beside a Hopf link
+    rng = random.Random(7)
+    starts = [diagram("trefoil"), disjoint_union(diagram("trefoil"), diagram("hopf"))]
+    systems = (system("r3"), S3_POINT, T3R3)
+    nonzero = 0
+    for walk in range(12):
+        d = starts[walk % 2]
+        want = [count_colourings(d, sys_, "generating") for sys_ in systems]
+        nonzero += sum(w > 0 for w in want)
+        for _ in range(4):
+            candidates = list(candidate_moves(d, DEFAULT_MOVES["links"]))
+            rng.shuffle(candidates)
+            for spec in candidates:
+                try:
+                    d = apply_move(d, spec).diagram
+                except InapplicableMoveError:
+                    continue
+                break
+            got = [count_colourings(d, sys_, "generating") for sys_ in systems]
+            assert got == want, (spec, d)
+    assert nonzero >= 12

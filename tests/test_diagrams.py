@@ -67,6 +67,17 @@ def test_a_repeated_crossing_field_is_a_parse_error_at_its_column():
         assert (err.value.line, err.value.column) == (2, column), text
 
 
+
+def test_an_unknown_crossing_field_is_a_parse_error_at_its_column():
+    for text, column in (
+        ("arcs 1\ncrossing over=0 under_in=0 under_out=0 sign=+ colour=red\n", 47),
+        ("arcs 2\ncrossing ovr=0 under_in=1 under_out=0 sign=+\n", 10),
+        ("arcs 2\ncrossing over=0 under_in=1 =0 under_out=0 sign=+\n", 28),
+    ):
+        with pytest.raises(ParseError, match="unknown crossing field") as err:
+            parse_diagram(text)
+        assert (err.value.line, err.value.column) == (2, column), text
+
 DIAGRAM_MUTANTS = st.sampled_from([
     "", "x", "=", "arcs", "crossing", "vertex", "loop", "over=0", "over=9", "under_in=1",
     "under_out=-1", "sign=+", "sign=*", "sign=", "ends=0:in,1:out,2:in", "ends=0:in",

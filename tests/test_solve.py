@@ -73,3 +73,15 @@ def test_handcuff_graphs_by_the_conjugation_quandle_of_s5():
     with Timer(10.0):
         assert count_colourings(diagram("mwf"), conj_s5) == 840
         assert count_colourings(diagram("athlete-happy"), conj_s5) == 840
+
+
+def test_one_point_family_over_s5():
+    # P5: its product is Conj(S5), which has 7 components, so a diagram of
+    # fewer arcs has no generating colouring and no search is made
+    s5 = symmetric_group(5)
+    p5 = g_family_system(tuple(trivial_quandle(1) for _ in range(s5.size)), s5)
+    with Timer(3.0):
+        assert count_colourings(diagram("athlete-happy"), p5) == 28680
+    for name in ("mwuf", "theta", "athlete-unhappy"):
+        with Timer(0.1):
+            assert count_colourings(diagram(name), p5, "generating") == 0

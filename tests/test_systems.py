@@ -491,6 +491,33 @@ def test_gamma_fold_over_z3_point_family():
     assert report.valid
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gamma_inverses_solve_each_argument_gamma_is_a_bijection_of(data):
+    n = data.draw(st.integers(1, 3))
+    arity = data.draw(st.integers(2, 3))
+    cells = list(itertools.product(range(n), repeat=arity))
+    # a linear table mod n, a bijection of each argument of unit weight,
+    # with up to two cells changed
+    weights = data.draw(st.lists(st.integers(0, n), min_size=arity, max_size=arity))
+    flat = [sum(w * g for w, g in zip(weights, gs)) % n for gs in cells]
+    for cell in data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=2)):
+        flat[cell] = data.draw(st.integers(0, n - 1))
+    base = system("t3r3z2") if n == 2 else g_family_system(
+        tuple(trivial_quandle(1) for _ in range(n)), cyclic_group(n))
+    sys_ = replace(base, oplus=None, group=None, gamma=((arity, tuple(flat)),))
+    assert sys_.gamma_inverses(arity) is sys_.gamma_inverses(arity)
+    for i, inverse in enumerate(sys_.gamma_inverses(arity)):
+        solved = {}  # (the other arguments, value) -> arguments at place i
+        for gs, v in zip(cells, flat):
+            solved.setdefault((gs[:i] + gs[i + 1 :], v), []).append(gs[i])
+        bijective = all(len(solved.get((rest, v), ())) == 1
+                        for rest in itertools.product(range(n), repeat=arity - 1)
+                        for v in range(n))
+        assert (inverse is not None) == bijective
+        for idx, gs in enumerate(cells) if inverse is not None else ():
+            assert solved[(gs[:i] + gs[i + 1 :], gs[i])] == [inverse[idx]]
+
 def test_gamma_rejects_broken_precondition():
     with pytest.raises(ValueError):
         gamma_from_oplus(system("broken-tc4"), 3)
@@ -687,6 +714,19 @@ def test_axet_errors_name_their_line():
             parse_axet(text.replace(old, new, 1))
         assert exc.value.line == line, old
 
+
+
+def test_a_repeated_action_line_is_a_parse_error_at_the_repeat():
+    lines = serialize_axet(axet_z2_s3()).splitlines()
+    actions = [i for i, line in enumerate(lines) if line.startswith("action")]
+    assert len(actions) == 6
+    for i in actions:
+        # the same line again, and the same g with another permutation
+        g = lines[i].split()[1]
+        for repeat in (lines[i], f"action {g} = 0 1 2"):
+            with pytest.raises(ParseError, match=f"repeated 'action {g}'") as exc:
+                parse_axet("\n".join(lines[: i + 1] + [repeat] + lines[i + 1 :]) + "\n")
+            assert (exc.value.line, exc.value.column) == (i + 2, 1)
 
 # --- validate_family against element-by-element loops -------------------
 #

@@ -8,8 +8,9 @@ c(under_out) . c(over), realised through the column-inverse (dual) table.
 Vertex rule: all incident arcs share one X element x.  With effective
 G elements g^ = g for in-ends and rho_x(g) for out-ends, a vertex of
 valence v is proper when Gamma_{v-1}(g^_1, ..., g^_{v-1}) = rho_x(g^_v).
-The rule fixes the last end, and each other end at which Gamma_{v-1} is a
-bijection of that argument once the others are fixed.
+The rule fixes the last end, and each other end whose arc the vertex
+meets once and at which Gamma_{v-1} is a bijection of that argument once
+the others are fixed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,31 @@ class Colouring:
 
     def pair(self, ctx: "ColouringContext", arc: int) -> tuple[int, int]:
         return ctx.assoc.pair_of(self.assignment[arc])
+
+
+def _merging_translations(columns, parts: int) -> list[tuple[int, ...]]:
+    """The right translations R_y, in order of y, each kept if it merges
+    orbits of those kept before it, until there are ``parts`` orbits."""
+    parent = list(range(len(columns)))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    orbits, kept = len(columns), []
+    for column in columns:
+        if orbits == parts:
+            break
+        before = orbits
+        for p, q in enumerate(column):
+            rp, rq = find(p), find(q)
+            if rp != rq:
+                parent[rp] = rq
+                orbits -= 1
+        if orbits < before:
+            kept.append(column)
+    return kept
 
 
 class ColouringContext(Problem):
@@ -68,6 +94,8 @@ class ColouringContext(Problem):
             raise ValueError("vertex rules require the involution rho")
         # ends share their X part, for a one-element G the whole colour
         same = trivial_quandle(self.carrier).entries if d.vertices and self.g_size == 1 else None
+        # the Gamma arities the vertex rules read
+        self.arities = {v.valence - 1 for v in d.vertices}
         for v in d.vertices:
             ends = [a for a, _ in v.ends]
             self.add_rule(ends, *self.vertex_rule(v))
@@ -86,14 +114,20 @@ class ColouringContext(Problem):
     def vertex_rule(self, v):
         """The rule of vertex v, solve(colours, i): the colour end i must
         take given the others, or -1 if they disagree on X.  Returned with
-        the ends it fixes: the last, and each end of which Gamma is a
-        bijection once the other ends are fixed."""
+        the ends it fixes: the last, and each end whose arc the vertex meets
+        once and of which Gamma is a bijection once the other ends are
+        fixed."""
         n, rho, rho_inv = self.g_size, self.system.rho, self.system.rho_inverse
         last = v.valence - 1
         flat = self.system.gamma_table(last)
         if flat is None:
             raise ValueError(f"system lacks a composition table for a valence-{v.valence} vertex")
-        inverses = self.system.gamma_inverses(last)
+        arcs = [a for a, _ in v.ends]
+        # an arc met twice is never solved for, so its inverse is not built
+        inverses = [
+            self.system.gamma_inverse(last, i) if arcs.count(a) == 1 else None
+            for i, a in enumerate(arcs[:last])
+        ]
         outs = [direction != IN for _, direction in v.ends]
         weights = [n ** (last - 1 - j) for j in range(last)]
 
@@ -120,6 +154,67 @@ class ColouringContext(Problem):
 
         forcing = [i for i, inverse in enumerate(inverses) if inverse is not None]
         return solve, forcing + [last]
+
+    def respects_vertex_rules(self, sigma) -> bool:
+        """Whether the permutation sigma of the associated carrier maps
+        colourings proper at every vertex to colourings proper at every
+        vertex: its X image depends on x alone, it commutes with
+        the flattened rho, (x, g) -> (x, rho_x(g)), and with sigma_x, its
+        G part at x, Gamma(sigma_x g_1, ...) = sigma_x Gamma(g_1, ...)."""
+        n, rho = self.g_size, self.system.rho
+        xs = [p // n for p in sigma]
+        if xs != [x for x in xs[::n] for _ in range(n)]:
+            return False
+        flat_rho = [x * n + h for x, r in enumerate(rho) for h in r]
+        if list(map(sigma.__getitem__, flat_rho)) != list(map(flat_rho.__getitem__, sigma)):
+            return False
+        for start in range(0, self.carrier, n):
+            s = [p % n for p in sigma[start : start + n]]
+            for k in self.arities:
+                flat = self.system.gamma_table(k)
+                # Gamma as rows over its last argument: row i fixes the
+                # arguments before it to prefix i, row lift[i] to their images
+                lift = [0]
+                for _ in range(k - 1):
+                    lift = [a * n + t for a in lift for t in s]
+                for i, j in enumerate(lift):
+                    row, image = flat[i * n : i * n + n], flat[j * n : j * n + n]
+                    if list(map(image.__getitem__, s)) != list(map(s.__getitem__, row)):
+                        return False
+        return True
+
+    def orbit_weights(self, comp: list[int]) -> list[int] | None:
+        """Weights for counting by orbit representatives, given the
+        components: |C| at the least element of each component C and 0
+        elsewhere, when the number of colourings with one arc's colour fixed
+        is the same across each component; None when it may not be, or when
+        every component is one element.  The right translations are
+        automorphisms of the associated quandle, so they map colourings to
+        colourings at every crossing; at the vertices, the translations
+        that generate the components are checked on the system's tables."""
+        size = len(comp)
+        parts = max(comp) + 1
+        if parts == size:
+            return None
+        if self.arities:
+            for sigma in _merging_translations(self.assoc.table.columns, parts):
+                if not self.respects_vertex_rules(sigma):
+                    return None
+        weight, least = [0] * size, {}
+        for p, c in enumerate(comp):
+            weight[least.setdefault(c, p)] += 1
+        return weight
+
+    def root_arc(self) -> int:
+        """The arc an orbit sum branches on first: the lowest of those in the
+        fewest constraint slots, leaving out arcs in none.  Its colour is the
+        least determined by the others, so its colourings spread the most
+        evenly over the components.  An arc in no constraint comes last: as
+        the root it would repeat the search of the other arcs for every
+        representative, where the plain search branches on it once a
+        colouring."""
+        slots = [len(self._slots(a)) for a in range(self.n)]
+        return min(range(self.n), key=lambda a: (not slots[a], slots[a], a))
 
     def components(self) -> list[int]:
         """The component of each element of the associated quandle: its
@@ -169,27 +264,41 @@ def verify_colouring(d: Diagram, sys: SystemData, c: Colouring) -> AxiomReport:
 
 def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     """Exact number of proper colourings.  Mode ``generating`` keeps only
-    colourings whose image generates the whole associated quandle."""
+    colourings whose image generates the whole associated quandle.
+
+    Where the translations that generate the components respect the
+    vertex rules, colourings are counted once per component C, with the
+    root arc coloured by C's least element, and weighted by |C|."""
     if mode not in ("all", "generating"):
         raise ValueError(f"unknown mode {mode!r}")
+    generating = mode == "generating"
     ctx = ColouringContext(d, sys)
-    if mode == "all":
-        return sum(1 for _ in ctx.solutions())
     # a * b and its inverse lie in the component of a, so a generating
     # image meets every component
     comp = ctx.components()
     parts = max(comp) + 1
-    if d.arc_count < parts:
+    if generating and d.arc_count < parts:
         return 0
+    if not d.arc_count:
+        return 1  # the empty colouring
+    a = ctx.root_arc()
+    weight = ctx.orbit_weights(comp)
+    if weight is None:
+        weight, root = [1] * ctx.carrier, None
+    else:
+        root = (a, [p for p, w in enumerate(weight) if w])
     cache: dict = {}
     count = 0
-    for colours in ctx.solutions():
-        if len(set(map(comp.__getitem__, colours))) < parts:
-            continue
-        image = frozenset(colours)
-        if image not in cache:
-            cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
-        count += cache[image]
+    for colours in ctx.solutions(root):
+        if generating:
+            if len(set(map(comp.__getitem__, colours))) < parts:
+                continue
+            image = frozenset(colours)
+            if image not in cache:
+                cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
+            if not cache[image]:
+                continue
+        count += weight[colours[a]]
     return count
 
 

@@ -14,11 +14,21 @@ limited by time, not by the recursion limit.  Propagation fixes the same
 variables whatever their values, so the branch variable chosen on the
 first arrival at a depth serves every path: the unknown variable sharing
 the most constraint slots with known ones.
+
+A search may be given a root restriction ``(v, values)``: v is branched
+on first, over ``values`` in their order, and only the assignments with v
+in ``values`` are yielded; the variables after it are chosen as above.
+Rooted at the variable the plain search branches on first, with values
+in ascending order, it yields the plain search's assignments in the plain
+order, less those with v outside ``values``.  If propagation fixes v
+before any branching, the search is the plain one, or yields nothing when
+v's value is not in ``values``.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 
 
 class Problem:
@@ -76,22 +86,34 @@ class Problem:
                     queue.append(u)
         return True
 
-    def solutions(self):
-        """Yield every satisfying assignment as a tuple, in search order."""
+    def _slots(self, v: int) -> list[int]:
+        """The variables of every constraint slot on v, v's own included."""
+        return [u for c in self.table_watch[v] for u in c[:3]] + [
+            u for c in self.rule_watch[v] for u in c[0]
+        ]
+
+    def solutions(self, root: tuple[int, Sequence[int]] | None = None):
+        """Yield every satisfying assignment as a tuple, in search order;
+        with ``root = (v, values)``, only those with v in ``values``."""
         n, m = self.n, self.m
         val = [-1] * n
         trail: list[int] = []
         if not self._propagate(val, trail, list(range(n))):
             return
-        slots = [
-            [u for c in self.table_watch[v] for u in c[:3]]
-            + [u for c in self.rule_watch[v] for u in c[0]]
-            for v in range(n)
-        ]
+        order: list[int] = []
+        firsts: Sequence[int] = range(m)  # the values tried at depth 0
+        if root is not None:
+            v, values = root
+            if val[v] < 0:
+                order.append(v)
+                firsts = values
+            elif val[v] not in values:
+                return
+        width = len(firsts)
+        slots = [self._slots(v) for v in range(n)]
         score = [0] * n
         heap = [(0, -len(slots[v]), v) for v in range(n)]  # lazy max-heap
         heapq.heapify(heap)
-        order: list[int] = []
         scored = 0  # the first ``scored`` trail entries have raised the scores
         marks, tries = [0] * n, [0] * n
         k, arrived = 0, True
@@ -114,12 +136,12 @@ class Problem:
             while len(trail) > marks[k]:
                 val[trail.pop()] = -1
             t = tries[k]
-            if t == m:
+            if t == (m if k else width):
                 k -= 1
                 continue
             tries[k] = t + 1
             v = order[k]
-            val[v] = t
+            val[v] = t if k else firsts[t]
             trail.append(v)
             if self._propagate(val, trail, [v]):
                 k += 1

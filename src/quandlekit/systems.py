@@ -175,24 +175,22 @@ class SystemData:
         return self._gammas.get(arity)
 
     @cached_property
-    def _gamma_inverses(self) -> dict[int, tuple[tuple[int, ...] | None, ...]]:
+    def _gamma_inverses(self) -> dict[tuple[int, int], tuple[int, ...] | None]:
         return {}
 
-    def gamma_inverses(self, arity: int) -> tuple[tuple[int, ...] | None, ...] | None:
-        """For each argument i of Gamma, the flat table inv of Gamma's shape
-        that solves for it: where idx holds the arguments gs, inv[idx] is the
-        g with Gamma(gs with g at place i) = gs[i].  None where Gamma is not
-        a bijection of argument i once the others are fixed.  Built on first
-        use and kept."""
-        if arity not in self._gamma_inverses:
+    def gamma_inverse(self, arity: int, argument: int) -> tuple[int, ...] | None:
+        """The flat table inv of Gamma's shape that solves for one argument
+        i: where idx holds the arguments gs, inv[idx] is the g with
+        Gamma(gs with g at place i) = gs[i].  None where Gamma is not a
+        bijection of argument i once the others are fixed, or the system
+        has no Gamma of this arity.  Built on first use and kept."""
+        key = (arity, argument)
+        if key not in self._gamma_inverses:
             flat = self.gamma_table(arity)
-            if flat is None:
-                return None
             n = self.g_size
-            self._gamma_inverses[arity] = tuple(
-                _argument_inverse(flat, n, n ** (arity - 1 - i)) for i in range(arity)
-            )
-        return self._gamma_inverses[arity]
+            self._gamma_inverses[key] = None if flat is None else _argument_inverse(
+                flat, n, n ** (arity - 1 - argument))
+        return self._gamma_inverses[key]
 
     @cached_property
     def rho_inverse(self) -> tuple[tuple[int, ...], ...] | None:

@@ -293,7 +293,7 @@ def partial_gamma(gamma3):
 )
 def test_vertex_rules_force_only_the_ends_gamma_determines(gamma3, bijective):
     data = partial_gamma(gamma3)
-    assert [inv is not None for inv in data.gamma_inverses(3)] == bijective
+    assert [data.gamma_inverse(3, i) is not None for i in range(3)] == bijective
     d = parse_diagram(
         "arcs 4\n"
         "vertex ends=0:in,1:in,2:in,3:out\n"
@@ -309,6 +309,14 @@ def test_vertex_rules_force_only_the_ends_gamma_determines(gamma3, bijective):
     for g in graphs:
         for mode in ("all", "generating"):
             assert count_colourings(g, data, mode) == brute_force_count(g, data, mode), (g, mode)
+
+
+def test_inverses_are_built_only_for_ends_whose_arc_a_vertex_meets_once():
+    # each muf vertex meets one arc at two ends and arc 1 at its middle end
+    data = system("s3point")
+    ctx = ColouringContext(diagram("muf"), data)
+    assert [ctx.vertex_rule(v)[1] for v in diagram("muf").vertices] == [[1, 2], [1, 2]]
+    assert set(data._gamma_inverses) == {(2, 1)}
 
 
 def test_a_forced_end_satisfies_the_vertex_rule():
@@ -358,3 +366,137 @@ def test_generating_counts_are_invariant_under_link_moves():
             got = [count_colourings(d, sys_, "generating") for sys_ in systems]
             assert got == want, (spec, d)
     assert nonzero >= 12
+
+
+S4_POINT = g_family_system(tuple(trivial_quandle(1) for _ in range(24)), symmetric_group(4))
+BUNDLED = ("t3r3z2", "t2t2z2", "r3", "s3point", "broken-tc4")
+
+
+def plain_counts(d, sys_):
+    """Both modes' counts from one search with no root restriction, each
+    colouring counted once; images closed by ``generated_subalgebra``."""
+    ctx = ColouringContext(d, sys_)
+    generates: dict = {}
+    counts = {"all": 0, "generating": 0}
+    for colours in ctx.solutions():
+        image = frozenset(colours)
+        if image not in generates:
+            generates[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
+        counts["all"] += 1
+        counts["generating"] += generates[image]
+    return counts
+
+
+def assert_orbit_sums_match(d, sys_, small):
+    """count_colourings equals the plain search in both modes, and
+    brute_force_count when the carrier^arcs assignments are few."""
+    try:
+        want = plain_counts(d, sys_)
+    except ValueError:
+        with pytest.raises(ValueError):
+            count_colourings(d, sys_)
+        return False
+    for mode, count in want.items():
+        assert count_colourings(d, sys_, mode) == count, (d, mode)
+        if ColouringContext(d, sys_).carrier ** d.arc_count <= small:
+            assert brute_force_count(d, sys_, mode) == count, (d, mode)
+    return True
+
+
+def test_orbit_sums_equal_plain_counts_on_fixtures():
+    systems = [system(name) for name in BUNDLED] + [S3_POINT, S4_POINT]
+    counted = 0
+    for name in ("unknot", "trefoil", "hopf", "theta", "mlf", "muf", "mwf", "mwuf",
+                 "athlete-happy", "athlete-unhappy"):
+        for sys_ in systems:
+            counted += assert_orbit_sums_match(diagram(name), sys_, 30_000)
+    assert counted == 70
+
+
+def test_orbit_sums_equal_plain_counts_on_random_diagrams():
+    systems = (T3R3, system("t2t2z2"), system("s3point"), S3_POINT)
+    orbit_sums = 0
+    for i in range(200):
+        d = random_diagram(f"orb-{i}", 6, 3)
+        for sys_ in systems:
+            assert assert_orbit_sums_match(d, sys_, 50_000)
+            ctx = ColouringContext(d, sys_)
+            orbit_sums += ctx.orbit_weights(ctx.components()) is not None
+    # t2t2z2 alone takes the plain path
+    assert orbit_sums == 600
+
+
+def recorded_roots(monkeypatch):
+    """The root restriction of every search ColouringContext starts."""
+    roots = []
+    solutions = ColouringContext.solutions
+
+    def recording(self, root=None):
+        roots.append(root)
+        return solutions(self, root)
+
+    monkeypatch.setattr(ColouringContext, "solutions", recording)
+    return roots
+
+
+def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
+    # S3 point family with Gamma_3(a, b, c) = a b c t for a transposition t:
+    # conjugation by an element that does not commute with t breaks it
+    s3 = symmetric_group(3)
+    mul = s3.table.entries
+    t = next(g for g in range(6) if g != s3.identity and mul[g][g] == s3.identity)
+    gamma3 = [mul[mul[mul[a][b]][c]][t] for a in range(6) for b in range(6) for c in range(6)]
+    data = replace(S3_POINT, gamma=((3, tuple(gamma3)),))
+    graphs = [random_diagram(f"valence-{s}", 1, 2, (3, 4)) for s in range(12)]
+    graphs = [g for g in graphs if g.vertices and all(v.valence == 4 for v in g.vertices)]
+    graphs.append(random_diagram("valence-58", 2, 2, (3, 4)))
+    roots = recorded_roots(monkeypatch)
+    for g in graphs:
+        ctx = ColouringContext(g, data)
+        assert ctx.orbit_weights(ctx.components()) is None
+        for mode in ("all", "generating"):
+            assert count_colourings(g, data, mode) == brute_force_count(g, data, mode), (g, mode)
+    assert len(roots) == 2 * len(graphs) and all(root is None for root in roots)
+    # the orbit sum would miscount the last graph: 126 against 108
+    ctx = ColouringContext(graphs[-1], data)
+    a, weight = ctx.root_arc(), [1, 3, 0, 2, 0, 0]  # the components of Conj(S3)
+    assert count_colourings(graphs[-1], data) == 108
+    assert sum(weight[c[a]] for c in ctx.solutions((a, [0, 1, 3]))) == 126
+    # the same family with the central t = 1 counts by orbits
+    central = replace(S3_POINT, gamma=((3, tuple(mul[mul[a][b]][c] for a in range(6)
+                                                  for b in range(6) for c in range(6))),))
+    ctx = ColouringContext(graphs[-1], central)
+    assert ctx.orbit_weights(ctx.components()) == weight
+
+
+def test_the_symmetry_check_reads_x_parts_and_rho():
+    ctx = ColouringContext(diagram("theta"), T3R3)
+    assert ctx.respects_vertex_rules(tuple(range(6)))
+    # (0, 0) <-> (1, 0) leaves every G part and rho alone, but sends the
+    # pairs of X element 0 to different X elements
+    assert not ctx.respects_vertex_rules((2, 1, 0, 3, 4, 5))
+    # rho_2 swaps Z2 while rho_0 and rho_1 fix it: the translations by
+    # (y, 1) move X element 2, so they do not commute with rho, and the
+    # orbit sum would count 12 colourings of theta, not 8
+    odd = replace(T3R3, rho=((0, 1), (0, 1), (1, 0)))
+    ctx = ColouringContext(diagram("theta"), odd)
+    assert ctx.orbit_weights(ctx.components()) is None
+    for mode in ("all", "generating"):
+        assert count_colourings(diagram("theta"), odd, mode) == brute_force_count(
+            diagram("theta"), odd, mode)
+    assert count_colourings(diagram("theta"), odd) == 8
+
+
+def test_singleton_components_take_the_plain_path(monkeypatch):
+    t2 = system("t2t2z2")
+    roots = recorded_roots(monkeypatch)
+    for name in ("theta", "mwuf", "athlete-happy"):
+        d = diagram(name)
+        ctx = ColouringContext(d, t2)
+        assert ctx.components() == [0, 1, 2, 3]
+        assert ctx.orbit_weights(ctx.components()) is None
+        assert count_colourings(d, t2) == brute_force_count(d, t2)
+    assert roots == [None] * 3
+    # by the S3 point family, the root arc goes over one element a component
+    count_colourings(diagram("theta"), S3_POINT)
+    assert roots[-1] == (ColouringContext(diagram("theta"), S3_POINT).root_arc(), [0, 1, 3])

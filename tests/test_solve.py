@@ -42,6 +42,33 @@ def test_table_constraint_with_inverse_forces_both_ways():
     assert sorted(p.solutions()) == [(x, y, (2 * y - x) % 3) for x in range(3) for y in range(3)]
 
 
+def test_root_restriction_yields_the_plain_solutions_with_the_root_in_its_values():
+    r3 = dihedral_quandle(3).entries
+    p = Problem(4, 3)
+    p.add_table(0, 1, 2, r3, r3)
+    p.add_table(2, 1, 0, r3, r3)
+    p.add_table(1, 2, 3, r3)
+    plain = list(p.solutions())
+    assert len(plain) == 9
+    # variable 1 is in the most constraint slots, so the plain search
+    # branches on it first: rooted there, the order is kept
+    for values in ([0], [1, 2], [0, 2], [0, 1, 2], []):
+        assert list(p.solutions((1, values))) == [s for s in plain if s[1] in values]
+    # rooted elsewhere, the same solutions in the rooted search's order
+    for v in range(4):
+        assert sorted(p.solutions((v, [2, 0]))) == sorted(s for s in plain if s[v] in (0, 2))
+
+
+def test_root_fixed_before_the_search_filters_the_plain_solutions():
+    # a one-variable rule fixes variable 0 to 1 before any branching
+    p = Problem(3, 3)
+    p.add_rule([0], lambda values, i: 1, [0])
+    plain = list(p.solutions())
+    assert len(plain) == 9 and all(s[0] == 1 for s in plain)
+    assert list(p.solutions((0, [1, 2]))) == plain
+    assert list(p.solutions((0, [0, 2]))) == []
+
+
 def test_long_kink_chain_counts():
     assert sys.getrecursionlimit() <= 1000
     d = kink_chain(1100, lambda i: i)
@@ -82,6 +109,11 @@ def test_one_point_family_over_s5():
     p5 = g_family_system(tuple(trivial_quandle(1) for _ in range(s5.size)), s5)
     with Timer(3.0):
         assert count_colourings(diagram("athlete-happy"), p5) == 28680
+    # counted once per component of the root arc's colour
+    with Timer(3.0):
+        assert count_colourings(diagram("mwf"), p5) == 184800
+    with Timer(3.0):
+        assert count_colourings(diagram("mwf"), p5, "generating") == 0
     for name in ("mwuf", "theta", "athlete-unhappy"):
         with Timer(0.1):
             assert count_colourings(diagram(name), p5, "generating") == 0

@@ -506,8 +506,9 @@ def test_gamma_inverses_solve_each_argument_gamma_is_a_bijection_of(data):
     base = system("t3r3z2") if n == 2 else g_family_system(
         tuple(trivial_quandle(1) for _ in range(n)), cyclic_group(n))
     sys_ = replace(base, oplus=None, group=None, gamma=((arity, tuple(flat)),))
-    assert sys_.gamma_inverses(arity) is sys_.gamma_inverses(arity)
-    for i, inverse in enumerate(sys_.gamma_inverses(arity)):
+    for i in range(arity):
+        inverse = sys_.gamma_inverse(arity, i)
+        assert inverse is sys_.gamma_inverse(arity, i)
         solved = {}  # (the other arguments, value) -> arguments at place i
         for gs, v in zip(cells, flat):
             solved.setdefault((gs[:i] + gs[i + 1 :], v), []).append(gs[i])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .diagrams import IN, Diagram, validate_diagram
 from .solve import Problem
-from .systems import SystemData, associated_quandle
+from .systems import SystemData, associated_quandle, flatten_rho
 from .tables import AxiomReport, ReportBuilder, generated_subalgebra, trivial_quandle
 
 
@@ -34,42 +34,15 @@ class Colouring:
 
     assignment: tuple[int, ...]
 
-    def pair(self, ctx: "ColouringContext", arc: int) -> tuple[int, int]:
-        return ctx.assoc.pair_of(self.assignment[arc])
-
-
-def _merging_translations(columns, parts: int) -> list[tuple[int, ...]]:
-    """The right translations R_y, in order of y, each kept if it merges
-    orbits of those kept before it, until there are ``parts`` orbits."""
-    parent = list(range(len(columns)))
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = p = parent[parent[p]]
-        return p
-
-    orbits, kept = len(columns), []
-    for column in columns:
-        if orbits == parts:
-            break
-        before = orbits
-        for p, q in enumerate(column):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-                orbits -= 1
-        if orbits < before:
-            kept.append(column)
-    return kept
-
 
 class ColouringContext(Problem):
     """The colouring problem of a diagram by a system, shared by
     verification and counting: one variable per arc over the associated
     carrier, a table constraint (under_in, over, under_out) per crossing
     over the associated table or its dual, with the other as the inverse,
-    and a rule per vertex.  Raises ScopeError when the associated product
-    is not a quandle, since its counts are then no invariant."""
+    and a rule per vertex.  The associated product is the one the system
+    keeps.  Raises ScopeError when it is not a quandle, since its counts
+    are then no invariant."""
 
     def __init__(self, d: Diagram, sys: SystemData):
         report = validate_diagram(d)
@@ -161,11 +134,11 @@ class ColouringContext(Problem):
         vertex: its X image depends on x alone, it commutes with
         the flattened rho, (x, g) -> (x, rho_x(g)), and with sigma_x, its
         G part at x, Gamma(sigma_x g_1, ...) = sigma_x Gamma(g_1, ...)."""
-        n, rho = self.g_size, self.system.rho
+        n = self.g_size
         xs = [p // n for p in sigma]
         if xs != [x for x in xs[::n] for _ in range(n)]:
             return False
-        flat_rho = [x * n + h for x, r in enumerate(rho) for h in r]
+        flat_rho = flatten_rho(self.system)
         if list(map(sigma.__getitem__, flat_rho)) != list(map(flat_rho.__getitem__, sigma)):
             return False
         for start in range(0, self.carrier, n):
@@ -183,21 +156,21 @@ class ColouringContext(Problem):
                         return False
         return True
 
-    def orbit_weights(self, comp: list[int]) -> list[int] | None:
-        """Weights for counting by orbit representatives, given the
-        components: |C| at the least element of each component C and 0
+    def orbit_weights(self) -> list[int] | None:
+        """Weights for counting by orbit representatives: |C| at the least
+        element of each component C of the associated quandle and 0
         elsewhere, when the number of colourings with one arc's colour fixed
         is the same across each component; None when it may not be, or when
         every component is one element.  The right translations are
         automorphisms of the associated quandle, so they map colourings to
         colourings at every crossing; at the vertices, the translations
         that generate the components are checked on the system's tables."""
+        comp = self.assoc.components
         size = len(comp)
-        parts = max(comp) + 1
-        if parts == size:
+        if max(comp) + 1 == size:
             return None
         if self.arities:
-            for sigma in _merging_translations(self.assoc.table.columns, parts):
+            for sigma in self.assoc.translations:
                 if not self.respects_vertex_rules(sigma):
                     return None
         weight, least = [0] * size, {}
@@ -215,25 +188,6 @@ class ColouringContext(Problem):
         colouring."""
         slots = [len(self._slots(a)) for a in range(self.n)]
         return min(range(self.n), key=lambda a: (not slots[a], slots[a], a))
-
-    def components(self) -> list[int]:
-        """The component of each element of the associated quandle: its
-        orbit under the right translations, read off the rows of the table,
-        since row a holds a * y for every y."""
-        comp = [-1] * self.carrier
-        parts = 0
-        for a in range(self.carrier):
-            if comp[a] >= 0:
-                continue
-            orbit, queue = {a}, [a]
-            while queue:
-                fresh = set(self.table[queue.pop()]) - orbit
-                orbit |= fresh
-                queue.extend(fresh)
-            for b in orbit:
-                comp[b] = parts
-            parts += 1
-        return comp
 
 
 # the benchmark's tracer counts solutions through this name
@@ -275,14 +229,14 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     ctx = ColouringContext(d, sys)
     # a * b and its inverse lie in the component of a, so a generating
     # image meets every component
-    comp = ctx.components()
+    comp = ctx.assoc.components
     parts = max(comp) + 1
     if generating and d.arc_count < parts:
         return 0
     if not d.arc_count:
         return 1  # the empty colouring
     a = ctx.root_arc()
-    weight = ctx.orbit_weights(comp)
+    weight = ctx.orbit_weights()
     if weight is None:
         weight, root = [1] * ctx.carrier, None
     else:

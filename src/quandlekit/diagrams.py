@@ -224,11 +224,8 @@ def compute_edges(d: Diagram) -> list[Edge]:
     report = validate_diagram(d)
     if not report.valid:
         raise ValueError(f"invalid diagram: {report.violations[:4]}")
-    next_arc = {}  # arc -> following arc through its consuming crossing
-    prev_arc = {}
-    for c in d.crossings:
-        next_arc[c.under_in] = c.under_out
-        prev_arc[c.under_out] = c.under_in
+    # arc -> following arc through its consuming crossing
+    next_arc = {c.under_in: c.under_out for c in d.crossings}
     vertex_end = {}  # arc -> (vertex, position, direction)
     for vi, v in enumerate(d.vertices):
         for pos, (a, direction) in enumerate(v.ends):

@@ -470,7 +470,9 @@ def applicable_moves(d: Diagram, kinds) -> list[MoveSpec]:
 
 def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -> Diagram:
     """Reproducible random diagram grown from free loops by kinks, pokes,
-    vertex-pair insertions and threads under vertex in-arcs."""
+    vertex-pair insertions and threads under vertex in-arcs.  Theta pairs
+    take their valence from ``valences``; handcuff pairs, which are
+    trivalent, are drawn only when 3 is among them."""
     if crossings_max < 0 or vertices_max < 0:
         raise ValueError("bounds must be non-negative")
     rng = random.Random(repr(seed))
@@ -484,7 +486,7 @@ def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -
     while True:
         ops = []
         if vertex_budget >= 2:
-            ops += ["theta", "handcuff"]
+            ops += ["theta", "handcuff"] if 3 in valences else ["theta"]
         if crossing_budget >= 1:
             ops.append("kink")
         if crossing_budget >= 2 and d.arc_count >= 2:
@@ -676,13 +678,10 @@ def validate_scope(sys: SystemData, scope: str) -> list[str]:
         if not ac.valid:
             problems.append(f"composition not associative: {ac.violations[:2]}")
     if scope == "n_valent":
-        arities = [k for k, _ in sys.gamma]
-        if sys.oplus is not None or sys.group is not None:
-            arities.append(2)
-        if not arities:
+        if not sys.gamma_arities:
             problems.append("scope needs composition tables")
         else:
-            nc = validate_family(sys, "n_compatible", sorted(set(arities)))
+            nc = validate_family(sys, "n_compatible", sys.gamma_arities)
             if not nc.valid:
                 problems.append(f"not n-compatible: {nc.violations[:2]}")
     return problems
@@ -719,7 +718,7 @@ def fuzz_invariance(
         vertices_max = 0
     valences = (3,)
     if scope == "n_valent":
-        valences = tuple(sorted(k + 1 for k, _ in sys.gamma)) or (3,)
+        valences = tuple(k + 1 for k in sys.gamma_arities) or (3,)
 
     out: list[FuzzTrial] = []
     skipped = 0

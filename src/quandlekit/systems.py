@@ -175,6 +175,11 @@ class SystemData:
         return self._gammas.get(arity)
 
     @cached_property
+    def gamma_arities(self) -> tuple[int, ...]:
+        """The arities ``gamma_table`` answers for, in increasing order."""
+        return tuple(sorted(self._gammas))
+
+    @cached_property
     def _gamma_inverses(self) -> dict[tuple[int, int], tuple[int, ...] | None]:
         return {}
 
@@ -199,19 +204,20 @@ class SystemData:
             return None
         return tuple(tuple(sorted(range(self.g_size), key=r.__getitem__)) for r in self.rho)
 
-    def gamma_at(self, arity: int, gs: tuple[int, ...]) -> int:
-        flat = self.gamma_table(arity)
-        if flat is None:
-            raise ValueError(f"system has no arity-{arity} composition table")
-        idx = 0
-        for g in gs:
-            idx = idx * self.g_size + g
-        return flat[idx]
-
-    def rho_at(self, x: int, g: int) -> int:
-        if self.rho is None:
-            raise ValueError("system has no involution rho")
-        return self.rho[x][g]
+    @cached_property
+    def _associated(self) -> tuple[AssociatedQuandle, AxiomReport]:
+        """``associated_quandle(self)``, built on first use and kept."""
+        otimes = self.eff_otimes().entries
+        if self.f_map is None:
+            raise ValueError("system has no f map")
+        m, n = self.x_size, self.g_size
+        star = [op.entries for op in self.star]
+        # row (x, g), over y and then h: the pair (x *_{f(g,h)} y, g (x) h)
+        rows = tuple(
+            tuple(star[f_row[h]][x][y] * n + ot_row[h] for y in range(m) for h in range(n))
+            for x in range(m) for f_row, ot_row in zip(self.f_map, otimes))
+        table = OperationTable(m * n, rows)
+        return AssociatedQuandle(table, m, n), validate_axioms(table, "quandle")
 
 
 def _argument_inverse(flat: tuple[int, ...], n: int, stride: int) -> tuple[int, ...] | None:
@@ -241,8 +247,53 @@ class AssociatedQuandle:
     def pair_index(self, x: int, g: int) -> int:
         return x * self.g_size + g
 
-    def pair_of(self, p: int) -> tuple[int, int]:
-        return divmod(p, self.g_size)
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The component of each element: its orbit under the right
+        translations, read off the rows of the table, since row a holds
+        a * y for every y.  Built on first use and kept."""
+        comp = [-1] * self.table.size
+        parts = 0
+        for a in range(self.table.size):
+            if comp[a] >= 0:
+                continue
+            orbit, queue = {a}, [a]
+            while queue:
+                fresh = set(self.table.entries[queue.pop()]) - orbit
+                orbit |= fresh
+                queue.extend(fresh)
+            for b in orbit:
+                comp[b] = parts
+            parts += 1
+        return tuple(comp)
+
+    @cached_property
+    def translations(self) -> tuple[tuple[int, ...], ...]:
+        """The right translations R_y that generate the components: in
+        order of y, each kept if it merges orbits of those kept before it,
+        until the orbits are the components.  Built on first use and kept."""
+        columns = self.table.columns
+        parts = max(self.components) + 1
+        parent = list(range(len(columns)))
+
+        def find(p):
+            while parent[p] != p:
+                parent[p] = p = parent[parent[p]]
+            return p
+
+        orbits, kept = len(columns), []
+        for column in columns:
+            if orbits == parts:
+                break
+            before = orbits
+            for p, q in enumerate(column):
+                rp, rq = find(p), find(q)
+                if rp != rq:
+                    parent[rp] = rq
+                    orbits -= 1
+            if orbits < before:
+                kept.append(column)
+        return tuple(kept)
 
 
 def g_family_system(star, group: GroupTable) -> SystemData:
@@ -280,19 +331,10 @@ def quandle_system(table: OperationTable) -> SystemData:
 
 
 def associated_quandle(data: SystemData) -> tuple[AssociatedQuandle, AxiomReport]:
-    """Build the product table (x, g) . (y, h) = (x *_{f(g,h)} y, g (x) h)
-    and validate it as a quandle."""
-    otimes = data.eff_otimes().entries
-    if data.f_map is None:
-        raise ValueError("system has no f map")
-    m, n = data.x_size, data.g_size
-    star = [op.entries for op in data.star]
-    # row (x, g), over y and then h: the pair (x *_{f(g,h)} y, g (x) h)
-    rows = tuple(
-        tuple(star[f_row[h]][x][y] * n + ot_row[h] for y in range(m) for h in range(n))
-        for x in range(m) for f_row, ot_row in zip(data.f_map, otimes))
-    table = OperationTable(m * n, rows)
-    return AssociatedQuandle(table, m, n), validate_axioms(table, "quandle")
+    """The product table (x, g) . (y, h) = (x *_{f(g,h)} y, g (x) h) of the
+    system and its report as a quandle, built on first use and kept on
+    ``data``."""
+    return data._associated
 
 
 # ---------------------------------------------------------------------------

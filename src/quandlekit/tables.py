@@ -107,12 +107,6 @@ class OperationTable:
                     raise ValueError(f"entry {v!r} out of range 0..{self.size - 1}")
         object.__setattr__(self, "entries", rows)
 
-    def apply(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.columns[j]
-
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """``columns[j][i] = i * j``, built on first use and kept."""
@@ -352,9 +346,6 @@ class GroupTable:
 
     def mul(self, a: int, b: int) -> int:
         return self.table.entries[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def power(self, a: int, k: int) -> int:
         if k < 0:

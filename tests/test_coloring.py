@@ -23,6 +23,7 @@ from quandlekit.moves import (
     apply_move,
     candidate_moves,
     random_diagram,
+    validate_scope,
 )
 from quandlekit.systems import (
     associated_quandle,
@@ -35,6 +36,7 @@ from quandlekit.tables import (
     generated_subalgebra,
     symmetric_group,
     trivial_quandle,
+    validate_axioms,
 )
 
 T3R3 = system("t3r3z2")
@@ -77,7 +79,7 @@ def test_reversed_vertex_arc_with_inverted_element_is_proper():
     rev = apply_move(d, MoveSpec("reverse_arc", 1)).diagram
     base = Colouring((pair(0, 0), pair(0, 1), pair(0, 1)))
     assert verify_colouring(d, T3R3, base).valid
-    transported = Colouring((pair(0, 0), pair(0, T3R3.rho_at(0, 1)), pair(0, 1)))
+    transported = Colouring((pair(0, 0), pair(0, T3R3.rho[0][1]), pair(0, 1)))
     assert verify_colouring(rev, T3R3, transported).valid
 
 
@@ -236,8 +238,8 @@ def test_non_quandle_products_are_refused(rows):
             count_colourings(d, non_quandle)
 
 
-def component_count(d, sys_):
-    return max(ColouringContext(d, sys_).components()) + 1
+def component_count(sys_):
+    return max(associated_quandle(sys_)[0].components) + 1
 
 
 def test_components_are_the_orbits_of_the_right_translations():
@@ -251,14 +253,14 @@ def test_components_are_the_orbits_of_the_right_translations():
             power, k = s3.table.entries[power][g], k + 1
         return k
 
-    comp = ColouringContext(diagram("unknot"), S3_POINT).components()
+    comp = associated_quandle(S3_POINT)[0].components
     classes = {}
     for g, c in enumerate(comp):
         classes.setdefault(c, set()).add(order(g))
     assert sorted(map(sorted, classes.values())) == [[1], [2], [3]]
-    assert ColouringContext(diagram("unknot"), system("r3")).components() == [0, 0, 0]
-    assert component_count(diagram("unknot"), T3R3) == 2
-    assert component_count(diagram("unknot"), system("t2t2z2")) == 4
+    assert associated_quandle(system("r3"))[0].components == (0, 0, 0)
+    assert component_count(T3R3) == 2
+    assert component_count(system("t2t2z2")) == 4
 
 
 def test_both_modes_match_brute_force_on_small_diagrams_with_vertices():
@@ -267,7 +269,7 @@ def test_both_modes_match_brute_force_on_small_diagrams_with_vertices():
     fixtures = [diagram(name) for name in ("unknot", "hopf", "theta", "muf", "mwuf")]
     for d in fixtures + [d for d in small if d.arc_count <= 4]:
         for sys_ in (T3R3, S3_POINT, system("t2t2z2")):
-            few_arcs += d.arc_count < component_count(d, sys_)
+            few_arcs += d.arc_count < component_count(sys_)
             for mode in ("all", "generating"):
                 assert count_colourings(d, sys_, mode) == brute_force_count(d, sys_, mode), (
                     d, mode)
@@ -421,7 +423,7 @@ def test_orbit_sums_equal_plain_counts_on_random_diagrams():
         for sys_ in systems:
             assert assert_orbit_sums_match(d, sys_, 50_000)
             ctx = ColouringContext(d, sys_)
-            orbit_sums += ctx.orbit_weights(ctx.components()) is not None
+            orbit_sums += ctx.orbit_weights() is not None
     # t2t2z2 alone takes the plain path
     assert orbit_sums == 600
 
@@ -453,7 +455,7 @@ def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
     roots = recorded_roots(monkeypatch)
     for g in graphs:
         ctx = ColouringContext(g, data)
-        assert ctx.orbit_weights(ctx.components()) is None
+        assert ctx.orbit_weights() is None
         for mode in ("all", "generating"):
             assert count_colourings(g, data, mode) == brute_force_count(g, data, mode), (g, mode)
     assert len(roots) == 2 * len(graphs) and all(root is None for root in roots)
@@ -466,7 +468,7 @@ def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
     central = replace(S3_POINT, gamma=((3, tuple(mul[mul[a][b]][c] for a in range(6)
                                                   for b in range(6) for c in range(6))),))
     ctx = ColouringContext(graphs[-1], central)
-    assert ctx.orbit_weights(ctx.components()) == weight
+    assert ctx.orbit_weights() == weight
 
 
 def test_the_symmetry_check_reads_x_parts_and_rho():
@@ -480,7 +482,7 @@ def test_the_symmetry_check_reads_x_parts_and_rho():
     # orbit sum would count 12 colourings of theta, not 8
     odd = replace(T3R3, rho=((0, 1), (0, 1), (1, 0)))
     ctx = ColouringContext(diagram("theta"), odd)
-    assert ctx.orbit_weights(ctx.components()) is None
+    assert ctx.orbit_weights() is None
     for mode in ("all", "generating"):
         assert count_colourings(diagram("theta"), odd, mode) == brute_force_count(
             diagram("theta"), odd, mode)
@@ -489,14 +491,45 @@ def test_the_symmetry_check_reads_x_parts_and_rho():
 
 def test_singleton_components_take_the_plain_path(monkeypatch):
     t2 = system("t2t2z2")
+    assert associated_quandle(t2)[0].components == (0, 1, 2, 3)
     roots = recorded_roots(monkeypatch)
     for name in ("theta", "mwuf", "athlete-happy"):
         d = diagram(name)
-        ctx = ColouringContext(d, t2)
-        assert ctx.components() == [0, 1, 2, 3]
-        assert ctx.orbit_weights(ctx.components()) is None
+        assert ColouringContext(d, t2).orbit_weights() is None
         assert count_colourings(d, t2) == brute_force_count(d, t2)
     assert roots == [None] * 3
     # by the S3 point family, the root arc goes over one element a component
     count_colourings(diagram("theta"), S3_POINT)
     assert roots[-1] == (ColouringContext(diagram("theta"), S3_POINT).root_arc(), [0, 1, 3])
+
+
+def test_one_system_validates_its_product_once(monkeypatch):
+    # counting, enumerating, verifying and checking a fuzz scope all read
+    # the product the system keeps
+    data = system("t3r3z2")
+    product = associated_quandle(system("t3r3z2"))[0].table  # equal, not the same
+    validated = []
+
+    def recording(table, *args, **kwargs):
+        validated.append(table == product)
+        return validate_axioms(table, *args, **kwargs)
+
+    monkeypatch.setattr("quandlekit.systems.validate_axioms", recording)
+    d = diagram("theta")
+    assert count_colourings(d, data) == 12
+    assert count_colourings(d, data, "generating") == 0
+    assert len(enumerate_colourings(d, data, 4)) == 4
+    assert verify_colouring(d, data, Colouring((0, 0, 0))).valid
+    assert validate_scope(data, "handlebody") == []
+    assert sum(validated) == 1
+
+
+def test_a_system_that_shares_a_product_checks_its_own_rho(monkeypatch):
+    # the same product as t3r3z2, whose translations respect its rho but
+    # not this one: the count takes the plain path right after t3r3z2's
+    # orbit sum
+    odd = replace(T3R3, rho=((0, 1), (0, 1), (1, 0)))
+    roots = recorded_roots(monkeypatch)
+    assert count_colourings(diagram("theta"), T3R3) == 12
+    assert count_colourings(diagram("theta"), odd) == 8
+    assert roots[0] is not None and roots[1] is None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from quandlekit.coloring import count_colourings
@@ -210,6 +212,22 @@ def test_fuzz_n_valent_scope():
     data, _ = gamma_from_oplus(T3R3, 3)
     report = fuzz_invariance(data, trials=15, seed="nv", scope="n_valent")
     assert report.ok
+
+
+def test_fuzz_n_valent_scope_with_gamma_3_alone():
+    # no (+) and no group, so no arity-2 Gamma: every vertex, handcuffs
+    # included, must have valence 4
+    from quandlekit.moves import validate_scope
+    from quandlekit.systems import gamma_from_oplus
+
+    data = replace(gamma_from_oplus(T3R3, 3)[0], oplus=None, group=None)
+    assert data.gamma_table(2) is None and data.gamma_table(3) is not None
+    assert validate_scope(data, "n_valent") == []
+    report = fuzz_invariance(data, trials=15, seed="nv", scope="n_valent")
+    assert report.ok and report.trials
+    for i in range(30):
+        d = random_diagram(f"valence-4-{i}", 2, 4, (4,))
+        assert all(v.valence == 4 for v in d.vertices)
 
 
 def test_default_move_sets_cover_scope_moves():

@@ -232,7 +232,7 @@ def test_valid_twisted_families_are_idempotent_and_right_invertible():
             for h in range(data.g_size):
                 table = data.star[data.f_at(g, h)]
                 for y in range(data.x_size):
-                    assert sorted(table.column(y)) == list(range(data.x_size))
+                    assert sorted(table.columns[y]) == list(range(data.x_size))
 
 
 # --- associated quandles ----------------------------------------------
@@ -469,8 +469,9 @@ def test_gamma_fold_over_z2_family():
     data, report = gamma_from_oplus(system("t3r3z2"), 3)
     assert report.valid
     oplus = data.eff_oplus().entries
-    for gs in itertools.product(range(2), repeat=3):
-        assert data.gamma_at(3, gs) == oplus[oplus[gs[0]][gs[1]]][gs[2]]
+    flat = data.gamma_table(3)
+    for idx, gs in enumerate(itertools.product(range(2), repeat=3)):
+        assert flat[idx] == oplus[oplus[gs[0]][gs[1]]][gs[2]]
 
 
 def test_gamma_arity_two_matches_trivalent_verdict():

@@ -264,7 +264,7 @@ def test_every_valid_quandle_has_permutation_columns():
     for table in (R3, T3, conjugation_quandle(S3, 1), takasaki_quandle(cyclic_group(5))):
         assert validate_axioms(table, "quandle").valid
         for j in range(table.size):
-            assert sorted(table.column(j)) == list(range(table.size))
+            assert sorted(table.columns[j]) == list(range(table.size))
 
 
 def test_violation_report_is_capped():

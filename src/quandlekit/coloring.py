@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagrams import IN, Diagram, validate_diagram
 from .solve import Problem
@@ -128,6 +129,11 @@ class ColouringContext(Problem):
         forcing = [i for i, inverse in enumerate(inverses) if inverse is not None]
         return solve, forcing + [last]
 
+    @cached_property
+    def flat_rho(self) -> tuple[int, ...]:
+        """``flatten_rho`` of the system, built once per context."""
+        return flatten_rho(self.system)
+
     def respects_vertex_rules(self, sigma) -> bool:
         """Whether the permutation sigma of the associated carrier maps
         colourings proper at every vertex to colourings proper at every
@@ -138,7 +144,7 @@ class ColouringContext(Problem):
         xs = [p // n for p in sigma]
         if xs != [x for x in xs[::n] for _ in range(n)]:
             return False
-        flat_rho = flatten_rho(self.system)
+        flat_rho = self.flat_rho
         if list(map(sigma.__getitem__, flat_rho)) != list(map(flat_rho.__getitem__, sigma)):
             return False
         for start in range(0, self.carrier, n):
@@ -164,30 +170,18 @@ class ColouringContext(Problem):
         every component is one element.  The right translations are
         automorphisms of the associated quandle, so they map colourings to
         colourings at every crossing; at the vertices, the translations
-        that generate the components are checked on the system's tables."""
+        that generate the components are checked on the system's tables,
+        once per system and set of vertex arities."""
         comp = self.assoc.components
-        size = len(comp)
-        if max(comp) + 1 == size:
+        if max(comp) + 1 == len(comp):
             return None
         if self.arities:
-            for sigma in self.assoc.translations:
-                if not self.respects_vertex_rules(sigma):
-                    return None
-        weight, least = [0] * size, {}
-        for p, c in enumerate(comp):
-            weight[least.setdefault(c, p)] += 1
-        return weight
-
-    def root_arc(self) -> int:
-        """The arc an orbit sum branches on first: the lowest of those in the
-        fewest constraint slots, leaving out arcs in none.  Its colour is the
-        least determined by the others, so its colourings spread the most
-        evenly over the components.  An arc in no constraint comes last: as
-        the root it would repeat the search of the other arcs for every
-        representative, where the plain search branches on it once a
-        colouring."""
-        slots = [len(self._slots(a)) for a in range(self.n)]
-        return min(range(self.n), key=lambda a: (not slots[a], slots[a], a))
+            verdicts, key = self.system.symmetry_verdicts, frozenset(self.arities)
+            if key not in verdicts:
+                verdicts[key] = all(map(self.respects_vertex_rules, self.assoc.translations))
+            if not verdicts[key]:
+                return None
+        return list(self.assoc.weights)
 
 
 # the benchmark's tracer counts solutions through this name
@@ -222,7 +216,8 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
 
     Where the translations that generate the components respect the
     vertex rules, colourings are counted once per component C, with the
-    root arc coloured by C's least element, and weighted by |C|."""
+    root arc coloured by C's least element, and weighted by |C|: one
+    ``Problem.count`` call either way."""
     if mode not in ("all", "generating"):
         raise ValueError(f"unknown mode {mode!r}")
     generating = mode == "generating"
@@ -233,27 +228,19 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     parts = max(comp) + 1
     if generating and d.arc_count < parts:
         return 0
-    if not d.arc_count:
-        return 1  # the empty colouring
-    a = ctx.root_arc()
-    weight = ctx.orbit_weights()
-    if weight is None:
-        weight, root = [1] * ctx.carrier, None
-    else:
-        root = (a, [p for p, w in enumerate(weight) if w])
+    if not generating:
+        return ctx.count(ctx.orbit_weights())
     cache: dict = {}
-    count = 0
-    for colours in ctx.solutions(root):
-        if generating:
-            if len(set(map(comp.__getitem__, colours))) < parts:
-                continue
-            image = frozenset(colours)
-            if image not in cache:
-                cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
-            if not cache[image]:
-                continue
-        count += weight[colours[a]]
-    return count
+
+    def generates(colours) -> bool:
+        if len(set(map(comp.__getitem__, colours))) < parts:
+            return False
+        image = frozenset(colours)
+        if image not in cache:
+            cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
+        return cache[image]
+
+    return ctx.count(ctx.orbit_weights(), generates)
 
 
 def enumerate_colourings(d: Diagram, sys: SystemData, cap: int) -> list[Colouring]:

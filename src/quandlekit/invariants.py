@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .diagrams import IN, Diagram, compute_edges, delete_edges, validate_diagram
 from .solve import Problem
-from .tables import GroupTable, ParseError, _content_lines
+from .tables import GroupTable, ParseError, _content_lines, orbit_weights
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 
@@ -87,7 +87,10 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
 
     A crossing relator y^-s x y^s z^-1 is the table constraint
     z = y^-s x y^s; any other relator is a solver rule that fixes a
-    generator met once in it when every other letter is known."""
+    generator met once in it when every other letter is known.
+
+    Counted once per conjugacy class C, with the root generator at C's
+    least element, and weighted by |C|."""
     mul, inverse, elements = g.table.entries, g.inverse, range(g.size)
     # conj[s][x][y] = y^-s x y^s, and conj[-s] solves it for x
     conj = {
@@ -101,7 +104,9 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
             problem.add_table(rel[1][0], rel[2][0], rel[3][0], conj[s], conj[-s])
         elif rel:
             problem.add_rule([gen for gen, _ in rel], _relator_rule(rel, g), range(len(rel)))
-    return sum(1 for _ in problem.solutions())
+    # conjugation maps homomorphisms to homomorphisms, so the count is the
+    # same at every element of a conjugacy class: the orbits of conj[1]
+    return problem.count(orbit_weights(conj[1]))
 
 
 def _relator_rule(rel, g: GroupTable):

@@ -23,6 +23,14 @@ in ascending order, it yields the plain search's assignments in the plain
 order, less those with v outside ``values``.  If propagation fixes v
 before any branching, the search is the plain one, or yields nothing when
 v's value is not in ``values``.
+
+``count`` is the one counting loop.  Given weights over the values, it
+roots the search at ``root_variable()`` over the values of nonzero weight
+and sums the root's weight over the solutions.  That equals the number of
+solutions whenever the weights are the sizes of the orbits of some group
+of value permutations that maps solutions to solutions, each at the
+orbit's least element: the solutions with the root at one value are then
+as many as at any other value of its orbit.
 """
 
 from __future__ import annotations
@@ -91,6 +99,34 @@ class Problem:
         return [u for c in self.table_watch[v] for u in c[:3]] + [
             u for c in self.rule_watch[v] for u in c[0]
         ]
+
+    def root_variable(self) -> int:
+        """The variable an orbit sum branches on first: the lowest of those
+        in the fewest constraint slots, leaving out variables in none.  Its
+        value is the least determined by the others, so the solutions spread
+        the most evenly over the orbits.  A variable in no constraint comes
+        last: as the root it would repeat the search of the others for every
+        representative, where the plain search branches on it once a
+        solution."""
+        slots = [len(self._slots(v)) for v in range(self.n)]
+        return min(range(self.n), key=lambda v: (not slots[v], slots[v], v))
+
+    def count(self, weight: Sequence[int] | None = None, keep=None) -> int:
+        """The number of solutions that ``keep`` accepts (all of them when
+        it is None), counted as the sum of ``weight[s[r]]`` over the
+        solutions s with ``r = root_variable()`` in the values of nonzero
+        weight.  ``weight=None``, or no variables, counts each solution once
+        in the plain search."""
+        root = None
+        if weight is not None and self.n:
+            r = self.root_variable()
+            root = (r, [value for value, w in enumerate(weight) if w])
+        solutions = self.solutions(root)  # looked up on self, so wrappers see it
+        if keep is not None:
+            solutions = filter(keep, solutions)
+        if root is None:
+            return sum(1 for _ in solutions)
+        return sum(weight[s[r]] for s in solutions)
 
     def solutions(self, root: tuple[int, Sequence[int]] | None = None):
         """Yield every satisfying assignment as a tuple, in search order;

@@ -53,6 +53,8 @@ from .tables import (
     _read_matrix,
     group_from_table,
     is_abelian,
+    orbit_weights,
+    right_orbits,
     table_from,
     validate_axioms,
 )
@@ -205,6 +207,13 @@ class SystemData:
         return tuple(tuple(sorted(range(self.g_size), key=r.__getitem__)) for r in self.rho)
 
     @cached_property
+    def symmetry_verdicts(self) -> dict[frozenset[int], bool]:
+        """Whether the translations that generate the components of the
+        associated quandle respect the vertex rules, per set of vertex
+        arities, as ``coloring`` finds it.  Filled there and kept."""
+        return {}
+
+    @cached_property
     def _associated(self) -> tuple[AssociatedQuandle, AxiomReport]:
         """``associated_quandle(self)``, built on first use and kept."""
         otimes = self.eff_otimes().entries
@@ -250,22 +259,14 @@ class AssociatedQuandle:
     @cached_property
     def components(self) -> tuple[int, ...]:
         """The component of each element: its orbit under the right
-        translations, read off the rows of the table, since row a holds
-        a * y for every y.  Built on first use and kept."""
-        comp = [-1] * self.table.size
-        parts = 0
-        for a in range(self.table.size):
-            if comp[a] >= 0:
-                continue
-            orbit, queue = {a}, [a]
-            while queue:
-                fresh = set(self.table.entries[queue.pop()]) - orbit
-                orbit |= fresh
-                queue.extend(fresh)
-            for b in orbit:
-                comp[b] = parts
-            parts += 1
-        return tuple(comp)
+        translations.  Built on first use and kept."""
+        return right_orbits(self.table.entries)
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The size of each component at its least element and 0
+        elsewhere.  Built on first use and kept."""
+        return orbit_weights(self.table.entries)
 
     @cached_property
     def translations(self) -> tuple[tuple[int, ...], ...]:

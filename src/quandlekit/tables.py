@@ -512,15 +512,55 @@ def generated_subalgebra(table: OperationTable, seeds) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
+def right_orbits(rows) -> tuple[int, ...]:
+    """The orbit of each element under the right translations of the
+    operation with these rows, numbered in order of least element.  Row a
+    holds a * y for every y, so the orbit of a is its closure under rows.
+    When the right translations are permutations, as in a quandle, the
+    orbits are its components."""
+    orbit_of = [-1] * len(rows)
+    orbits = 0
+    for a in range(len(rows)):
+        if orbit_of[a] >= 0:
+            continue
+        orbit, queue = {a}, [a]
+        while queue:
+            fresh = set(rows[queue.pop()]) - orbit
+            orbit |= fresh
+            queue.extend(fresh)
+        for b in orbit:
+            orbit_of[b] = orbits
+        orbits += 1
+    return tuple(orbit_of)
+
+
+def orbit_weights(rows) -> tuple[int, ...]:
+    """The size of each right-translation orbit at its least element and 0
+    elsewhere: the weights ``solve.Problem.count`` sums over orbit
+    representatives."""
+    weight, least = [0] * len(rows), {}
+    for a, orbit in enumerate(right_orbits(rows)):
+        weight[least.setdefault(orbit, a)] += 1
+    return tuple(weight)
+
+
 def hom_count(source: OperationTable, target: OperationTable, surjective_only: bool = False) -> int:
     """Number of maps phi with phi(a*b) = phi(a)*phi(b): a table constraint
-    per pair (a, b), inverted through the target's dual if it has one."""
+    per pair (a, b), inverted through the target's dual if it has one.
+
+    When the target is a quandle its right translations are automorphisms,
+    and composing with one keeps a map a homomorphism and keeps it
+    surjective.  So the maps are counted once per component of the target,
+    at its least element, and weighted by its size."""
     p = Problem(source.size, target.size)
     x_from = target.dual.entries if is_right_invertible(target) else None
     for a, row in enumerate(source.entries):
         for b, c in enumerate(row):
             p.add_table(a, b, c, target.entries, x_from)
-    return sum(1 for phi in p.solutions() if not surjective_only or len(set(phi)) == target.size)
+    quandle = x_from is not None and validate_axioms(target, "quandle").valid
+    weight = orbit_weights(target.entries) if quandle else None
+    onto = (lambda phi: len(set(phi)) == target.size) if surjective_only else None
+    return p.count(weight, onto)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with its runtime (run with ``pytest -s tests/test_acceptance.py``)."""
 
+import contextlib
+import io
 import itertools
 import time
 
+from quandlekit.cli import main
 from quandlekit.coloring import brute_force_count, count_colourings
 from quandlekit.fixtures import axet_z2_s3, diagram, system
-from quandlekit.invariants import hom_fingerprint, kauffman_summary, wirtinger_presentation
+from quandlekit.invariants import (
+    hom_fingerprint,
+    kauffman_summary,
+    serialize_presentation,
+    wirtinger_presentation,
+)
 from quandlekit.moves import fuzz_invariance, random_diagram
 from quandlekit.systems import (
     SystemData,
@@ -26,6 +34,7 @@ from quandlekit.tables import (
     cyclic_group,
     dihedral_quandle,
     klein_group,
+    serialize_group,
     symmetric_group,
     takasaki_quandle,
     trivial_quandle,
@@ -232,3 +241,24 @@ def test_criterion_10_negative_control():
         )
         assert fuzz.mismatches
     report(10, "condition-4 violation is rejected and breaks a slide-move count", t)
+
+
+def test_criterion_11_homs_of_every_fixture_into_s5(tmp_path):
+    # the counts of the plain search, which took 13.5 s for mwf alone
+    want = {"athlete-happy": 28680, "athlete-unhappy": 100800, "hopf": 840, "mlf": 14400,
+            "muf": 14400, "mwf": 184800, "mwuf": 1728000, "theta": 14400, "trefoil": 600,
+            "unknot": 120}
+    group = tmp_path / "s5.magma"
+    group.write_text(serialize_group(symmetric_group(5)), encoding="utf-8")
+    for name in want:
+        text = serialize_presentation(wirtinger_presentation(diagram(name)))
+        (tmp_path / f"{name}.pres").write_text(text, encoding="utf-8")
+    got = {}
+    with Timer(5.0) as t:
+        for name in want:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["homs", str(tmp_path / f"{name}.pres"), str(group)]) == 0
+            got[name] = int(out.getvalue())
+    assert got == want
+    report(11, "homs of the ten fixtures into S5, counted by conjugacy classes", t)

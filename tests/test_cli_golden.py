@@ -3,8 +3,10 @@
 ``cli_golden.json`` holds the input files and, for every command line
 below in text and in JSON format, the exit code, stdout, stderr and every
 file the command wrote.  The expected values were recorded with the
-``if args.command`` dispatcher that the per-command handlers replaced;
-running this file as a script prints the record for the code on the path.
+``if args.command`` dispatcher that the per-command handlers replaced,
+and those of ``homs`` into S5 with the plain search that counting by
+conjugacy classes replaced; running this file as a script prints the
+record for the code on the path.
 
 Argparse writes its own usage and help text, which differs across Python
 versions, so for the ``USAGE`` lines only the exit code is pinned.
@@ -90,6 +92,8 @@ COMMANDS = [
     "homs mlf.pres broken.magma",
     "homs mlf.pres bad-identity.magma",
     "homs missing.pres s3.magma",
+    "homs mwf.pres s5.magma",
+    "homs athlete-happy.pres s5.magma",
     # kauffman
     "kauffman fixtures:mlf --invariant=linking",
     "kauffman fixtures:mlf",
@@ -146,6 +150,10 @@ def input_files() -> dict[str, str]:
         "trefoil.diagram": fixtures.DIAGRAMS["trefoil"],
         "broken.diagram": "arcs 2\ncrossing over=0 under_in=1 under_out=5 sign=+\n",
         "mlf.pres": serialize_presentation(wirtinger_presentation(fixtures.diagram("mlf"))),
+        "mwf.pres": serialize_presentation(wirtinger_presentation(fixtures.diagram("mwf"))),
+        "athlete-happy.pres": serialize_presentation(
+            wirtinger_presentation(fixtures.diagram("athlete-happy"))),
+        "s5.magma": serialize_group(symmetric_group(5)),
         "broken.pres": "gens 2\nrel +0 +x\n",
     }
 

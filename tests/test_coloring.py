@@ -461,7 +461,7 @@ def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
     assert len(roots) == 2 * len(graphs) and all(root is None for root in roots)
     # the orbit sum would miscount the last graph: 126 against 108
     ctx = ColouringContext(graphs[-1], data)
-    a, weight = ctx.root_arc(), [1, 3, 0, 2, 0, 0]  # the components of Conj(S3)
+    a, weight = ctx.root_variable(), [1, 3, 0, 2, 0, 0]  # the components of Conj(S3)
     assert count_colourings(graphs[-1], data) == 108
     assert sum(weight[c[a]] for c in ctx.solutions((a, [0, 1, 3]))) == 126
     # the same family with the central t = 1 counts by orbits
@@ -500,7 +500,7 @@ def test_singleton_components_take_the_plain_path(monkeypatch):
     assert roots == [None] * 3
     # by the S3 point family, the root arc goes over one element a component
     count_colourings(diagram("theta"), S3_POINT)
-    assert roots[-1] == (ColouringContext(diagram("theta"), S3_POINT).root_arc(), [0, 1, 3])
+    assert roots[-1] == (ColouringContext(diagram("theta"), S3_POINT).root_variable(), [0, 1, 3])
 
 
 def test_one_system_validates_its_product_once(monkeypatch):

@@ -18,7 +18,15 @@ from quandlekit.invariants import (
     wirtinger_presentation,
 )
 from quandlekit.moves import MoveSpec, apply_move, applicable_moves, random_diagram
-from quandlekit.tables import ParseError, cyclic_group, symmetric_group
+from quandlekit.solve import Problem
+from quandlekit.tables import (
+    ParseError,
+    cyclic_group,
+    group_from_table,
+    klein_group,
+    symmetric_group,
+    table_from,
+)
 
 S3 = symmetric_group(3)
 PANEL = (cyclic_group(2), cyclic_group(3), S3)
@@ -101,6 +109,69 @@ def test_hom_counts_match_brute_force():
         p = wirtinger_presentation(diagram(name))
         for g in PANEL:
             assert group_hom_count(p, g) == brute_hom_count(p, g), (name, g.size)
+
+
+def relabelled(g, shift):
+    """g with every element a relabelled a + shift mod |g|."""
+    back = [(a - shift) % g.size for a in range(g.size)]
+    mul = g.table.entries
+    return group_from_table(table_from(g.size, lambda a, b: (mul[back[a]][back[b]] + shift) % g.size))
+
+
+def recorded_roots(monkeypatch):
+    """The root restriction of every search a Problem starts."""
+    roots = []
+    solutions = Problem.solutions
+
+    def recording(self, root=None):
+        roots.append(root)
+        return solutions(self, root)
+
+    monkeypatch.setattr(Problem, "solutions", recording)
+    return roots
+
+
+def test_class_representative_counts_match_brute_force_on_fixtures():
+    s4 = relabelled(symmetric_group(4), 5)
+    assert s4.identity == 5
+    for name in sorted(DIAGRAMS):
+        p = wirtinger_presentation(diagram(name))
+        groups = [S3, klein_group(), cyclic_group(3)] + [s4] * (p.generator_count <= 4)
+        for g in groups:
+            assert group_hom_count(p, g) == brute_hom_count(p, g), (name, g.size)
+
+
+def test_homs_rooted_at_a_generator_forced_to_the_identity(monkeypatch):
+    # rel +0 forces generator 0 to the identity before any branching, and
+    # it is the generator in the fewest relator slots
+    p = parse_presentation("gens 3\nrel +0\nrel -1 +2 +1 -2\nrel +1 +2 -1 -2 +0\n")
+    s4 = relabelled(symmetric_group(4), 7)
+    roots = recorded_roots(monkeypatch)
+    for g in (S3, s4, klein_group()):
+        assert group_hom_count(p, g) == brute_hom_count(p, g), g.size
+    assert [root[0] for root in roots] == [0, 0, 0]
+    assert s4.identity == 7 and 7 in roots[1][1]  # a class of its own
+
+
+def test_homs_with_a_generator_in_no_relator(monkeypatch):
+    trefoil = wirtinger_presentation(diagram("trefoil"))
+    p = GroupPresentation(4, trefoil.relators)
+    roots = recorded_roots(monkeypatch)
+    for g in (S3, klein_group(), cyclic_group(3)):
+        assert group_hom_count(p, g) == brute_hom_count(p, g) == g.size * group_hom_count(
+            trefoil, g)
+    # the free generator is never the root
+    assert all(root[0] != 3 for root in roots)
+    # with every generator free, the lowest is the root
+    assert group_hom_count(GroupPresentation(2, ()), S3) == 36
+    assert roots[-1] == (0, [0, 1, 3])
+
+
+def test_homs_of_no_generators():
+    for g in (S3, cyclic_group(3)):
+        assert group_hom_count(GroupPresentation(0, ()), g) == brute_hom_count(
+            GroupPresentation(0, ()), g) == 1
+        assert group_hom_count(GroupPresentation(0, ((),)), g) == 1
 
 
 def test_mlf_and_muf_fingerprints_agree():

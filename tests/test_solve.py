@@ -11,7 +11,13 @@ from quandlekit.fixtures import diagram, system
 from quandlekit.invariants import group_hom_count, wirtinger_presentation
 from quandlekit.solve import Problem
 from quandlekit.systems import g_family_system, quandle_system
-from quandlekit.tables import conjugation_quandle, dihedral_quandle, symmetric_group, trivial_quandle
+from quandlekit.tables import (
+    conjugation_quandle,
+    dihedral_quandle,
+    orbit_weights,
+    symmetric_group,
+    trivial_quandle,
+)
 
 R3 = system("r3")
 S3 = symmetric_group(3)
@@ -67,6 +73,74 @@ def test_root_fixed_before_the_search_filters_the_plain_solutions():
     assert len(plain) == 9 and all(s[0] == 1 for s in plain)
     assert list(p.solutions((0, [1, 2]))) == plain
     assert list(p.solutions((0, [0, 2]))) == []
+
+
+def rooted_problem():
+    """A dihedral-quandle problem in which variable 3 is in the fewest
+    constraint slots and variable 4 in none."""
+    r3 = dihedral_quandle(3).entries
+    p = Problem(5, 3)
+    p.add_table(0, 1, 2, r3, r3)
+    p.add_table(2, 1, 0, r3, r3)
+    p.add_table(1, 2, 3, r3)
+    return p
+
+
+def test_the_root_is_the_lowest_variable_in_the_fewest_slots_but_not_in_none():
+    assert rooted_problem().root_variable() == 3
+    # with every variable in no constraint, the lowest
+    assert Problem(3, 4).root_variable() == 0
+
+
+def test_count_without_weights_is_the_number_of_solutions():
+    p = rooted_problem()
+    assert p.count() == len(list(p.solutions())) == 27
+    assert Problem(3, 4).count() == 64
+
+
+def test_count_sums_the_root_weight_over_the_solutions():
+    p = rooted_problem()
+    plain = list(p.solutions())
+    for weight in ((3, 0, 0), (1, 1, 1), (0, 2, 5), (0, 0, 0)):
+        assert p.count(weight) == sum(weight[s[3]] for s in plain), weight
+    # R3 is one component of 3 elements, and its translations map solutions
+    # to solutions: one representative weighted by 3 counts them all
+    assert p.count(orbit_weights(dihedral_quandle(3).entries)) == 27
+
+
+def test_count_with_the_root_fixed_before_any_branching():
+    # a one-variable rule fixes variable 0 to 1, and so variable 1 too;
+    # variable 2 is free
+    p = Problem(3, 3)
+    p.add_rule([0], lambda values, i: 1, [0])
+    p.add_table(0, 0, 1, dihedral_quandle(3).entries)
+    assert p.root_variable() == 1
+    assert p.count() == 3
+    assert p.count((2, 5, 0)) == 15  # every solution has variable 1 at 1
+    assert p.count((1, 0, 2)) == 0
+    # Conj(S3), with variable 0 fixed to the identity, a class of one
+    conj = conjugation_quandle(S3).entries
+    p = Problem(2, 6)
+    p.add_rule([0], lambda values, i: S3.identity, [0])
+    p.add_table(0, 0, 1, conj)
+    assert p.root_variable() == 1
+    assert p.count(orbit_weights(conj)) == p.count() == 1
+
+
+def test_zero_variables_count_one():
+    assert Problem(0, 4).count() == 1
+    assert Problem(0, 4).count((1, 1, 2, 0)) == 1
+    assert Problem(0, 4).count(keep=lambda s: s == ()) == 1
+    assert Problem(0, 4).count(keep=lambda s: False) == 0
+
+
+def test_keep_filters_the_solutions():
+    assert Problem(3, 4).count(keep=lambda s: s[0] == s[1]) == 16
+    p = rooted_problem()
+    plain = list(p.solutions())
+    keep = lambda s: s[4] != s[0]  # noqa: E731
+    assert p.count(keep=keep) == sum(map(keep, plain)) == 18
+    assert p.count((3, 0, 1), keep) == sum((3, 0, 1)[s[3]] for s in plain if keep(s))
 
 
 def test_long_kink_chain_counts():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit.solve import Problem
 from quandlekit.tables import (
     OperationTable,
     alexander_quandle,
@@ -18,8 +19,10 @@ from quandlekit.tables import (
     group_from_table,
     hom_count,
     klein_group,
+    orbit_weights,
     parse_group,
     parse_table,
+    right_orbits,
     serialize_group,
     serialize_table,
     standard_quandle,
@@ -222,6 +225,56 @@ def test_hom_count_matches_brute_force_on_mixed_pairs():
     pairs = [(R3, conj), (T3, R3), (conj, R3)]
     for a, b in pairs:
         assert hom_count(a, b) == brute_hom_count(a, b)
+
+
+def test_orbit_weights_are_class_sizes_at_least_elements():
+    conj = conjugation_quandle(S3, 1).entries
+    assert right_orbits(conj) == (0, 1, 1, 2, 2, 1)
+    assert orbit_weights(conj) == (1, 3, 0, 2, 0, 0)
+    s4 = conjugation_quandle(symmetric_group(4), 1).entries
+    assert sorted(w for w in orbit_weights(s4) if w) == [1, 3, 6, 6, 8]
+    assert orbit_weights(dihedral_quandle(4).entries) == (2, 2, 0, 0)
+    assert orbit_weights(trivial_quandle(3).entries) == (1, 1, 1)
+
+
+def recorded_roots(monkeypatch):
+    """The root restriction of every search a Problem starts."""
+    roots = []
+    solutions = Problem.solutions
+
+    def recording(self, root=None):
+        roots.append(root)
+        return solutions(self, root)
+
+    monkeypatch.setattr(Problem, "solutions", recording)
+    return roots
+
+
+def test_hom_count_by_components_into_quandles(monkeypatch):
+    conj = conjugation_quandle(S3, 1)
+    pairs = [(R3, R3), (R3, conj), (conj, R3), (T3, R3), (R3, T3), (trivial_quandle(2), conj),
+             (dihedral_quandle(4), dihedral_quandle(4))]
+    roots = recorded_roots(monkeypatch)
+    for a, b in pairs:
+        for onto in (False, True):
+            assert hom_count(a, b, onto) == brute_hom_count(a, b, onto), (a, b, onto)
+    assert all(root is not None for root in roots)
+    # R4 has components {0, 2} and {1, 3}: one representative each
+    assert roots[-1][1] == [0, 1]
+    assert hom_count(R3, R3, surjective_only=True) == 6
+
+
+def test_hom_count_into_non_quandles_takes_the_plain_path(monkeypatch):
+    shift = table_from(3, lambda i, j: (i + 1) % 3)  # a rack, not a quandle
+    meet = table_from(3, min)  # not right-invertible
+    swap = OperationTable(2, ((1, 1), (0, 0)))
+    pairs = [(R3, shift), (trivial_quandle(2), shift), (shift, shift), (R3, meet),
+             (meet, meet), (T3, swap), (swap, swap)]
+    roots = recorded_roots(monkeypatch)
+    for a, b in pairs:
+        for onto in (False, True):
+            assert hom_count(a, b, onto) == brute_hom_count(a, b, onto), (a, b, onto)
+    assert roots == [None] * 2 * len(pairs)
 
 
 def test_constant_maps_to_idempotents():

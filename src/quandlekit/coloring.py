@@ -172,16 +172,16 @@ class ColouringContext(Problem):
         colourings at every crossing; at the vertices, the translations
         that generate the components are checked on the system's tables,
         once per system and set of vertex arities."""
-        comp = self.assoc.components
+        comp = self.assoc.table.components
         if max(comp) + 1 == len(comp):
             return None
         if self.arities:
             verdicts, key = self.system.symmetry_verdicts, frozenset(self.arities)
             if key not in verdicts:
-                verdicts[key] = all(map(self.respects_vertex_rules, self.assoc.translations))
+                verdicts[key] = all(map(self.respects_vertex_rules, self.assoc.table.translations))
             if not verdicts[key]:
                 return None
-        return list(self.assoc.weights)
+        return list(self.assoc.table.weights)
 
 
 # the benchmark's tracer counts solutions through this name
@@ -224,7 +224,7 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     ctx = ColouringContext(d, sys)
     # a * b and its inverse lie in the component of a, so a generating
     # image meets every component
-    comp = ctx.assoc.components
+    comp = ctx.assoc.table.components
     parts = max(comp) + 1
     if generating and d.arc_count < parts:
         return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tables import AxiomReport, ParseError, ReportBuilder
+from .tables import AxiomReport, ParseError, ReportBuilder, _content_lines
 
 IN, OUT = "in", "out"
 CROSSING_FIELDS = frozenset(("over", "under_in", "under_out", "sign"))
@@ -112,10 +112,7 @@ def parse_diagram(text: str) -> Diagram:
     arc_count = None
     crossings: list[Crossing] = []
     vertices: list[Vertex] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         toks = line.split()
         kind = toks[0]
         if arc_count is None:

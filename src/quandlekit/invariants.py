@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .diagrams import IN, Diagram, compute_edges, delete_edges, validate_diagram
 from .solve import Problem
-from .tables import GroupTable, ParseError, _content_lines, orbit_weights
+from .tables import GroupTable, ParseError, _content_lines
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 
@@ -91,12 +91,8 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
 
     Counted once per conjugacy class C, with the root generator at C's
     least element, and weighted by |C|."""
-    mul, inverse, elements = g.table.entries, g.inverse, range(g.size)
     # conj[s][x][y] = y^-s x y^s, and conj[-s] solves it for x
-    conj = {
-        1: tuple(tuple(mul[mul[inverse[y]][x]][y] for y in elements) for x in elements),
-        -1: tuple(tuple(mul[mul[y][x]][inverse[y]] for y in elements) for x in elements),
-    }
+    conj = {1: g.conjugation.entries, -1: g.conjugation.dual.entries}
     problem = Problem(p.generator_count, g.size)
     for rel in p.relators:
         if len(rel) == 4 and rel[0] == (rel[2][0], -rel[2][1]) and rel[1][1] == 1 == -rel[3][1]:
@@ -106,7 +102,7 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
             problem.add_rule([gen for gen, _ in rel], _relator_rule(rel, g), range(len(rel)))
     # conjugation maps homomorphisms to homomorphisms, so the count is the
     # same at every element of a conjugacy class: the orbits of conj[1]
-    return problem.count(orbit_weights(conj[1]))
+    return problem.count(g.conjugation.weights)
 
 
 def _relator_rule(rel, g: GroupTable):

@@ -32,7 +32,6 @@ tables, rows or columns, each distinct tuple of star tables once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import product, repeat
@@ -53,8 +52,6 @@ from .tables import (
     _read_matrix,
     group_from_table,
     is_abelian,
-    orbit_weights,
-    right_orbits,
     table_from,
     validate_axioms,
 )
@@ -152,8 +149,7 @@ class SystemData:
         if self.otimes is not None:
             return self.otimes
         if self.group is not None:
-            grp = self.group
-            return table_from(self.g_size, grp.conjugate)
+            return self.group.conjugation
         raise ValueError("system has neither otimes nor a group")
 
     def eff_oplus(self) -> OperationTable:
@@ -256,46 +252,6 @@ class AssociatedQuandle:
     def pair_index(self, x: int, g: int) -> int:
         return x * self.g_size + g
 
-    @cached_property
-    def components(self) -> tuple[int, ...]:
-        """The component of each element: its orbit under the right
-        translations.  Built on first use and kept."""
-        return right_orbits(self.table.entries)
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        """The size of each component at its least element and 0
-        elsewhere.  Built on first use and kept."""
-        return orbit_weights(self.table.entries)
-
-    @cached_property
-    def translations(self) -> tuple[tuple[int, ...], ...]:
-        """The right translations R_y that generate the components: in
-        order of y, each kept if it merges orbits of those kept before it,
-        until the orbits are the components.  Built on first use and kept."""
-        columns = self.table.columns
-        parts = max(self.components) + 1
-        parent = list(range(len(columns)))
-
-        def find(p):
-            while parent[p] != p:
-                parent[p] = p = parent[parent[p]]
-            return p
-
-        orbits, kept = len(columns), []
-        for column in columns:
-            if orbits == parts:
-                break
-            before = orbits
-            for p, q in enumerate(column):
-                rp, rq = find(p), find(q)
-                if rp != rq:
-                    parent[rp] = rq
-                    orbits -= 1
-            if orbits < before:
-                kept.append(column)
-        return tuple(kept)
-
 
 def g_family_system(star, group: GroupTable) -> SystemData:
     """Package a group-indexed family: f(g,h) = h, (x) = conjugation,
@@ -309,7 +265,7 @@ def g_family_system(star, group: GroupTable) -> SystemData:
         g_size=g_size,
         star=star,
         f_map=f_map,
-        otimes=table_from(g_size, group.conjugate),
+        otimes=group.conjugation,
         group=group,
         oplus=group.table,
         rho=tuple(group.inverse for _ in range(x_size)),
@@ -685,46 +641,33 @@ def general_product_quandle(f_maps, g_maps) -> tuple[AssociatedQuandle, AxiomRep
             if op.size != s_size:
                 raise ValueError("g component tables must act on S")
 
-    def fc(s, t, x, y):
-        return f_maps[s][t].entries[x][y]
-
-    def gc(x, y, s, t):
-        return g_maps[x][y].entries[s][t]
-
+    m, n = x_size, s_size
+    f = [[op.entries for op in row] for row in f_maps]
+    g = [[op.entries for op in row] for row in g_maps]
+    # the pair (x, s) lives at index x * n + s; divmod splits it again
+    table = OperationTable(m * n, tuple(
+        tuple(f[s][t][x][y] * n + g[x][y][s][t] for y in range(m) for t in range(n))
+        for x in range(m) for s in range(n)))
+    e = table.entries
     rb = ReportBuilder()
-    for x in range(x_size):
-        for s in range(s_size):
-            if fc(s, s, x, x) != x:
-                rb.hit("bp1-f", (x, s))
-            if gc(x, x, s, s) != s:
-                rb.hit("bp1-g", (x, s))
-    for y in range(x_size):
-        for t in range(s_size):
-            seen: dict[tuple[int, int], tuple[int, int]] = {}
-            for x in range(x_size):
-                for s in range(s_size):
-                    img = (fc(s, t, x, y), gc(x, y, s, t))
-                    if img in seen:
-                        rb.hit("bp2", (y, t) + seen[img] + (x, s))
-                    else:
-                        seen[img] = (x, s)
-    for x, y, z in itertools.product(range(x_size), repeat=3):
-        for s, t, u in itertools.product(range(s_size), repeat=3):
-            lhs_f = fc(gc(x, y, s, t), u, fc(s, t, x, y), z)
-            rhs_f = fc(gc(x, z, s, u), gc(y, z, t, u), fc(s, u, x, z), fc(t, u, y, z))
-            if lhs_f != rhs_f:
-                rb.hit("bp3-f", (x, y, z, s, t, u))
-            lhs_g = gc(fc(s, t, x, y), z, gc(x, y, s, t), u)
-            rhs_g = gc(fc(s, u, x, z), fc(t, u, y, z), gc(x, z, s, u), gc(y, z, t, u))
-            if lhs_g != rhs_g:
-                rb.hit("bp3-g", (x, y, z, s, t, u))
-
-    def op(p: int, q: int) -> int:
-        x, s = divmod(p, s_size)
-        y, t = divmod(q, s_size)
-        return fc(s, t, x, y) * s_size + gc(x, y, s, t)
-
-    table = table_from(x_size * s_size, op)
+    for p in range(m * n):
+        pair = divmod(p, n)
+        for axiom, got, want in zip(("bp1-f", "bp1-g"), divmod(e[p][p], n), pair):
+            if got != want:
+                rb.hit(axiom, pair)
+    for q, col in enumerate(table.columns):
+        seen: dict[int, int] = {}
+        for p, v in enumerate(col):
+            if v in seen:
+                rb.hit("bp2", divmod(q, n) + divmod(seen[v], n) + divmod(p, n))
+            else:
+                seen[v] = p
+    for (x, y, z), (s, t, u) in product(product(range(m), repeat=3), product(range(n), repeat=3)):
+        p, q, r = x * n + s, y * n + t, z * n + u
+        left, right = divmod(e[e[p][q]][r], n), divmod(e[e[p][r]][e[q][r]], n)
+        for axiom, a, b in zip(("bp3-f", "bp3-g"), left, right):
+            if a != b:
+                rb.hit(axiom, (x, y, z, s, t, u))
     return AssociatedQuandle(table, x_size, s_size), rb.report()
 
 
@@ -937,7 +880,7 @@ def gamma_from_oplus(data: SystemData, arity: int) -> tuple[SystemData, AxiomRep
     n = data.g_size
     oplus = data.eff_oplus().entries
     flat = []
-    for gs in itertools.product(range(n), repeat=arity):
+    for gs in product(range(n), repeat=arity):
         acc = gs[0]
         for g in gs[1:]:
             acc = oplus[acc][g]

@@ -117,6 +117,67 @@ class OperationTable:
         """``dual_operation(self)``, built on first use and kept."""
         return dual_operation(self)
 
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The orbit of each element under the right translations,
+        numbered in order of least element.  Row a holds a * y for every
+        y, so the orbit of a is its closure under rows.  When the right
+        translations are permutations, as in a quandle, the orbits are its
+        components.  Built on first use and kept."""
+        rows = self.entries
+        orbit_of = [-1] * len(rows)
+        orbits = 0
+        for a in range(len(rows)):
+            if orbit_of[a] >= 0:
+                continue
+            orbit, queue = {a}, [a]
+            while queue:
+                fresh = set(rows[queue.pop()]) - orbit
+                orbit |= fresh
+                queue.extend(fresh)
+            for b in orbit:
+                orbit_of[b] = orbits
+            orbits += 1
+        return tuple(orbit_of)
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The size of each component at its least element and 0
+        elsewhere: the weights ``solve.Problem.count`` sums over orbit
+        representatives.  Built on first use and kept."""
+        weight, least = [0] * self.size, {}
+        for a, orbit in enumerate(self.components):
+            weight[least.setdefault(orbit, a)] += 1
+        return tuple(weight)
+
+    @cached_property
+    def translations(self) -> tuple[tuple[int, ...], ...]:
+        """The right translations R_y that generate the components: in
+        order of y, each kept if it merges orbits of those kept before it,
+        until the orbits are the components.  Built on first use and kept."""
+        columns = self.columns
+        parts = max(self.components) + 1
+        parent = list(range(len(columns)))
+
+        def find(p):
+            while parent[p] != p:
+                parent[p] = p = parent[parent[p]]
+            return p
+
+        orbits, kept = len(columns), []
+        for column in columns:
+            if orbits == parts:
+                break
+            before = orbits
+            for p, q in enumerate(column):
+                rp, rq = find(p), find(q)
+                if rp != rq:
+                    parent[rp] = rq
+                    orbits -= 1
+            if orbits < before:
+                kept.append(column)
+        return tuple(kept)
+
 
 def table_from(size: int, op) -> OperationTable:
     """Build a table from a callable op(i, j)."""
@@ -355,9 +416,18 @@ class GroupTable:
             acc = self.mul(acc, a)
         return acc
 
+    @cached_property
+    def conjugation(self) -> OperationTable:
+        """The conjugation quandle a * b = b^-1 a b, built on first use and
+        kept.  Its dual is b a b^-1 and its components are the conjugacy
+        classes."""
+        e, inverse = self.table.entries, self.inverse
+        return OperationTable(self.size, tuple(
+            tuple(e[e[inverse[b]][a]][b] for b in range(self.size)) for a in range(self.size)))
+
     def conjugate(self, a: int, b: int) -> int:
-        """b^-1 a b"""
-        return self.mul(self.mul(self.inverse[b], a), b)
+        """a * b in ``conjugation``."""
+        return self.conjugation.entries[a][b]
 
 
 def group_from_table(table: OperationTable, identity: int | None = None) -> GroupTable:
@@ -439,8 +509,8 @@ def dihedral_quandle(n: int) -> OperationTable:
 def conjugation_quandle(g: GroupTable, n: int = 1) -> OperationTable:
     """a * b = b^-n a b^n; n is reduced mod the exponent of g."""
     m = n % group_exponent(g)
-    powers = [g.power(b, m) for b in range(g.size)]
-    return table_from(g.size, lambda a, b: g.mul(g.mul(g.inverse[powers[b]], a), powers[b]))
+    powers = _composer(tuple(g.power(b, m) for b in range(g.size)))
+    return OperationTable(g.size, tuple(map(powers, g.conjugation.entries)))
 
 
 def takasaki_quandle(g: GroupTable) -> OperationTable:
@@ -487,61 +557,33 @@ def dual_operation(table: OperationTable) -> OperationTable:
     Requires every right translation to be a permutation.
     """
     n = table.size
-    cols = []
-    for j in range(n):
-        if _column_collision(table, j) is not None:
+    inverses = []
+    for j, col in enumerate(table.columns):
+        if len(set(col)) < n:
             raise ValueError(f"column {j} is not a permutation; dual undefined")
-        inv = [0] * n
-        for i in range(n):
-            inv[table.entries[i][j]] = i
-        cols.append(inv)
-    return table_from(n, lambda a, b: cols[b][a])
+        inverse = [0] * n
+        for i, v in enumerate(col):
+            inverse[v] = i
+        inverses.append(inverse)
+    return OperationTable(n, tuple(zip(*inverses)))
 
 
 def generated_subalgebra(table: OperationTable, seeds) -> tuple[int, ...]:
     """Smallest subset containing seeds closed under * and its inverse, in
     increasing order.  Requires right translations to be permutations (so
-    the inverse operation exists)."""
-    dual = table.dual
+    the inverse operation exists).
+
+    A subset closed under * is then closed under the inverse too: each
+    R_y maps it into itself injectively, so onto itself.  So the closure
+    under * alone is taken."""
+    table.dual  # kept on the table; raises ValueError where it does not exist
     seeds = set(seeds)
     for s in seeds:
         if not 0 <= s < table.size:
             raise ValueError(f"seed {s} out of range")
     members: set[int] = set()
-    _close((table.entries, table.columns, dual.entries, dual.columns), members, seeds)
+    _close((table.entries, table.columns), members, seeds)
     return tuple(sorted(members))
-
-
-def right_orbits(rows) -> tuple[int, ...]:
-    """The orbit of each element under the right translations of the
-    operation with these rows, numbered in order of least element.  Row a
-    holds a * y for every y, so the orbit of a is its closure under rows.
-    When the right translations are permutations, as in a quandle, the
-    orbits are its components."""
-    orbit_of = [-1] * len(rows)
-    orbits = 0
-    for a in range(len(rows)):
-        if orbit_of[a] >= 0:
-            continue
-        orbit, queue = {a}, [a]
-        while queue:
-            fresh = set(rows[queue.pop()]) - orbit
-            orbit |= fresh
-            queue.extend(fresh)
-        for b in orbit:
-            orbit_of[b] = orbits
-        orbits += 1
-    return tuple(orbit_of)
-
-
-def orbit_weights(rows) -> tuple[int, ...]:
-    """The size of each right-translation orbit at its least element and 0
-    elsewhere: the weights ``solve.Problem.count`` sums over orbit
-    representatives."""
-    weight, least = [0] * len(rows), {}
-    for a, orbit in enumerate(right_orbits(rows)):
-        weight[least.setdefault(orbit, a)] += 1
-    return tuple(weight)
 
 
 def hom_count(source: OperationTable, target: OperationTable, surjective_only: bool = False) -> int:
@@ -558,7 +600,7 @@ def hom_count(source: OperationTable, target: OperationTable, surjective_only: b
         for b, c in enumerate(row):
             p.add_table(a, b, c, target.entries, x_from)
     quandle = x_from is not None and validate_axioms(target, "quandle").valid
-    weight = orbit_weights(target.entries) if quandle else None
+    weight = target.weights if quandle else None
     onto = (lambda phi: len(set(phi)) == target.size) if surjective_only else None
     return p.count(weight, onto)
 

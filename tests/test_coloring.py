@@ -239,7 +239,7 @@ def test_non_quandle_products_are_refused(rows):
 
 
 def component_count(sys_):
-    return max(associated_quandle(sys_)[0].components) + 1
+    return max(associated_quandle(sys_)[0].table.components) + 1
 
 
 def test_components_are_the_orbits_of_the_right_translations():
@@ -253,12 +253,12 @@ def test_components_are_the_orbits_of_the_right_translations():
             power, k = s3.table.entries[power][g], k + 1
         return k
 
-    comp = associated_quandle(S3_POINT)[0].components
+    comp = associated_quandle(S3_POINT)[0].table.components
     classes = {}
     for g, c in enumerate(comp):
         classes.setdefault(c, set()).add(order(g))
     assert sorted(map(sorted, classes.values())) == [[1], [2], [3]]
-    assert associated_quandle(system("r3"))[0].components == (0, 0, 0)
+    assert associated_quandle(system("r3"))[0].table.components == (0, 0, 0)
     assert component_count(T3R3) == 2
     assert component_count(system("t2t2z2")) == 4
 
@@ -491,7 +491,7 @@ def test_the_symmetry_check_reads_x_parts_and_rho():
 
 def test_singleton_components_take_the_plain_path(monkeypatch):
     t2 = system("t2t2z2")
-    assert associated_quandle(t2)[0].components == (0, 1, 2, 3)
+    assert associated_quandle(t2)[0].table.components == (0, 1, 2, 3)
     roots = recorded_roots(monkeypatch)
     for name in ("theta", "mwuf", "athlete-happy"):
         d = diagram(name)

@@ -167,6 +167,28 @@ def test_homs_with_a_generator_in_no_relator(monkeypatch):
     assert roots[-1] == (0, [0, 1, 3])
 
 
+def test_homs_build_the_conjugation_tables_once_per_group(monkeypatch):
+    from quandlekit.tables import OperationTable
+
+    built = []
+    init = OperationTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["size"])
+        init(self, *args, **kwargs)
+
+    g = symmetric_group(4)
+    trefoil = wirtinger_presentation(diagram("trefoil"))
+    expected = brute_hom_count(trefoil, g)
+    monkeypatch.setattr(OperationTable, "__init__", counted)
+    p = wirtinger_presentation(diagram("mwf"))
+    first = group_hom_count(p, g)
+    assert built == [24, 24]  # the conjugation table and its dual
+    assert group_hom_count(p, g) == first
+    assert group_hom_count(trefoil, g) == expected
+    assert built == [24, 24]
+
+
 def test_homs_of_no_generators():
     for g in (S3, cyclic_group(3)):
         assert group_hom_count(GroupPresentation(0, ()), g) == brute_hom_count(
@@ -280,6 +302,26 @@ def test_kauffman_athletes_differ():
     assert happy == [(0, 1, 1)]
     assert unhappy == [(0, 0, 1)]
     assert happy != unhappy
+
+
+def test_athletes_differ_as_handlebody_links():
+    # the group of the exterior is a handlebody-link invariant, and s3point
+    # is valid for the handlebody scope, so both tell the athletes apart
+    from quandlekit.coloring import count_colourings
+    from quandlekit.fixtures import system
+    from quandlekit.systems import validate_family
+
+    s3point = system("s3point")
+    for kind in ("trivalent_compatible", "associative_composition"):
+        assert validate_family(s3point, kind).valid
+    counts = {}
+    for name in ("athlete-happy", "athlete-unhappy"):
+        d = diagram(name)
+        p = wirtinger_presentation(d)
+        counts[name] = (
+            group_hom_count(p, S3), group_hom_count(p, symmetric_group(4)),
+            count_colourings(d, s3point))
+    assert counts == {"athlete-happy": (96, 1608, 96), "athlete-unhappy": (108, 2880, 108)}
 
 
 def test_kauffman_colour_summary():

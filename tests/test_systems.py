@@ -366,6 +366,79 @@ def test_general_product_conditions_match_quandle_axioms():
         assert report.valid == validate_axioms(assoc.table, "quandle").valid
 
 
+def reference_general_product_report(f_maps, g_maps) -> AxiomReport:
+    """The bp1 to bp3 scan element by element, each side of each condition
+    evaluated from the component maps."""
+    s_size, x_size = len(f_maps), len(g_maps)
+
+    def fc(s, t, x, y):
+        return f_maps[s][t].entries[x][y]
+
+    def gc(x, y, s, t):
+        return g_maps[x][y].entries[s][t]
+
+    rb = ReportBuilder()
+    for x in range(x_size):
+        for s in range(s_size):
+            if fc(s, s, x, x) != x:
+                rb.hit("bp1-f", (x, s))
+            if gc(x, x, s, s) != s:
+                rb.hit("bp1-g", (x, s))
+    for y in range(x_size):
+        for t in range(s_size):
+            seen: dict[tuple[int, int], tuple[int, int]] = {}
+            for x in range(x_size):
+                for s in range(s_size):
+                    img = (fc(s, t, x, y), gc(x, y, s, t))
+                    if img in seen:
+                        rb.hit("bp2", (y, t) + seen[img] + (x, s))
+                    else:
+                        seen[img] = (x, s)
+    for x, y, z in itertools.product(range(x_size), repeat=3):
+        for s, t, u in itertools.product(range(s_size), repeat=3):
+            lhs_f = fc(gc(x, y, s, t), u, fc(s, t, x, y), z)
+            rhs_f = fc(gc(x, z, s, u), gc(y, z, t, u), fc(s, u, x, z), fc(t, u, y, z))
+            if lhs_f != rhs_f:
+                rb.hit("bp3-f", (x, y, z, s, t, u))
+            lhs_g = gc(fc(s, t, x, y), z, gc(x, y, s, t), u)
+            rhs_g = gc(fc(s, u, x, z), fc(t, u, y, z), gc(x, z, s, u), gc(y, z, t, u))
+            if lhs_g != rhs_g:
+                rb.hit("bp3-g", (x, y, z, s, t, u))
+    return rb.report()
+
+
+def test_general_product_reports_equal_the_reference_scan():
+    import random
+
+    rng = random.Random(12)
+    idempotent = [trivial_quandle(3), dihedral_quandle(3)]
+
+    def random_table(n):
+        # mostly quandles, so that bp2 and bp3 are reached with few hits,
+        # otherwise any operation
+        if n == 3 and rng.random() < 0.6:
+            return rng.choice(idempotent)
+        flat = [rng.randrange(n) for _ in range(n * n)]
+        return table_from(n, lambda a, b: flat[a * n + b])
+
+    reports = []
+    for trial in range(60):
+        m, n = rng.choice([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+        f_maps = tuple(tuple(random_table(m) for _ in range(n)) for _ in range(n))
+        g_maps = tuple(tuple(random_table(n) for _ in range(m)) for _ in range(m))
+        assoc, report = general_product_quandle(f_maps, g_maps)
+        assert report == reference_general_product_report(f_maps, g_maps), trial
+        reports.append(report)
+    data = system("t3r3z2")
+    f_maps = tuple(tuple(data.star[t] for t in range(2)) for _ in range(2))
+    g_maps = tuple(tuple(data.group.conjugation for _ in range(3)) for _ in range(3))
+    report = general_product_quandle(f_maps, g_maps)[1]
+    assert report.valid and report == reference_general_product_report(f_maps, g_maps)
+    # the random inputs reach every condition's failure
+    hit = {axiom for r in reports for axiom in r.axioms_violated()}
+    assert hit == {"bp1-f", "bp1-g", "bp2", "bp3-f", "bp3-g"}
+
+
 # --- involutions -------------------------------------------------------
 
 

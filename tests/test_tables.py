@@ -19,10 +19,8 @@ from quandlekit.tables import (
     group_from_table,
     hom_count,
     klein_group,
-    orbit_weights,
     parse_group,
     parse_table,
-    right_orbits,
     serialize_group,
     serialize_table,
     standard_quandle,
@@ -198,6 +196,36 @@ def test_generated_subalgebra_monotone_idempotent():
         assert set(closure) <= set(bigger)
 
 
+def closure_under_both(table, seeds):
+    """Independent oracle: close under * and its inverse, read off the dual."""
+    dual = dual_operation(table).entries
+    members = set(seeds)
+    while True:
+        more = {op[a][b] for op in (table.entries, dual) for a in members for b in members}
+        if more <= members:
+            return tuple(sorted(members))
+        members |= more
+
+
+def test_generated_subalgebra_equals_the_closure_under_both_operations():
+    # x * y = x + 1 mod 5 is a rack that is not a quandle
+    shift = table_from(5, lambda x, y: (x + 1) % 5)
+    tables = [dihedral_quandle(6), takasaki_quandle(cyclic_group(7)),
+              conjugation_quandle(dihedral_group(4), 1), conjugation_quandle(symmetric_group(4), 1),
+              alexander_quandle(cyclic_group(7), tuple(3 * a % 7 for a in range(7))), shift]
+    assert validate_axioms(shift, "rack").valid and not validate_axioms(shift, "quandle").valid
+    for table in tables:
+        for seeds in itertools.combinations(range(table.size), 2):
+            assert generated_subalgebra(table, seeds) == closure_under_both(table, seeds)
+        assert generated_subalgebra(table, [1]) == closure_under_both(table, [1])
+    assert generated_subalgebra(shift, [2]) == tuple(range(5))
+
+
+def test_generated_subalgebra_needs_right_translations_that_are_permutations():
+    with pytest.raises(ValueError, match="column 0 is not a permutation"):
+        generated_subalgebra(table_from(3, lambda x, y: 0), [0])
+
+
 def brute_hom_count(source, target, surjective_only=False):
     """Independent oracle: scan all |target|^|source| maps."""
     n, m = source.size, target.size
@@ -228,13 +256,13 @@ def test_hom_count_matches_brute_force_on_mixed_pairs():
 
 
 def test_orbit_weights_are_class_sizes_at_least_elements():
-    conj = conjugation_quandle(S3, 1).entries
-    assert right_orbits(conj) == (0, 1, 1, 2, 2, 1)
-    assert orbit_weights(conj) == (1, 3, 0, 2, 0, 0)
-    s4 = conjugation_quandle(symmetric_group(4), 1).entries
-    assert sorted(w for w in orbit_weights(s4) if w) == [1, 3, 6, 6, 8]
-    assert orbit_weights(dihedral_quandle(4).entries) == (2, 2, 0, 0)
-    assert orbit_weights(trivial_quandle(3).entries) == (1, 1, 1)
+    conj = conjugation_quandle(S3, 1)
+    assert conj.components == (0, 1, 1, 2, 2, 1)
+    assert conj.weights == (1, 3, 0, 2, 0, 0)
+    s4 = conjugation_quandle(symmetric_group(4), 1)
+    assert sorted(w for w in s4.weights if w) == [1, 3, 6, 6, 8]
+    assert dihedral_quandle(4).weights == (2, 2, 0, 0)
+    assert trivial_quandle(3).weights == (1, 1, 1)
 
 
 def recorded_roots(monkeypatch):

@@ -61,13 +61,14 @@ class ColouringContext(Problem):
         self.carrier = self.assoc.table.size
         self.g_size = sys.g_size
         super().__init__(d.arc_count, self.carrier)
+        table, dual = self.assoc.table, self.assoc.table.dual
         for c in d.crossings:
-            op, inverse = (self.table, self.dual) if c.sign > 0 else (self.dual, self.table)
+            op, inverse = (table, dual) if c.sign > 0 else (dual, table)
             self.add_table(c.under_in, c.over, c.under_out, op, inverse)
         if d.vertices and sys.rho is None:
             raise ValueError("vertex rules require the involution rho")
         # ends share their X part, for a one-element G the whole colour
-        same = trivial_quandle(self.carrier).entries if d.vertices and self.g_size == 1 else None
+        same = trivial_quandle(self.carrier) if d.vertices and self.g_size == 1 else None
         # the Gamma arities the vertex rules read
         self.arities = {v.valence - 1 for v in d.vertices}
         for v in d.vertices:
@@ -210,6 +211,27 @@ def verify_colouring(d: Diagram, sys: SystemData, c: Colouring) -> AxiomReport:
     return rb.report()
 
 
+def _strand_classes(d: Diagram) -> int:
+    """The number of classes of arcs joined by under_in and under_out at
+    the crossings; vertices do not join them.  A proper colouring keeps
+    each class in one component of the associated quandle, since
+    c(under_out) = R_{c(over)}(c(under_in))."""
+    parent = list(range(d.arc_count))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    classes = d.arc_count
+    for c in d.crossings:
+        a, b = find(c.under_in), find(c.under_out)
+        if a != b:
+            parent[a] = b
+            classes -= 1
+    return classes
+
+
 def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     """Exact number of proper colourings.  Mode ``generating`` keeps only
     colourings whose image generates the whole associated quandle.
@@ -223,10 +245,10 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     generating = mode == "generating"
     ctx = ColouringContext(d, sys)
     # a * b and its inverse lie in the component of a, so a generating
-    # image meets every component
+    # image meets every component, and each strand class lies in one
     comp = ctx.assoc.table.components
     parts = max(comp) + 1
-    if generating and d.arc_count < parts:
+    if generating and _strand_classes(d) < parts:
         return 0
     if not generating:
         return ctx.count(ctx.orbit_weights())

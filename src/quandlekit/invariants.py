@@ -92,7 +92,7 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
     Counted once per conjugacy class C, with the root generator at C's
     least element, and weighted by |C|."""
     # conj[s][x][y] = y^-s x y^s, and conj[-s] solves it for x
-    conj = {1: g.conjugation.entries, -1: g.conjugation.dual.entries}
+    conj = {1: g.conjugation, -1: g.conjugation.dual}
     problem = Problem(p.generator_count, g.size)
     for rel in p.relators:
         if len(rel) == 4 and rel[0] == (rel[2][0], -rel[2][1]) and rel[1][1] == 1 == -rel[3][1]:

@@ -1,8 +1,8 @@
 """The one counting engine: the assignments of n variables over the
 values 0..m-1 that satisfy every constraint, each of which is
 
-* a table constraint ``z = op[x][y]``, optionally with a table ``x_from``
-  giving ``x = x_from[z][y]``; or
+* a table constraint ``z = op[x][y]`` over an ``OperationTable`` op,
+  optionally with a table ``x_from`` giving ``x = x_from[z][y]``; or
 * a rule over a tuple of variables, where ``solve(values, i)`` is the value
   position ``i`` must take when the other positions hold ``values``, or -1
   if none fits.  It fixes a position listed in ``forcing`` once all other
@@ -15,14 +15,23 @@ variables whatever their values, so the branch variable chosen on the
 first arrival at a depth serves every path: the unknown variable sharing
 the most constraint slots with known ones.
 
+For the same reason, so does the source of the values it is branched
+over, picked on that first arrival too.  Where the variable is y, and
+neither x nor z, in a table constraint ``z = op[x][y]`` whose x and z are
+known, only the y with ``op[x][y] == z`` can succeed: the search branches
+over those, ``op.row_factors(x)[z]``, and over all m values elsewhere.
+Propagation would refuse every other y at once, and the factors come in
+ascending order, so the search yields what branching over all m values
+yields, in the same order, without the failed tries.
+
 A search may be given a root restriction ``(v, values)``: v is branched
-on first, over ``values`` in their order, and only the assignments with v
-in ``values`` are yielded; the variables after it are chosen as above.
-Rooted at the variable the plain search branches on first, with values
-in ascending order, it yields the plain search's assignments in the plain
-order, less those with v outside ``values``.  If propagation fixes v
-before any branching, the search is the plain one, or yields nothing when
-v's value is not in ``values``.
+on first, over ``values`` in their order whatever constrains v, and only
+the assignments with v in ``values`` are yielded; the variables after it
+are chosen as above.  Rooted at the variable the plain search branches on
+first, with values in ascending order, it yields the plain search's
+assignments in the plain order, less those with v outside ``values``.  If
+propagation fixes v before any branching, the search is the plain one, or
+yields nothing when v's value is not in ``values``.
 
 ``count`` is the one counting loop.  Given weights over the values, it
 roots the search at ``root_variable()`` over the values of nonzero weight
@@ -42,14 +51,17 @@ from collections.abc import Sequence
 class Problem:
     def __init__(self, variables: int, domain: int) -> None:
         self.n, self.m = variables, domain
-        # the constraints on each variable: (x, y, z, op, x_from) for tables,
-        # (variables, forcing flags, solve) for rules
+        # the constraints on each variable: (x, y, z, op rows, x_from rows,
+        # op) for tables, (variables, forcing flags, solve) for rules
         self.table_watch: list[list[tuple]] = [[] for _ in range(variables)]
         self.rule_watch: list[list[tuple]] = [[] for _ in range(variables)]
 
     def add_table(self, x: int, y: int, z: int, op, x_from=None) -> None:
+        """Constrain z = x * y in the ``OperationTable`` op, and, with an
+        ``OperationTable`` x_from, x = x_from[z][y]."""
+        c = (x, y, z, op.entries, None if x_from is None else x_from.entries, op)
         for v in {x, y, z}:
-            self.table_watch[v].append((x, y, z, op, x_from))
+            self.table_watch[v].append(c)
 
     def add_rule(self, variables, solve, forcing) -> None:
         variables = tuple(variables)
@@ -63,7 +75,7 @@ class Problem:
         of every variable this fixes; False on a violated constraint."""
         while queue:
             v = queue.pop()
-            for x, y, z, op, x_from in self.table_watch[v]:
+            for x, y, z, op, x_from, _ in self.table_watch[v]:
                 vx, vy, vz = val[x], val[y], val[z]
                 if vy < 0:
                     continue
@@ -137,21 +149,25 @@ class Problem:
         if not self._propagate(val, trail, list(range(n))):
             return
         order: list[int] = []
-        firsts: Sequence[int] = range(m)  # the values tried at depth 0
+        # per depth: the values tried, unless a table constraint z = x * y
+        # on the branch variable y has x and z known, kept as its source:
+        # then the y in its row factors, the only values that can succeed
+        values: list[Sequence[int]] = []
+        sources: list[tuple | None] = []
         if root is not None:
-            v, values = root
+            v, firsts = root
             if val[v] < 0:
                 order.append(v)
-                firsts = values
-            elif val[v] not in values:
+                values.append(firsts)
+                sources.append(None)
+            elif val[v] not in firsts:
                 return
-        width = len(firsts)
         slots = [self._slots(v) for v in range(n)]
         score = [0] * n
         heap = [(0, -len(slots[v]), v) for v in range(n)]  # lazy max-heap
         heapq.heapify(heap)
         scored = 0  # the first ``scored`` trail entries have raised the scores
-        marks, tries = [0] * n, [0] * n
+        marks, tried = [0] * n, [None] * n
         k, arrived = 0, True
         while k >= 0:
             if arrived:
@@ -167,17 +183,27 @@ class Problem:
                     scored = len(trail)
                     while val[heap[0][2]] >= 0 or -heap[0][0] != score[heap[0][2]]:
                         heapq.heappop(heap)
-                    order.append(heapq.heappop(heap)[2])
-                marks[k], tries[k] = len(trail), 0
+                    v = heapq.heappop(heap)[2]
+                    order.append(v)
+                    values.append(range(m))
+                    sources.append(next((
+                        (x, z, op) for x, y, z, _, _, op in self.table_watch[v]
+                        if y == v and val[x] >= 0 and val[z] >= 0), None))
+                source = sources[k]
+                if source is None:
+                    tried[k] = iter(values[k])
+                else:
+                    x, z, op = source
+                    tried[k] = iter(op.row_factors(val[x])[val[z]])
+                marks[k] = len(trail)
             while len(trail) > marks[k]:
                 val[trail.pop()] = -1
-            t = tries[k]
-            if t == (m if k else width):
+            w = next(tried[k], -1)
+            if w < 0:
                 k -= 1
                 continue
-            tries[k] = t + 1
             v = order[k]
-            val[v] = t if k else firsts[t]
+            val[v] = w
             trail.append(v)
             if self._propagate(val, trail, [v]):
                 k += 1

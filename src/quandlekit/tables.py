@@ -113,6 +113,21 @@ class OperationTable:
         return tuple(zip(*self.entries))
 
     @cached_property
+    def _row_factors(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def row_factors(self, x: int) -> tuple[tuple[int, ...], ...]:
+        """``row_factors(x)[z]``: the y with x * y = z, in ascending order.
+        Built one row at a time, on first use, and kept."""
+        rows = self._row_factors
+        if x not in rows:
+            factors: list[list[int]] = [[] for _ in range(self.size)]
+            for y, z in enumerate(self.entries[x]):
+                factors[z].append(y)
+            rows[x] = tuple(map(tuple, factors))
+        return rows[x]
+
+    @cached_property
     def dual(self) -> "OperationTable":
         """``dual_operation(self)``, built on first use and kept."""
         return dual_operation(self)
@@ -595,10 +610,10 @@ def hom_count(source: OperationTable, target: OperationTable, surjective_only: b
     surjective.  So the maps are counted once per component of the target,
     at its least element, and weighted by its size."""
     p = Problem(source.size, target.size)
-    x_from = target.dual.entries if is_right_invertible(target) else None
+    x_from = target.dual if is_right_invertible(target) else None
     for a, row in enumerate(source.entries):
         for b, c in enumerate(row):
-            p.add_table(a, b, c, target.entries, x_from)
+            p.add_table(a, b, c, target, x_from)
     quandle = x_from is not None and validate_axioms(target, "quandle").valid
     weight = target.weights if quandle else None
     onto = (lambda phi: len(set(phi)) == target.size) if surjective_only else None

@@ -13,7 +13,7 @@ from quandlekit.coloring import (
     enumerate_colourings,
     verify_colouring,
 )
-from quandlekit.diagrams import Crossing, Diagram, Vertex, parse_diagram
+from quandlekit.diagrams import Crossing, Diagram, Vertex, compute_edges, parse_diagram
 from quandlekit.fixtures import axet_z2_s3, diagram, system
 from quandlekit.invariants import group_hom_count, wirtinger_presentation
 from quandlekit.moves import (
@@ -25,6 +25,7 @@ from quandlekit.moves import (
     random_diagram,
     validate_scope,
 )
+from quandlekit.solve import Problem
 from quandlekit.systems import (
     associated_quandle,
     axet_to_system,
@@ -533,3 +534,81 @@ def test_a_system_that_shares_a_product_checks_its_own_rho(monkeypatch):
     assert count_colourings(diagram("theta"), T3R3) == 12
     assert count_colourings(diagram("theta"), odd) == 8
     assert roots[0] is not None and roots[1] is None
+
+
+def failed_propagations(monkeypatch):
+    """A counter of the propagations that refuse an assignment."""
+    failed = [0]
+    propagate = Problem._propagate
+
+    def counting(self, *args):
+        ok = propagate(self, *args)
+        failed[0] += not ok
+        return ok
+
+    monkeypatch.setattr(Problem, "_propagate", counting)
+    return failed
+
+
+def test_branching_over_row_factors_cuts_the_failed_tries(monkeypatch):
+    # branching over all 24 values of an arc that only crossings' over
+    # positions constrain refused 2,760, 4,212 and 5,234 tries
+    failed = failed_propagations(monkeypatch)
+    for name, count, most in (("mlf", 576, 0), ("mwf", 5088, 0), ("athlete-happy", 1608, 523)):
+        failed[0] = 0
+        assert count_colourings(diagram(name), S4_POINT) == count
+        assert failed[0] <= most, name
+
+
+# the first 50 colourings of athlete-happy by S3_POINT in the search order
+# of branching over every value, one digit an arc
+FIRST_50 = (
+    "0000000 0001100 0002200 0003300 0004400 0005500 0000011 0001111 "
+    "0000022 0002222 0000033 0003333 0004433 0000044 0003344 0004444 "
+    "0000055 0005555 1100000 1101100 1102200 1103300 1104400 1105500 "
+    "1100011 1101111 1531252 1241543 1242143 1245243 1531234 1532534 "
+    "1535134 1241525 2200000 2201100 2202200 2203300 2204400 2205500 "
+    "2542151 2200022 2202222 2541543 2542143 2545243 2131234 2132534 "
+    "2135134 2132515"
+)
+
+
+def test_branching_over_row_factors_keeps_the_search_order():
+    found = enumerate_colourings(diagram("athlete-happy"), S3_POINT, 50)
+    assert ["".join(map(str, c.assignment)) for c in found] == FIRST_50.split()
+
+
+# generating counts by the point families, as the plain search finds them
+GENERATING_BY_S3 = {"muf": 12, "mwf": 60, "mwuf": 126, "athlete-happy": 12, "athlete-unhappy": 42}
+
+
+def test_generating_counts_vanish_below_the_strand_classes(monkeypatch):
+    # c(under_out) = R_c(over)(c(under_in)) keeps a strand class in one
+    # component, so an image meets no more components than there are
+    # classes, and with fewer classes none generates: no search is made
+    roots = recorded_roots(monkeypatch)
+    t2t2z2 = system("t2t2z2")
+    knots = [random_diagram(f"knot-{s}", 3, 0) for s in range(30)]
+    graphs = [random_diagram(f"vertex-{s}", c, 2) for s in range(30) for c in (1, 2)]
+    below = 0
+    for d, sys_ in itertools.chain(
+        ((d, S3_POINT) for d in knots if d.arc_count <= 4),
+        ((d, t2t2z2) for d in graphs if d.arc_count <= 4),
+    ):
+        searches = len(roots)
+        count = count_colourings(d, sys_, "generating")
+        assert count == brute_force_count(d, sys_, "generating"), d
+        if len(compute_edges(d)) < component_count(sys_):
+            assert count == 0 and len(roots) == searches, d
+            below += d.arc_count >= component_count(sys_)
+    # diagrams with as many arcs as components that the arc count let through
+    assert below >= 50
+    names = ("unknot", "trefoil", "hopf", "theta", "mlf", "muf", "mwf", "mwuf",
+             "athlete-happy", "athlete-unhappy")
+    for name in names:
+        assert count_colourings(diagram(name), S3_POINT, "generating") == GENERATING_BY_S3.get(
+            name, 0), name
+        # Conj(S4) has 5 components, and no fixture more than 4 classes
+        searches = len(roots)
+        assert count_colourings(diagram(name), S4_POINT, "generating") == 0
+        assert len(roots) == searches

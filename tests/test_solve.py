@@ -1,8 +1,12 @@
 """The counting engine on its own, and diagrams of a thousand arcs or more
 counted through it under the default recursion limit."""
 
+import itertools
+import math
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import Timer
 
 from quandlekit.coloring import count_colourings
@@ -12,6 +16,7 @@ from quandlekit.invariants import group_hom_count, wirtinger_presentation
 from quandlekit.solve import Problem
 from quandlekit.systems import g_family_system, quandle_system
 from quandlekit.tables import (
+    OperationTable,
     conjugation_quandle,
     dihedral_quandle,
     symmetric_group,
@@ -40,7 +45,7 @@ def test_free_variables_and_empty_problem():
 
 
 def test_table_constraint_with_inverse_forces_both_ways():
-    r3 = dihedral_quandle(3).entries
+    r3 = dihedral_quandle(3)
     p = Problem(3, 3)
     p.add_table(0, 1, 2, r3, r3)  # z = x * y, x = z * y in a kei
     p.add_table(2, 1, 0, r3, r3)
@@ -48,7 +53,7 @@ def test_table_constraint_with_inverse_forces_both_ways():
 
 
 def test_root_restriction_yields_the_plain_solutions_with_the_root_in_its_values():
-    r3 = dihedral_quandle(3).entries
+    r3 = dihedral_quandle(3)
     p = Problem(4, 3)
     p.add_table(0, 1, 2, r3, r3)
     p.add_table(2, 1, 0, r3, r3)
@@ -77,7 +82,7 @@ def test_root_fixed_before_the_search_filters_the_plain_solutions():
 def rooted_problem():
     """A dihedral-quandle problem in which variable 3 is in the fewest
     constraint slots and variable 4 in none."""
-    r3 = dihedral_quandle(3).entries
+    r3 = dihedral_quandle(3)
     p = Problem(5, 3)
     p.add_table(0, 1, 2, r3, r3)
     p.add_table(2, 1, 0, r3, r3)
@@ -112,7 +117,7 @@ def test_count_with_the_root_fixed_before_any_branching():
     # variable 2 is free
     p = Problem(3, 3)
     p.add_rule([0], lambda values, i: 1, [0])
-    p.add_table(0, 0, 1, dihedral_quandle(3).entries)
+    p.add_table(0, 0, 1, dihedral_quandle(3))
     assert p.root_variable() == 1
     assert p.count() == 3
     assert p.count((2, 5, 0)) == 15  # every solution has variable 1 at 1
@@ -121,7 +126,7 @@ def test_count_with_the_root_fixed_before_any_branching():
     conj = conjugation_quandle(S3)
     p = Problem(2, 6)
     p.add_rule([0], lambda values, i: S3.identity, [0])
-    p.add_table(0, 0, 1, conj.entries)
+    p.add_table(0, 0, 1, conj)
     assert p.root_variable() == 1
     assert p.count(conj.weights) == p.count() == 1
 
@@ -140,6 +145,72 @@ def test_keep_filters_the_solutions():
     keep = lambda s: s[4] != s[0]  # noqa: E731
     assert p.count(keep=keep) == sum(map(keep, plain)) == 18
     assert p.count((3, 0, 1), keep) == sum((3, 0, 1)[s[3]] for s in plain if keep(s))
+
+
+@st.composite
+def problems(draw):
+    """A Problem of 2 to 5 variables over 2 to 4 values, with the checks of
+    its constraints on a full assignment.  Tables are arbitrary, so a
+    value occurs 0, 1 or several times in a row, or have permutations for
+    columns, and then may carry their dual as x_from; x == y and y == z
+    are drawn often.  Rules are a sum over units mod m, which fixes every
+    position, and equality, which fails where the others disagree."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    p, checks = Problem(n, m), []
+    variables, elements = st.integers(0, n - 1), st.integers(0, m - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        x, z = draw(variables), draw(variables)
+        y = draw(st.one_of(st.just(x), st.just(z), variables))
+        x_from = None
+        if draw(st.booleans()):
+            columns = [draw(st.permutations(range(m))) for _ in range(m)]
+            op = OperationTable(m, tuple(zip(*columns)))
+            x_from = op.dual if draw(st.booleans()) else None
+        else:
+            row = st.lists(elements, min_size=m, max_size=m).map(tuple)
+            op = OperationTable(m, tuple(draw(row) for _ in range(m)))
+        p.add_table(x, y, z, op, x_from)
+        checks.append(lambda s, x=x, y=y, z=z, op=op.entries: s[z] == op[s[x]][s[y]])
+    for _ in range(draw(st.integers(0, 2))):
+        vs = draw(st.lists(variables, min_size=1, max_size=4))
+        forcing = draw(st.lists(st.integers(0, len(vs) - 1), unique=True))
+        if len(vs) > 1 and draw(st.booleans()):
+
+            def solve(values, i):
+                others = {w for j, w in enumerate(values) if j != i}
+                return others.pop() if len(others) == 1 else -1
+
+            checks.append(lambda s, vs=vs: len({s[v] for v in vs}) == 1)
+        else:
+            units = [c for c in range(1, m) if math.gcd(c, m) == 1]
+            cs = draw(st.lists(st.sampled_from(units), min_size=len(vs), max_size=len(vs)))
+            target = draw(elements)
+
+            def solve(values, i, cs=cs, target=target):
+                rest = sum(c * w for j, (c, w) in enumerate(zip(cs, values)) if j != i)
+                return (target - rest) * pow(cs[i], -1, m) % m
+
+            checks.append(lambda s, vs=vs, cs=cs, target=target: (
+                sum(c * s[v] for c, v in zip(cs, vs)) % m == target))
+        p.add_rule(vs, solve, forcing)
+    return p, checks
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(), st.data())
+def test_solutions_are_the_assignments_that_satisfy_every_constraint(problem, data):
+    p, checks = problem
+    root = None
+    if data.draw(st.booleans()):
+        v = data.draw(st.integers(0, p.n - 1))
+        root = (v, data.draw(st.lists(st.integers(0, p.m - 1), unique=True)))
+    found = list(p.solutions(root))
+    assert len(set(found)) == len(found)
+    want = {
+        s for s in itertools.product(range(p.m), repeat=p.n)
+        if all(check(s) for check in checks) and (root is None or s[root[0]] in root[1])
+    }
+    assert set(found) == want
 
 
 def test_long_kink_chain_counts():

@@ -48,18 +48,15 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
 
 
-# the prefix that names a bundled resource -> (its lookup, the parser of a file)
-_SOURCES = {
-    "fixtures:": (fixtures.diagram, parse_diagram),
-    "systems:": (fixtures.system, parse_system),
-}
-
-
 def resolve(spec: str, prefix: str):
     """The bundled resource that ``prefix`` + NAME names, else the file at
     ``spec`` read as that kind: a diagram for ``fixtures:``, a system for
     ``systems:``."""
-    bundled, parse = _SOURCES[prefix]
+    # the parsers are looked up on each call, so a rebound module name is seen
+    bundled, parse = {
+        "fixtures:": (fixtures.diagram, parse_diagram),
+        "systems:": (fixtures.system, parse_system),
+    }[prefix]
     if spec.startswith(prefix):
         try:
             return bundled(spec[len(prefix) :])

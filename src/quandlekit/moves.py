@@ -34,12 +34,10 @@ SCOPES = ("links", "trivalent", "handlebody", "n_valent")
 class MoveSpec:
     kind: str
     site: int
-    mirror: bool = False
     params: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
-        tag = "'" if self.mirror else ""
-        return f"{self.kind}{tag}@{self.site}"
+        return f"{self.kind}@{self.site}"
 
 
 @dataclass
@@ -60,7 +58,7 @@ def _rotated(ends, pattern):
 
 
 def _sign(m: MoveSpec) -> int:
-    return m.params.get("sign", 1) * (-1 if m.mirror else 1)
+    return m.params.get("sign", 1)
 
 
 def _reverse_arc_tokens(work: _Work, a: int) -> None:
@@ -666,10 +664,15 @@ def validate_scope(sys: SystemData, scope: str) -> list[str]:
     if sys.rho is None:
         problems.append("scope needs the involution rho")
         return problems
-    inv = validate_involution(assoc.table, flatten_rho(sys))
-    if not inv.valid:
-        problems.append(f"rho is not a good involution: {inv.violations[:2]}")
+    # validate_involution needs the dual of a quandle; a non-quandle is listed above
+    if report.valid:
+        inv = validate_involution(assoc.table, flatten_rho(sys))
+        if not inv.valid:
+            problems.append(f"rho is not a good involution: {inv.violations[:2]}")
     if scope in ("trivalent", "handlebody"):
+        if sys.oplus is None and sys.group is None:
+            problems.append("scope needs the composition oplus")
+            return problems
         tc = validate_family(sys, "trivalent_compatible")
         if not tc.valid:
             problems.append(f"not trivalent compatible: {tc.violations[:2]}")

@@ -715,34 +715,31 @@ def validate_involution(q: OperationTable, rho) -> AxiomReport:
     return report
 
 
-def _involutive_permutations(n: int):
-    """All involutions of 0..n-1 in lexicographic image order."""
-
-    def build(partial: list[int], free: list[int]):
-        if not free:
-            yield tuple(partial)
-            return
-        i = free[0]
-        rest = free[1:]
-        fixed = partial[:]
-        fixed[i] = i
-        yield from build(fixed, rest)
-        for j in rest:
-            paired = partial[:]
-            paired[i], paired[j] = j, i
-            yield from build(paired, [k for k in rest if k != j])
-
-    # choices at each index: fix first (image i), then pair with j ascending;
-    # this enumerates image tuples in increasing lexicographic order
-    yield from build([0] * n, list(range(n)))
-
-
 def search_involutions(q: OperationTable) -> list[tuple[int, ...]]:
-    """All good involutions of the quandle q, in lexicographic order."""
+    """All good involutions of the quandle q, in lexicographic order.
+
+    Right translations are bijections, so inv2 holds exactly when column
+    rho(v) of q is column v of its dual, a symmetric relation.  The walk
+    fixes or pairs the first unassigned element only with such partners,
+    in ascending order, and ``validate_involution`` decides each leaf."""
+    by_column: dict[tuple[int, ...], list[int]] = {}
+    for w, col in enumerate(q.columns):
+        by_column.setdefault(col, []).append(w)
+    partners = [by_column.get(col, []) for col in q.dual.columns]
     found = []
-    for rho in _involutive_permutations(q.size):
-        if validate_involution(q, rho).valid:
-            found.append(rho)
+    stack = [[None] * q.size]
+    while stack:
+        rho = stack.pop()
+        if None not in rho:
+            if validate_involution(q, rho).valid:
+                found.append(tuple(rho))
+            continue
+        i = rho.index(None)
+        for j in reversed(partners[i]):  # pushed last first, so popped ascending
+            if j >= i and rho[j] is None:
+                child = rho[:]
+                child[i], child[j] = j, i
+                stack.append(child)
     return found
 
 

@@ -22,7 +22,9 @@ from quandlekit.systems import (
     axet_to_system,
     check_lemma_for,
     flatten_rho,
+    g_family_system,
     gamma_from_oplus,
+    search_involutions,
     validate_axet,
     validate_family,
     validate_involution,
@@ -140,9 +142,7 @@ def _standard_quandles_up_to_six():
 
 
 def _involutions(n):
-    from quandlekit.systems import _involutive_permutations
-
-    return list(_involutive_permutations(n))
+    return [p for p in itertools.permutations(range(n)) if all(p[p[i]] == i for i in range(n))]
 
 
 def test_criterion_4_good_involutions_and_axiom_variant_agreement():
@@ -160,6 +160,16 @@ def test_criterion_4_good_involutions_and_axiom_variant_agreement():
                 checked += 1
         assert checked > 100
     report(4, f"inversion is good on both family products; {checked} variant agreements", t)
+
+
+def test_criterion_4_inversion_is_the_one_good_involution_of_conj_s4_and_conj_s5():
+    # S4 and S5 have trivial centres, so inv2 leaves rho(v) = v^-1 alone
+    with Timer(1.0) as t:
+        s4, s5 = symmetric_group(4), symmetric_group(5)
+        assert search_involutions(conjugation_quandle(s4, 1)) == [tuple(s4.inverse)]
+        p5 = g_family_system([trivial_quandle(1)] * s5.size, s5)
+        assert search_involutions(associated_quandle(p5)[0].table) == [tuple(s5.inverse)]
+    report(4, "Conj(S4) and the S5 one-point product each have one good involution", t)
 
 
 def test_criterion_5_headline_distinction():

@@ -161,6 +161,16 @@ def test_fuzz_refuses_scope_mismatch(capsys):
     assert code == 1 and "error" in err
 
 
+def test_fuzz_by_a_non_quandle_system_exits_1_with_and_without_force(tmp_path, capsys):
+    path = tmp_path / "not-a-quandle.system"
+    path.write_text(serialize_system(quandle_system(OperationTable(2, ((0, 0), (0, 0))))))
+    for force in ((), ("--force",)):
+        code, out, err = run(
+            capsys, "fuzz", str(path), "--scope=trivalent", "--trials=2", "--seed=x", *force
+        )
+        assert code == 1 and out == "" and "not a quandle" in err
+
+
 def test_wirtinger_and_homs(tmp_path, capsys):
     pres = tmp_path / "mlf.pres"
     code, _, _ = run(capsys, "wirtinger", "fixtures:mlf", "-o", str(pres))
@@ -202,6 +212,17 @@ def test_system_file_path_input(tmp_path, capsys):
     path.write_text(serialize_system(fixtures.system("t3r3z2")))
     code, out, _ = run(capsys, "color", "fixtures:theta", str(path))
     assert code == 0 and out.strip() == "12"
+
+
+def test_resolve_calls_the_parser_bound_at_call_time(tmp_path, monkeypatch):
+    from quandlekit import cli
+
+    path = tmp_path / "sys.txt"
+    path.write_text(serialize_system(fixtures.system("t3r3z2")))
+    seen = []
+    monkeypatch.setattr(cli, "parse_system", lambda text: seen.append(text) or "parsed")
+    assert cli.resolve(str(path), "systems:") == "parsed"
+    assert seen == [path.read_text()]
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,6 +8,7 @@ from quandlekit.fixtures import diagram, list_diagrams, system
 from quandlekit.moves import (
     DEFAULT_MOVES,
     MOVE_KINDS,
+    SCOPES,
     InapplicableMoveError,
     MoveSpec,
     ScopeError,
@@ -16,7 +17,10 @@ from quandlekit.moves import (
     draw_trial,
     fuzz_invariance,
     random_diagram,
+    validate_scope,
 )
+from quandlekit.systems import quandle_system
+from quandlekit.tables import OperationTable
 
 T3R3 = system("t3r3z2")
 
@@ -67,13 +71,6 @@ def test_r2_roundtrip_and_counts():
     assert count_colourings(res.diagram, T3R3) == 12
     back = apply_move(res.diagram, res.inverse)
     assert same_up_to_rotation(back.diagram, d)
-
-
-def test_mirror_flips_inserted_sign():
-    d = diagram("unknot")
-    plain = apply_move(d, MoveSpec("r1_insert", 0, params={"sign": 1}))
-    primed = apply_move(d, MoveSpec("r1_insert", 0, mirror=True, params={"sign": 1}))
-    assert plain.diagram.crossings[0].sign == -primed.diagram.crossings[0].sign
 
 
 def test_tr1_insert_adds_one_crossing_and_preserves_counts():
@@ -189,6 +186,23 @@ def test_fuzz_handlebody_scope():
 def test_fuzz_refuses_broken_system_without_force():
     with pytest.raises(ScopeError):
         fuzz_invariance(system("broken-tc4"), trials=5, seed="x", scope="trivalent")
+
+
+def test_validate_scope_lists_a_non_quandle_product_at_every_scope():
+    data = quandle_system(OperationTable(2, ((0, 0), (0, 0))))
+    for scope in SCOPES:
+        problems = validate_scope(data, scope)
+        assert problems[0].startswith("associated product is not a quandle")
+        assert not any("involution" in p for p in problems)
+
+
+def test_validate_scope_lists_a_missing_oplus():
+    data = replace(T3R3, oplus=None, group=None)
+    assert validate_scope(data, "links") == []
+    for scope in ("trivalent", "handlebody"):
+        assert validate_scope(data, scope) == ["scope needs the composition oplus"]
+        with pytest.raises(ScopeError, match="oplus"):
+            fuzz_invariance(data, trials=1, seed="x", scope=scope)
 
 
 def test_fuzz_finds_tr2_mismatch_on_broken_system():

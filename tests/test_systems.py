@@ -36,13 +36,16 @@ from quandlekit.tables import (
     ParseError,
     ReportBuilder,
     _column_collision,
+    alexander_quandle,
     conjugation_quandle,
     cyclic_group,
+    dihedral_group,
     dihedral_quandle,
     group_from_table,
     klein_group,
     symmetric_group,
     table_from,
+    takasaki_quandle,
     trivial_quandle,
     validate_axioms,
 )
@@ -469,6 +472,37 @@ def test_search_involutions_contains_family_inversion():
     assoc, _ = associated_quandle(data)
     assert flatten_rho(data) in search_involutions(assoc.table)
     assert (0, 1, 2) in search_involutions(R3)
+
+
+def reference_good_involutions(q: OperationTable) -> list[tuple[int, ...]]:
+    """The good involutions of q, from itertools and inline inv1 to inv3
+    loops: no code shared with systems.py."""
+    e, n = q.entries, q.size
+    found = []
+    for rho in itertools.permutations(range(n)):
+        if any(rho[rho[u]] != u for u in range(n)):
+            continue
+        if all(e[e[u][v]][rho[v]] == u and e[rho[u]][v] == rho[e[u][v]]
+               for u in range(n) for v in range(n)):
+            found.append(rho)
+    return found
+
+
+def test_search_involutions_equals_the_reference():
+    groups = [cyclic_group(n) for n in range(1, 7)] + [klein_group(), symmetric_group(3)]
+    quandles = [maker(n) for n in range(1, 7) for maker in (trivial_quandle, dihedral_quandle)]
+    quandles += [conjugation_quandle(g, k) for g in groups for k in (1, 2)]
+    quandles += [takasaki_quandle(g) for g in groups[:-1]]
+    quandles += [alexander_quandle(g, tuple(g.inverse)) for g in groups[:-1]]
+    quandles += [dihedral_quandle(8), dihedral_quandle(9), trivial_quandle(8),
+                 conjugation_quandle(dihedral_group(4), 1)]
+    quandles += [associated_quandle(system(name))[0].table for name in list_systems()]
+    checked = 0
+    for q in quandles:
+        if validate_axioms(q, "quandle").valid:
+            assert search_involutions(q) == reference_good_involutions(q), q.entries
+            checked += 1
+    assert checked >= 30
 
 
 def test_two_axiom_variants_agree_on_random_involutions():

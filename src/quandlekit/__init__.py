@@ -26,7 +26,6 @@ from .tables import (
     validate_axioms,
 )
 from .systems import (
-    AssociatedQuandle,
     AxetData,
     SystemData,
     associated_quandle,

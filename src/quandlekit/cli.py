@@ -106,10 +106,10 @@ def _check_system(args):
 
 
 def _associated(args):
-    assoc, report = associated_quandle(resolve(args.file, "systems:"))
+    product, report = associated_quandle(resolve(args.file, "systems:"))
     payload, text, code = _report(report)
-    payload["size"] = assoc.table.size
-    return payload, _write(args.output, serialize_table(assoc.table)) + text, code
+    payload["size"] = product.size
+    return payload, _write(args.output, serialize_table(product)) + text, code
 
 
 def _involutions(args):

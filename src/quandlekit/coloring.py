@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .diagrams import IN, Diagram, validate_diagram
 from .solve import Problem
-from .systems import SystemData, associated_quandle, flatten_rho
+from .systems import SystemData, associated_quandle
 from .tables import AxiomReport, ReportBuilder, generated_subalgebra, trivial_quandle
 
 
@@ -50,18 +49,18 @@ class ColouringContext(Problem):
         if not report.valid:
             raise ValueError(f"invalid diagram: {report.violations[:4]}")
         self.system = sys
-        self.assoc, axioms = associated_quandle(sys)
+        self.product, axioms = associated_quandle(sys)
         if not axioms.valid:
             axiom, witness = axioms.violations[0]
             raise ScopeError(
                 f"associated product is not a quandle: axiom {axiom} fails at {list(witness)}"
             )
-        self.table = self.assoc.table.entries
-        self.dual = self.assoc.table.dual.entries
-        self.carrier = self.assoc.table.size
+        self.table = self.product.entries
+        self.dual = self.product.dual.entries
+        self.carrier = self.product.size
         self.g_size = sys.g_size
         super().__init__(d.arc_count, self.carrier)
-        table, dual = self.assoc.table, self.assoc.table.dual
+        table, dual = self.product, self.product.dual
         for c in d.crossings:
             op, inverse = (table, dual) if c.sign > 0 else (dual, table)
             self.add_table(c.under_in, c.over, c.under_out, op, inverse)
@@ -130,11 +129,6 @@ class ColouringContext(Problem):
         forcing = [i for i, inverse in enumerate(inverses) if inverse is not None]
         return solve, forcing + [last]
 
-    @cached_property
-    def flat_rho(self) -> tuple[int, ...]:
-        """``flatten_rho`` of the system, built once per context."""
-        return flatten_rho(self.system)
-
     def respects_vertex_rules(self, sigma) -> bool:
         """Whether the permutation sigma of the associated carrier maps
         colourings proper at every vertex to colourings proper at every
@@ -145,7 +139,7 @@ class ColouringContext(Problem):
         xs = [p // n for p in sigma]
         if xs != [x for x in xs[::n] for _ in range(n)]:
             return False
-        flat_rho = self.flat_rho
+        flat_rho = self.system.flat_rho
         if list(map(sigma.__getitem__, flat_rho)) != list(map(flat_rho.__getitem__, sigma)):
             return False
         for start in range(0, self.carrier, n):
@@ -173,16 +167,16 @@ class ColouringContext(Problem):
         colourings at every crossing; at the vertices, the translations
         that generate the components are checked on the system's tables,
         once per system and set of vertex arities."""
-        comp = self.assoc.table.components
+        comp = self.product.components
         if max(comp) + 1 == len(comp):
             return None
         if self.arities:
             verdicts, key = self.system.symmetry_verdicts, frozenset(self.arities)
             if key not in verdicts:
-                verdicts[key] = all(map(self.respects_vertex_rules, self.assoc.table.translations))
+                verdicts[key] = all(map(self.respects_vertex_rules, self.product.translations))
             if not verdicts[key]:
                 return None
-        return list(self.assoc.table.weights)
+        return list(self.product.weights)
 
 
 # the benchmark's tracer counts solutions through this name
@@ -246,7 +240,7 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     ctx = ColouringContext(d, sys)
     # a * b and its inverse lie in the component of a, so a generating
     # image meets every component, and each strand class lies in one
-    comp = ctx.assoc.table.components
+    comp = ctx.product.components
     parts = max(comp) + 1
     if generating and _strand_classes(d) < parts:
         return 0
@@ -259,7 +253,7 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
             return False
         image = frozenset(colours)
         if image not in cache:
-            cache[image] = len(generated_subalgebra(ctx.assoc.table, image)) == ctx.carrier
+            cache[image] = len(generated_subalgebra(ctx.product, image)) == ctx.carrier
         return cache[image]
 
     return ctx.count(ctx.orbit_weights(), generates)
@@ -279,8 +273,10 @@ def brute_force_count(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     product for ``generating``.  Only usable for small diagrams."""
     if not validate_diagram(d).valid:
         raise ValueError("invalid diagram")
+    if sys.otimes is None:
+        raise ValueError("system has neither otimes nor a group")
     n, size = sys.g_size, sys.x_size * sys.g_size
-    otimes = sys.eff_otimes().entries
+    otimes = sys.otimes.entries
 
     def product(p: int, q: int) -> int:
         (x, g), (y, h) = divmod(p, n), divmod(q, n)

@@ -22,7 +22,6 @@ from .diagrams import IN, OUT, Diagram, InapplicableMoveError, Vertex, _Work, va
 from .systems import (
     SystemData,
     associated_quandle,
-    flatten_rho,
     validate_family,
     validate_involution,
 )
@@ -565,33 +564,13 @@ def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -
 # invariance fuzzing
 
 
+_LINK_MOVES = ("r1_insert", "r1_delete", "r2_insert", "r2_delete")
+_GRAPH_MOVES = ("tr1_insert", "tr1_delete", "tr2_slide", "vertex_rotate", "reverse_arc")
 DEFAULT_MOVES = {
-    "links": ("r1_insert", "r1_delete", "r2_insert", "r2_delete"),
-    "trivalent": (
-        "r1_insert",
-        "r1_delete",
-        "r2_insert",
-        "r2_delete",
-        "tr1_insert",
-        "tr1_delete",
-        "tr2_slide",
-        "vertex_rotate",
-        "reverse_arc",
-    ),
-    "handlebody": (
-        "r1_insert",
-        "r1_delete",
-        "r2_insert",
-        "r2_delete",
-        "tr1_insert",
-        "tr1_delete",
-        "tr2_slide",
-        "vertex_rotate",
-        "reverse_arc",
-        "sr_forward",
-        "sr_backward",
-    ),
-    "n_valent": ("r1_insert", "r1_delete", "r2_insert", "r2_delete", "vertex_rotate", "reverse_arc"),
+    "links": _LINK_MOVES,
+    "trivalent": _LINK_MOVES + _GRAPH_MOVES,
+    "handlebody": _LINK_MOVES + _GRAPH_MOVES + ("sr_forward", "sr_backward"),
+    "n_valent": _LINK_MOVES + ("vertex_rotate", "reverse_arc"),
 }
 
 
@@ -629,7 +608,7 @@ class FuzzReport:
         return not self.mismatches
 
     def text(self) -> str:
-        return "\n".join(t.line() for t in self.trials) + "\n"
+        return "".join(t.line() + "\n" for t in self.trials)
 
 
 def draw_trial(trial_seed: str, move_set, crossings_max: int, vertices_max: int, valences):
@@ -656,7 +635,7 @@ def validate_scope(sys: SystemData, scope: str) -> list[str]:
     """Check the theorem hypotheses behind a fuzzing scope; returns a list
     of human-readable problems (empty when the scope is justified)."""
     problems = []
-    assoc, report = associated_quandle(sys)
+    product, report = associated_quandle(sys)
     if not report.valid:
         problems.append(f"associated product is not a quandle: {report.violations[:2]}")
     if scope == "links":
@@ -666,11 +645,11 @@ def validate_scope(sys: SystemData, scope: str) -> list[str]:
         return problems
     # validate_involution needs the dual of a quandle; a non-quandle is listed above
     if report.valid:
-        inv = validate_involution(assoc.table, flatten_rho(sys))
+        inv = validate_involution(product, sys.flat_rho)
         if not inv.valid:
             problems.append(f"rho is not a good involution: {inv.violations[:2]}")
     if scope in ("trivalent", "handlebody"):
-        if sys.oplus is None and sys.group is None:
+        if sys.oplus is None:
             problems.append("scope needs the composition oplus")
             return problems
         tc = validate_family(sys, "trivalent_compatible")
@@ -709,6 +688,10 @@ def fuzz_invariance(
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
+    for name, value in (("trials", trials), ("crossings_max", crossings_max),
+                        ("vertices_max", vertices_max)):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
     problems = validate_scope(sys, scope)
     if problems and not force:
         raise ScopeError("; ".join(problems))

@@ -79,7 +79,8 @@ class SystemData:
     * ``f_map[g][h]`` = f(g, h), a G index.
     * ``otimes`` is the binary operation (x) on G (the quandle op on G for
       twisted families).
-    * ``group`` is present when G is a group.
+    * ``group`` is present when G is a group.  It supplies (x) as
+      conjugation and (+) as its product where they are not given.
     * ``oplus`` is the composition operation (+) on G.
     * ``gamma`` maps arity k to a flat row-major table G^k -> G.
     * ``rho[x]`` is the involution rho_x on G indices.
@@ -110,11 +111,16 @@ class SystemData:
             if any(min(r) < 0 or max(r) >= self.g_size for r in rows):
                 raise ValueError("f_map entries out of range")
             object.__setattr__(self, "f_map", rows)
+        if self.group is not None:
+            if self.group.size != self.g_size:
+                raise ValueError("group must act on G")
+            if self.otimes is None:
+                object.__setattr__(self, "otimes", self.group.conjugation)
+            if self.oplus is None:
+                object.__setattr__(self, "oplus", self.group.table)
         for table, name in ((self.otimes, "otimes"), (self.oplus, "oplus")):
             if table is not None and table.size != self.g_size:
                 raise ValueError(f"{name} must act on G")
-        if self.group is not None and self.group.size != self.g_size:
-            raise ValueError("group must act on G")
         gamma = tuple(sorted((int(k), tuple(flat)) for k, flat in self.gamma))
         for k, flat in gamma:
             if not 2 <= k <= MAX_GAMMA_ARITY:
@@ -144,27 +150,11 @@ class SystemData:
             raise ValueError("system has no f map")
         return self.f_map[g][h]
 
-    def eff_otimes(self) -> OperationTable:
-        """(x) as stored, else conjugation derived from the group."""
-        if self.otimes is not None:
-            return self.otimes
-        if self.group is not None:
-            return self.group.conjugation
-        raise ValueError("system has neither otimes nor a group")
-
-    def eff_oplus(self) -> OperationTable:
-        """(+) as stored, else the group product."""
-        if self.oplus is not None:
-            return self.oplus
-        if self.group is not None:
-            return self.group.table
-        raise ValueError("system has neither oplus nor a group")
-
     @cached_property
     def _gammas(self) -> dict[int, tuple[int, ...]]:
         gammas = dict(self.gamma)
-        if 2 not in gammas and (self.oplus is not None or self.group is not None):
-            gammas[2] = tuple(v for row in self.eff_oplus().entries for v in row)
+        if 2 not in gammas and self.oplus is not None:
+            gammas[2] = tuple(v for row in self.oplus.entries for v in row)
         return gammas
 
     def gamma_table(self, arity: int) -> tuple[int, ...] | None:
@@ -203,6 +193,15 @@ class SystemData:
         return tuple(tuple(sorted(range(self.g_size), key=r.__getitem__)) for r in self.rho)
 
     @cached_property
+    def flat_rho(self) -> tuple[int, ...]:
+        """The involution (x, g) -> (x, rho_x(g)) as a permutation of pair
+        indices, built on first use and kept."""
+        if self.rho is None:
+            raise ValueError("system has no involution rho")
+        n = self.g_size
+        return tuple(x * n + h for x, r in enumerate(self.rho) for h in r)
+
+    @cached_property
     def symmetry_verdicts(self) -> dict[frozenset[int], bool]:
         """Whether the translations that generate the components of the
         associated quandle respect the vertex rules, per set of vertex
@@ -210,9 +209,11 @@ class SystemData:
         return {}
 
     @cached_property
-    def _associated(self) -> tuple[AssociatedQuandle, AxiomReport]:
+    def _associated(self) -> tuple[OperationTable, AxiomReport]:
         """``associated_quandle(self)``, built on first use and kept."""
-        otimes = self.eff_otimes().entries
+        if self.otimes is None:
+            raise ValueError("system has neither otimes nor a group")
+        otimes = self.otimes.entries
         if self.f_map is None:
             raise ValueError("system has no f map")
         m, n = self.x_size, self.g_size
@@ -222,7 +223,7 @@ class SystemData:
             tuple(star[f_row[h]][x][y] * n + ot_row[h] for y in range(m) for h in range(n))
             for x in range(m) for f_row, ot_row in zip(self.f_map, otimes))
         table = OperationTable(m * n, rows)
-        return AssociatedQuandle(table, m, n), validate_axioms(table, "quandle")
+        return table, validate_axioms(table, "quandle")
 
 
 def _argument_inverse(flat: tuple[int, ...], n: int, stride: int) -> tuple[int, ...] | None:
@@ -240,19 +241,6 @@ def _argument_inverse(flat: tuple[int, ...], n: int, stride: int) -> tuple[int, 
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class AssociatedQuandle:
-    """The product operation on X x G; pair (x, g) lives at index
-    x * g_size + g."""
-
-    table: OperationTable
-    x_size: int
-    g_size: int
-
-    def pair_index(self, x: int, g: int) -> int:
-        return x * self.g_size + g
-
-
 def g_family_system(star, group: GroupTable) -> SystemData:
     """Package a group-indexed family: f(g,h) = h, (x) = conjugation,
     (+) = group product, rho_x = inversion."""
@@ -265,9 +253,7 @@ def g_family_system(star, group: GroupTable) -> SystemData:
         g_size=g_size,
         star=star,
         f_map=f_map,
-        otimes=group.conjugation,
         group=group,
-        oplus=group.table,
         rho=tuple(group.inverse for _ in range(x_size)),
     )
 
@@ -280,17 +266,15 @@ def quandle_system(table: OperationTable) -> SystemData:
         g_size=1,
         star=(table,),
         f_map=((0,),),
-        otimes=one,
         group=group_from_table(one),
-        oplus=one,
         rho=tuple((0,) for _ in range(table.size)),
     )
 
 
-def associated_quandle(data: SystemData) -> tuple[AssociatedQuandle, AxiomReport]:
+def associated_quandle(data: SystemData) -> tuple[OperationTable, AxiomReport]:
     """The product table (x, g) . (y, h) = (x *_{f(g,h)} y, g (x) h) of the
     system and its report as a quandle, built on first use and kept on
-    ``data``."""
+    ``data``.  The pair (x, g) is at index x * g_size + g."""
     return data._associated
 
 
@@ -311,8 +295,7 @@ class _Family:
         # f[g][h] is the index of *_{f(g,h)}
         self.f = data.f_map and tuple(_composer(row)(self.star) for row in data.f_map)
         self.group, self.rho = data.group, data.rho
-        self.otimes = data.eff_otimes() if data.group or data.otimes else None
-        self.oplus = data.eff_oplus() if data.group or data.oplus else None
+        self.otimes, self.oplus = data.otimes, data.oplus
         self._composites: dict = {}  # by key, once worked out
         self._distributes: dict = {}
 
@@ -621,10 +604,11 @@ def check_lemma_for(data: SystemData) -> AxiomReport:
 # fully general product quandles
 
 
-def general_product_quandle(f_maps, g_maps) -> tuple[AssociatedQuandle, AxiomReport]:
+def general_product_quandle(f_maps, g_maps) -> tuple[OperationTable, AxiomReport]:
     """Product operation (x,s)*(y,t) = (f_maps[s][t](x,y), g_maps[x][y](s,t))
-    on X x S, together with the exhaustive check of the three conditions
-    equivalent to it being a quandle (ids bp1-f, bp1-g, bp2, bp3-f, bp3-g).
+    on X x S, with the pair (x, s) at index x * |S| + s, together with the
+    exhaustive check of the three conditions equivalent to it being a
+    quandle (ids bp1-f, bp1-g, bp2, bp3-f, bp3-g).
     """
     f_maps = tuple(tuple(row) for row in f_maps)
     g_maps = tuple(tuple(row) for row in g_maps)
@@ -644,7 +628,7 @@ def general_product_quandle(f_maps, g_maps) -> tuple[AssociatedQuandle, AxiomRep
     m, n = x_size, s_size
     f = [[op.entries for op in row] for row in f_maps]
     g = [[op.entries for op in row] for row in g_maps]
-    # the pair (x, s) lives at index x * n + s; divmod splits it again
+    # divmod splits a pair index again
     table = OperationTable(m * n, tuple(
         tuple(f[s][t][x][y] * n + g[x][y][s][t] for y in range(m) for t in range(n))
         for x in range(m) for s in range(n)))
@@ -668,7 +652,7 @@ def general_product_quandle(f_maps, g_maps) -> tuple[AssociatedQuandle, AxiomRep
         for axiom, a, b in zip(("bp3-f", "bp3-g"), left, right):
             if a != b:
                 rb.hit(axiom, (x, y, z, s, t, u))
-    return AssociatedQuandle(table, x_size, s_size), rb.report()
+    return table, rb.report()
 
 
 # ---------------------------------------------------------------------------
@@ -741,17 +725,6 @@ def search_involutions(q: OperationTable) -> list[tuple[int, ...]]:
                 child[i], child[j] = j, i
                 stack.append(child)
     return found
-
-
-def flatten_rho(data: SystemData) -> tuple[int, ...]:
-    """The involution (x, g) -> (x, rho_x(g)) as a permutation of pair
-    indices."""
-    if data.rho is None:
-        raise ValueError("system has no involution rho")
-    n = data.g_size
-    return tuple(
-        x * n + data.rho[x][g] for x in range(data.x_size) for g in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +848,7 @@ def gamma_from_oplus(data: SystemData, arity: int) -> tuple[SystemData, AxiomRep
     if not pre.valid:
         raise ValueError(f"composition is not associative: {pre.violations[:4]}")
     n = data.g_size
-    oplus = data.eff_oplus().entries
+    oplus = data.oplus.entries
     flat = []
     for gs in product(range(n), repeat=arity):
         acc = gs[0]
@@ -893,19 +866,19 @@ def gamma_from_oplus(data: SystemData, arity: int) -> tuple[SystemData, AxiomRep
 
 def serialize_system(data: SystemData) -> str:
     """Sectioned text form.  The group product is carried by the oplus
-    block, so a group record is only emitted when they coincide."""
+    block, so a system whose group product is not its (+) is refused."""
     lines = ["system", f"X {data.x_size}", f"G {data.g_size}"]
-    oplus = data.oplus
-    if data.group is not None and (oplus is None or oplus == data.group.table):
-        oplus = data.group.table
+    if data.group is not None:
+        if data.oplus != data.group.table:
+            raise ValueError("cannot write a group whose product is not oplus")
         inv = " ".join(str(v) for v in data.group.inverse)
         lines.append(f"group identity={data.group.identity} inverse={inv}")
     if data.otimes is not None:
         lines.append("otimes")
         lines.extend(" ".join(str(v) for v in row) for row in data.otimes.entries)
-    if oplus is not None:
+    if data.oplus is not None:
         lines.append("oplus")
-        lines.extend(" ".join(str(v) for v in row) for row in oplus.entries)
+        lines.extend(" ".join(str(v) for v in row) for row in data.oplus.entries)
     if data.f_map is not None:
         lines.append("f")
         lines.extend(" ".join(str(v) for v in row) for row in data.f_map)

@@ -21,7 +21,6 @@ from quandlekit.systems import (
     associated_quandle,
     axet_to_system,
     check_lemma_for,
-    flatten_rho,
     g_family_system,
     gamma_from_oplus,
     search_involutions,
@@ -68,9 +67,9 @@ def test_criterion_1_g_family_and_six_element_product():
         data = system("t3r3z2")
         assert validate_family(data, "g_family").valid
         assoc, rep = associated_quandle(data)
-        assert assoc.table.size == 6
+        assert assoc.size == 6
         assert rep.valid
-        assert validate_axioms(assoc.table, "quandle").valid
+        assert validate_axioms(assoc, "quandle").valid
     report(1, "Z2 family of T3/R3 validates; product quandle has 6 elements", t)
 
 
@@ -79,11 +78,11 @@ def test_criterion_2_four_element_trivial_product():
         data = system("t2t2z2")
         assoc, rep = associated_quandle(data)
         assert rep.valid
-        assert assoc.table.size == 4
+        assert assoc.size == 4
         for p in range(4):
             for q in range(4):
-                assert assoc.table.entries[p][q] == p
-        assert assoc.table.entries == trivial_quandle(4).entries
+                assert assoc.entries[p][q] == p
+        assert assoc.entries == trivial_quandle(4).entries
     report(2, "T2/T2 over Z2 yields the 4-element trivial quandle pointwise", t)
 
 
@@ -150,7 +149,7 @@ def test_criterion_4_good_involutions_and_axiom_variant_agreement():
         for name in ("t3r3z2", "t2t2z2"):
             data = system(name)
             assoc, _ = associated_quandle(data)
-            assert validate_involution(assoc.table, flatten_rho(data)).valid
+            assert validate_involution(assoc, data.flat_rho).valid
         checked = 0
         for table in _standard_quandles_up_to_six():
             if not validate_axioms(table, "quandle").valid:
@@ -168,7 +167,7 @@ def test_criterion_4_inversion_is_the_one_good_involution_of_conj_s4_and_conj_s5
         s4, s5 = symmetric_group(4), symmetric_group(5)
         assert search_involutions(conjugation_quandle(s4, 1)) == [tuple(s4.inverse)]
         p5 = g_family_system([trivial_quandle(1)] * s5.size, s5)
-        assert search_involutions(associated_quandle(p5)[0].table) == [tuple(s5.inverse)]
+        assert search_involutions(associated_quandle(p5)[0]) == [tuple(s5.inverse)]
     report(4, "Conj(S4) and the S5 one-point product each have one good involution", t)
 
 

@@ -171,6 +171,18 @@ def test_fuzz_by_a_non_quandle_system_exits_1_with_and_without_force(tmp_path, c
         assert code == 1 and out == "" and "not a quandle" in err
 
 
+def test_fuzz_refuses_negative_counts(capsys):
+    for flags in (("--trials=-3",), ("--trials=0", "--crossings-max=-1"),
+                  ("--trials=0", "--vertices-max=-1")):
+        code, out, err = run(capsys, "fuzz", "systems:t3r3z2", *flags)
+        assert code == 2 and out == "" and "must not be negative" in err
+
+
+def test_fuzz_with_no_trials_prints_nothing(capsys):
+    code, out, _ = run(capsys, "fuzz", "systems:t3r3z2", "--trials=0")
+    assert code == 0 and out == ""
+
+
 def test_wirtinger_and_homs(tmp_path, capsys):
     pres = tmp_path / "mlf.pres"
     code, _, _ = run(capsys, "wirtinger", "fixtures:mlf", "-o", str(pres))

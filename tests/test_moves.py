@@ -250,6 +250,17 @@ def test_default_move_sets_cover_scope_moves():
     assert "tr2_slide" not in DEFAULT_MOVES["links"]
 
 
+def test_default_move_sets_in_order():
+    links = ("r1_insert", "r1_delete", "r2_insert", "r2_delete")
+    graph = ("tr1_insert", "tr1_delete", "tr2_slide", "vertex_rotate", "reverse_arc")
+    assert DEFAULT_MOVES == {
+        "links": links,
+        "trivalent": links + graph,
+        "handlebody": links + graph + ("sr_forward", "sr_backward"),
+        "n_valent": links + ("vertex_rotate", "reverse_arc"),
+    }
+
+
 def test_every_applicable_move_has_an_applicable_inverse():
     trivalent = [
         diagram(name)

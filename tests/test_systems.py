@@ -15,7 +15,6 @@ from quandlekit.systems import (
     associated_quandle,
     axet_to_system,
     check_lemma_for,
-    flatten_rho,
     g_family_system,
     gamma_from_oplus,
     general_product_quandle,
@@ -244,29 +243,26 @@ def test_valid_twisted_families_are_idempotent_and_right_invertible():
 def test_associated_quandle_of_t2t2z2_is_trivial():
     assoc, report = associated_quandle(system("t2t2z2"))
     assert report.valid
-    assert assoc.table.entries == trivial_quandle(4).entries
+    assert assoc.entries == trivial_quandle(4).entries
 
 
 def test_associated_quandle_of_t3r3z2():
     assoc, report = associated_quandle(system("t3r3z2"))
     assert report.valid
-    assert assoc.table.size == 6
+    assert assoc.size == 6
 
 
 def test_associated_matches_conjugation_formula_pointwise():
     data = system("t3r3z2")
     assoc, _ = associated_quandle(data)
-    grp = data.group
+    grp, n = data.group, 2
     for x in range(3):
-        for g in range(2):
+        for g in range(n):
             for y in range(3):
-                for h in range(2):
-                    p = assoc.pair_index(x, g)
-                    q = assoc.pair_index(y, h)
-                    expect = assoc.pair_index(
-                        data.star[h].entries[x][y], grp.conjugate(g, h)
-                    )
-                    assert assoc.table.entries[p][q] == expect
+                for h in range(n):
+                    p, q = x * n + g, y * n + h
+                    expect = data.star[h].entries[x][y] * n + grp.conjugate(g, h)
+                    assert assoc.entries[p][q] == expect
 
 
 def test_associated_dual_matches_inverse_formula():
@@ -274,14 +270,12 @@ def test_associated_dual_matches_inverse_formula():
 
     data = system("t3r3z2")
     assoc, _ = associated_quandle(data)
-    dual = dual_operation(assoc.table)
-    grp = data.group
-    for x, g, y, h in itertools.product(range(3), range(2), range(3), range(2)):
-        p, q = assoc.pair_index(x, g), assoc.pair_index(y, h)
+    dual = dual_operation(assoc)
+    grp, n = data.group, 2
+    for x, g, y, h in itertools.product(range(3), range(n), range(3), range(n)):
+        p, q = x * n + g, y * n + h
         hinv = grp.inverse[h]
-        expect = assoc.pair_index(
-            data.star[hinv].entries[x][y], grp.mul(grp.mul(h, g), hinv)
-        )
+        expect = data.star[hinv].entries[x][y] * n + grp.mul(grp.mul(h, g), hinv)
         assert dual.entries[p][q] == expect
 
 
@@ -290,7 +284,7 @@ def test_singleton_x_family_gives_conjugation_quandle():
     data = g_family_system(tuple(trivial_quandle(1) for _ in range(6)), s3)
     assoc, report = associated_quandle(data)
     assert report.valid
-    assert assoc.table.entries == conjugation_quandle(s3, 1).entries
+    assert assoc.entries == conjugation_quandle(s3, 1).entries
 
 
 def test_fw_theorem_associated_quandle_is_valid():
@@ -320,7 +314,7 @@ def test_general_product_trivial_components():
     g_maps = tuple(tuple(trivial_quandle(3) for _ in range(2)) for _ in range(2))
     assoc, report = general_product_quandle(f_maps, g_maps)
     assert report.valid
-    assert assoc.table.entries == trivial_quandle(6).entries
+    assert assoc.entries == trivial_quandle(6).entries
 
 
 def test_general_product_recovers_family_product():
@@ -333,7 +327,7 @@ def test_general_product_recovers_family_product():
     assoc, report = general_product_quandle(f_maps, conj_tables)
     assert report.valid
     expected, _ = associated_quandle(data)
-    assert assoc.table.entries == expected.table.entries
+    assert assoc.entries == expected.entries
 
 
 def test_general_product_condition_one_failure_is_named():
@@ -343,7 +337,7 @@ def test_general_product_condition_one_failure_is_named():
     assoc, report = general_product_quandle(f_maps, g_maps)
     assert not report.valid
     assert "bp1-f" in report.axioms_violated()
-    assert not validate_axioms(assoc.table, "quandle").valid
+    assert not validate_axioms(assoc, "quandle").valid
 
 
 def test_general_product_conditions_match_quandle_axioms():
@@ -366,7 +360,7 @@ def test_general_product_conditions_match_quandle_axioms():
             for _ in range(2)
         )
         assoc, report = general_product_quandle(f_maps, g_maps)
-        assert report.valid == validate_axioms(assoc.table, "quandle").valid
+        assert report.valid == validate_axioms(assoc, "quandle").valid
 
 
 def reference_general_product_report(f_maps, g_maps) -> AxiomReport:
@@ -449,7 +443,7 @@ def test_inversion_is_good_on_family_products():
     for name in ("t3r3z2", "t2t2z2"):
         data = system(name)
         assoc, _ = associated_quandle(data)
-        assert validate_involution(assoc.table, flatten_rho(data)).valid
+        assert validate_involution(assoc, data.flat_rho).valid
 
 
 def test_identity_good_on_kei_not_on_conjugation():
@@ -470,7 +464,7 @@ def test_search_involutions_on_trivial_quandle():
 def test_search_involutions_contains_family_inversion():
     data = system("t3r3z2")
     assoc, _ = associated_quandle(data)
-    assert flatten_rho(data) in search_involutions(assoc.table)
+    assert data.flat_rho in search_involutions(assoc)
     assert (0, 1, 2) in search_involutions(R3)
 
 
@@ -496,7 +490,7 @@ def test_search_involutions_equals_the_reference():
     quandles += [alexander_quandle(g, tuple(g.inverse)) for g in groups[:-1]]
     quandles += [dihedral_quandle(8), dihedral_quandle(9), trivial_quandle(8),
                  conjugation_quandle(dihedral_group(4), 1)]
-    quandles += [associated_quandle(system(name))[0].table for name in list_systems()]
+    quandles += [associated_quandle(system(name))[0] for name in list_systems()]
     checked = 0
     for q in quandles:
         if validate_axioms(q, "quandle").valid:
@@ -575,7 +569,7 @@ def test_axet_equivariance_violation_is_detected():
 def test_gamma_fold_over_z2_family():
     data, report = gamma_from_oplus(system("t3r3z2"), 3)
     assert report.valid
-    oplus = data.eff_oplus().entries
+    oplus = data.oplus.entries
     flat = data.gamma_table(3)
     for idx, gs in enumerate(itertools.product(range(2), repeat=3)):
         assert flat[idx] == oplus[oplus[gs[0]][gs[1]]][gs[2]]
@@ -652,6 +646,28 @@ def test_system_file_roundtrip_with_gamma():
     assert serialize_system(again) == text
 
 
+def test_a_gamma_2_that_is_not_the_group_product_is_refused():
+    with pytest.raises(ValueError, match="arity-2 gamma must agree with oplus"):
+        replace(system("t3r3z2"), oplus=None, gamma=((2, (0, 0, 0, 0)),))
+
+
+def test_a_group_supplies_otimes_and_oplus():
+    s3 = symmetric_group(3)
+    fields = dict(x_size=2, g_size=6, star=tuple(trivial_quandle(2) for _ in range(6)),
+                  f_map=tuple(tuple(range(6)) for _ in range(6)))
+    bare = SystemData(**fields, group=s3)
+    assert bare.otimes == s3.conjugation and bare.oplus == s3.table
+    assert bare == SystemData(**fields, otimes=s3.conjugation, group=s3, oplus=s3.table)
+    assert parse_system(serialize_system(bare)) == bare
+
+
+def test_serialize_refuses_a_group_whose_product_is_not_oplus():
+    data = replace(system("t3r3z2"), oplus=OperationTable(2, ((0, 0), (0, 1))))
+    assert validate_family(data, "g_family").valid
+    with pytest.raises(ValueError, match="not oplus"):
+        serialize_system(data)
+
+
 def test_axet_file_roundtrip():
     axet = axet_z2_s3()
     text = serialize_axet(axet)
@@ -664,13 +680,13 @@ def test_quandle_system_wraps_bare_quandle():
     data = quandle_system(R3)
     assoc, report = associated_quandle(data)
     assert report.valid
-    assert assoc.table.entries == R3.entries
+    assert assoc.entries == R3.entries
 
 
 @st.composite
 def serializable_systems(draw):
-    """Arbitrary systems that a file carries whole: a group record is kept
-    only when its product is the stored (+)."""
+    """Arbitrary systems that a file carries whole: a group's product is
+    the stored (+), since ``serialize_system`` refuses any other."""
     data = draw(arbitrary_systems())
     if data.group is not None:
         data = replace(data, oplus=data.group.table)
@@ -851,7 +867,7 @@ def _ref_check_fw(data: SystemData, rb: ReportBuilder) -> None:
     m, n = data.x_size, data.g_size
     f = data.f_at
     star = data.star
-    otimes = data.eff_otimes().entries
+    otimes = data.otimes.entries
     for g in range(n):
         op = star[f(g, g)].entries
         for x in range(m):
@@ -880,7 +896,7 @@ def _ref_check_fw(data: SystemData, rb: ReportBuilder) -> None:
 
 def _ref_check_oplus_def(data: SystemData, rb: ReportBuilder) -> None:
     m, n = data.x_size, data.g_size
-    oplus = data.eff_oplus().entries
+    oplus = data.oplus.entries
     for g in range(n):
         for h in range(n):
             lhs_g, lhs_h = data.star[g].entries, data.star[h].entries
@@ -893,8 +909,8 @@ def _ref_check_oplus_def(data: SystemData, rb: ReportBuilder) -> None:
 
 def _ref_check_trivalent(data: SystemData, rb: ReportBuilder) -> None:
     m, n = data.x_size, data.g_size
-    otimes = data.eff_otimes().entries
-    oplus = data.eff_oplus().entries
+    otimes = data.otimes.entries
+    oplus = data.oplus.entries
     f = data.f_at
     rho = data.rho
     for x in range(m):
@@ -947,7 +963,7 @@ def _ref_check_n_compatible(data: SystemData, rb: ReportBuilder, arity: int) -> 
             idx = idx * n + g
         return flat[idx]
 
-    otimes = data.eff_otimes().entries
+    otimes = data.otimes.entries
     f = data.f_at
     rho = data.rho
     for x in range(m):
@@ -1032,7 +1048,7 @@ def reference_family_report(data, kind, arities=()):
 
     elif kind == "gsf_family":
         grp = data.group
-        rb.merge(validate_axioms(data.eff_otimes(), "quandle"), prefix="gq-")
+        rb.merge(validate_axioms(data.otimes, "quandle"), prefix="gq-")
         for g in range(n):
             op = data.star[g].entries
             for x in range(m):
@@ -1051,7 +1067,7 @@ def reference_family_report(data, kind, arities=()):
                     for y in range(m):
                         if prod[x][y] != sh[sg[x][y]][y]:
                             rb.hit("gsf2-prod", (x, y, g, h))
-        otimes = data.eff_otimes().entries
+        otimes = data.otimes.entries
         f = data.f_at
         for g in range(n):
             for h in range(n):
@@ -1066,7 +1082,7 @@ def reference_family_report(data, kind, arities=()):
                             rb.hit("gsf3", (x, y, z, g, h, q))
 
     elif kind == "q_family":
-        rb.merge(validate_axioms(data.eff_otimes(), "quandle"), prefix="qq-")
+        rb.merge(validate_axioms(data.otimes, "quandle"), prefix="qq-")
         for a in range(n):
             op = data.star[a]
             for x in range(m):
@@ -1076,7 +1092,7 @@ def reference_family_report(data, kind, arities=()):
                 collision = _column_collision(op, x)
                 if collision is not None:
                     rb.hit("qf2", (a, x, collision[0], collision[1]))
-        circ = data.eff_otimes().entries
+        circ = data.otimes.entries
         for a in range(n):
             for b in range(n):
                 sa, sb = data.star[a].entries, data.star[b].entries
@@ -1094,7 +1110,7 @@ def reference_family_report(data, kind, arities=()):
         _ref_check_trivalent(data, rb)
 
     elif kind == "associative_composition":
-        oplus = data.eff_oplus().entries
+        oplus = data.oplus.entries
         for g in range(n):
             for h in range(n):
                 for q in range(n):
@@ -1109,7 +1125,7 @@ def reference_family_report(data, kind, arities=()):
 
     elif kind == "lemma":
         m, n = data.x_size, data.g_size
-        otimes = data.eff_otimes().entries
+        otimes = data.otimes.entries
         f = data.f_at
         for g in range(n):
             for h in range(n):
@@ -1141,12 +1157,6 @@ NEEDS = {
 }
 
 
-def has(data, field):
-    if field in ("otimes", "oplus"):
-        return getattr(data, field) is not None or data.group is not None
-    return getattr(data, field) is not None
-
-
 def family_report(data, kind, arities=()):
     """validate_family, or check_lemma_for with its gsf_family
     precondition waived so that it runs on any system."""
@@ -1167,7 +1177,7 @@ def assert_family_reports_match(data, kinds=FAMILY_KINDS + ("lemma",)):
             arities = [k for k in (2, 3, 4) if data.gamma_table(k) is not None]
             if not arities:
                 continue
-        if all(has(data, field) for field in NEEDS[kind]):
+        if all(getattr(data, field) is not None for field in NEEDS[kind]):
             want = reference_family_report(data, kind, arities)
             for below in {1, systems.SCAN_BELOW}:
                 with mock.patch.object(systems, "SCAN_BELOW", below):
@@ -1256,15 +1266,15 @@ def test_arbitrary_systems_match_the_reference(data):
 @settings(max_examples=150, deadline=None)
 @given(arbitrary_systems())
 def test_associated_product_matches_its_formula_on_arbitrary_systems(data):
-    if data.f_map is None or (data.otimes is None and data.group is None):
+    if data.f_map is None or data.otimes is None:
         return
     assoc, report = associated_quandle(data)
     m, n = data.x_size, data.g_size
-    otimes = data.eff_otimes().entries
+    otimes = data.otimes.entries
     for x, g, y, h in itertools.product(range(m), range(n), range(m), range(n)):
         want = data.star[data.f_map[g][h]].entries[x][y] * n + otimes[g][h]
-        assert assoc.table.entries[x * n + g][y * n + h] == want
-    assert report == validate_axioms(assoc.table, "quandle")
+        assert assoc.entries[x * n + g][y * n + h] == want
+    assert report == validate_axioms(assoc, "quandle")
 
 
 def mutated(data, field, draw):

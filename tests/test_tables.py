@@ -174,16 +174,13 @@ def test_generated_subalgebra_of_family_product_pair():
     from quandlekit.systems import associated_quandle
 
     assoc, _ = associated_quandle(system("t3r3z2"))
-    seeds = {assoc.pair_index(0, 0), assoc.pair_index(1, 1)}
-    closure = generated_subalgebra(assoc.table, seeds)
-    assert closure == (
-        assoc.pair_index(0, 0),
-        assoc.pair_index(1, 1),
-        assoc.pair_index(2, 0),
-    )
+    n = 2  # the pair (x, g) is at x * n + g
+    seeds = {0 * n + 0, 1 * n + 1}
+    closure = generated_subalgebra(assoc, seeds)
+    assert closure == (0 * n + 0, 1 * n + 1, 2 * n + 0)
     # and the product of the two seeds lands on the third element
     a, b = sorted(seeds)
-    assert assoc.table.entries[a][b] == assoc.pair_index(2, 0)
+    assert assoc.entries[a][b] == 2 * n + 0
 
 
 def test_generated_subalgebra_monotone_idempotent():

@@ -8,6 +8,7 @@ resources; plain paths read the filesystem.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,7 +211,10 @@ def _emit(result, fmt: str) -> int:
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="quandlekit", description=__doc__)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,9 +265,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("fixtures", help="list or show bundled diagrams")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import product, repeat
-from operator import getitem
+from itertools import chain, product, repeat
+from operator import add, getitem
 
 from .tables import (
     AxiomReport,
@@ -217,12 +217,18 @@ class SystemData:
         if self.f_map is None:
             raise ValueError("system has no f map")
         m, n = self.x_size, self.g_size
-        star = [op.entries for op in self.star]
-        # row (x, g), over y and then h: the pair (x *_{f(g,h)} y, g (x) h)
+        # flat[x][y * n + k] = (x *_k y) * n, the first part of a pair index
+        flat = [
+            tuple(map(n.__mul__, chain.from_iterable(zip(*(op.entries[x] for op in self.star)))))
+            for x in range(m)]
+        base = tuple(y * n for y in range(m) for _ in range(n))
+        # row (x, g), over y and then h, holds the pair (x *_{f(g,h)} y,
+        # g (x) h): flat[x] read at y * n + f(g, h), plus g (x) h
+        reads = [(_composer(tuple(map(add, base, f_row * m))), ot_row * m)
+                 for f_row, ot_row in zip(self.f_map, otimes)]
         rows = tuple(
-            tuple(star[f_row[h]][x][y] * n + ot_row[h] for y in range(m) for h in range(n))
-            for x in range(m) for f_row, ot_row in zip(self.f_map, otimes))
-        table = OperationTable(m * n, rows)
+            tuple(map(add, pick(flat[x]), second)) for x in range(m) for pick, second in reads)
+        table = OperationTable._trusted(m * n, rows)
         return table, validate_axioms(table, "quandle")
 
 
@@ -950,10 +956,10 @@ def parse_system(text: str) -> SystemData:
             pos += 1
         elif head == "otimes":
             rows, pos = _read_matrix(lines, pos + 1, n, n, n, "otimes")
-            otimes = OperationTable(n, rows)
+            otimes = OperationTable._trusted(n, rows)
         elif head == "oplus":
             rows, pos = _read_matrix(lines, pos + 1, n, n, n, "oplus")
-            oplus = OperationTable(n, rows)
+            oplus = OperationTable._trusted(n, rows)
         elif head == "f":
             f_map, pos = _read_matrix(lines, pos + 1, n, n, n, "f")
         elif head == "star":
@@ -961,7 +967,7 @@ def parse_system(text: str) -> SystemData:
                 raise ParseError("expected 'star <g>'", lineno, 1)
             g = index(toks, lineno, line, n)
             rows, pos = _read_matrix(lines, pos + 1, m, m, m, f"star {g}")
-            star[g] = OperationTable(m, rows)
+            star[g] = OperationTable._trusted(m, rows)
         elif head == "rho":
             if len(toks) < 4 or toks[2] != "=":
                 raise ParseError("expected 'rho <x> = <permutation>'", lineno, 1)
@@ -1011,10 +1017,14 @@ def parse_system(text: str) -> SystemData:
             raise ParseError("group record needs identity=<k> inverse=<perm>", lineno)
         if not all(0 <= v < n for v in (identity, *inverse)):
             raise ParseError("group record entries out of range", lineno)
-        if oplus is not None:
-            group = GroupTable(oplus, identity, tuple(inverse))
-        else:
+        if oplus is None:
             raise ParseError("group record requires an oplus block holding the product", lineno)
+        try:
+            group = group_from_table(oplus, identity=identity)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        if group.inverse != tuple(inverse):
+            raise ParseError("group record inverse= is not the inverse map of oplus", lineno)
 
     rho_tuple = None
     if rho:

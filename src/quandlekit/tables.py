@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import itemgetter
 
@@ -106,6 +106,17 @@ class OperationTable:
                 if not (isinstance(v, int) and 0 <= v < self.size):
                     raise ValueError(f"entry {v!r} out of range 0..{self.size - 1}")
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _trusted(cls, size: int, rows: tuple[tuple[int, ...], ...]) -> "OperationTable":
+        """The table of ``rows``, which must already be a size x size tuple
+        of tuples of ints in 0..size-1: rows read by ``_read_matrix``, or
+        derived from a table already checked.  The entries are not walked
+        again."""
+        table = cls.__new__(cls)
+        object.__setattr__(table, "size", size)
+        object.__setattr__(table, "entries", rows)
+        return table
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -437,7 +448,7 @@ class GroupTable:
         kept.  Its dual is b a b^-1 and its components are the conjugacy
         classes."""
         e, inverse = self.table.entries, self.inverse
-        return OperationTable(self.size, tuple(
+        return OperationTable._trusted(self.size, tuple(
             tuple(e[e[inverse[b]][a]][b] for b in range(self.size)) for a in range(self.size)))
 
     def conjugate(self, a: int, b: int) -> int:
@@ -525,7 +536,7 @@ def conjugation_quandle(g: GroupTable, n: int = 1) -> OperationTable:
     """a * b = b^-n a b^n; n is reduced mod the exponent of g."""
     m = n % group_exponent(g)
     powers = _composer(tuple(g.power(b, m) for b in range(g.size)))
-    return OperationTable(g.size, tuple(map(powers, g.conjugation.entries)))
+    return OperationTable._trusted(g.size, tuple(map(powers, g.conjugation.entries)))
 
 
 def takasaki_quandle(g: GroupTable) -> OperationTable:
@@ -580,7 +591,7 @@ def dual_operation(table: OperationTable) -> OperationTable:
         for i, v in enumerate(col):
             inverse[v] = i
         inverses.append(inverse)
-    return OperationTable(n, tuple(zip(*inverses)))
+    return OperationTable._trusted(n, tuple(zip(*inverses)))
 
 
 def generated_subalgebra(table: OperationTable, seeds) -> tuple[int, ...]:
@@ -641,29 +652,54 @@ def _parse_int(token: str, lineno: int, line: str) -> int:
         raise ParseError(f"expected integer, got {token!r}", lineno, column) from None
 
 
+def _read_row(toks, lineno: int, line: str, bound: int, what=None) -> tuple[int, ...]:
+    """The integers of one row, each in 0..bound-1, read with ``int``; the
+    offending token is looked for only when the row fails, to give its
+    column."""
+    try:
+        row = tuple(map(int, toks))
+    except ValueError:
+        row = tuple(_parse_int(t, lineno, line) for t in toks)
+    if min(row) < 0 or max(row) >= bound:
+        t, v = next((t, v) for t, v in zip(toks, row) if not 0 <= v < bound)
+        label, span = (f"{what}: ", f" 0..{bound - 1}") if what else ("", "")
+        raise ParseError(f"{label}entry {v} out of range{span}", lineno, line.find(t) + 1)
+    return row
+
+
+@lru_cache(maxsize=16)
+def _decimals(bound: int) -> dict[str, int]:
+    """``{str(v): v for v in range(bound)}``: the plain decimal spelling of
+    every entry a block bounded by ``bound`` may hold."""
+    return {str(v): v for v in range(bound)}
+
+
 def _read_matrix(lines, pos, rows, cols, bound, what=None):
     """Read rows x cols integers, each in 0..bound-1, from ``lines[pos:]``;
     return them and the position after them.  ``what`` names the block in
     error messages.
 
-    A row is converted and range-checked whole; the offending token is
-    looked for only when the row fails, to give its column.
+    A row is looked up whole in ``_decimals(bound)``, which converts and
+    range-checks each plain decimal at once.  A row with any other token
+    (``007``, ``+3``, a non-integer, a value out of range) is read again
+    by ``_read_row``, so it parses or fails as with ``int``.
     """
     label = f"{what}: " if what else ""
     out = []
+    decimals = None
     for lineno, line in lines[pos : pos + rows]:
         toks = line.split()
         if len(toks) != cols:
             raise ParseError(f"{label}expected {cols} entries", lineno, 1)
+        if decimals is None:
+            # built once a row of the block is there, so a size that no
+            # row backs builds nothing
+            decimals = _decimals(bound)
         try:
-            row = tuple(map(int, toks))
-        except ValueError:
-            row = tuple(_parse_int(t, lineno, line) for t in toks)
-        if min(row) < 0 or max(row) >= bound:
-            t, v = next((t, v) for t, v in zip(toks, row) if not 0 <= v < bound)
-            span = f" 0..{bound - 1}" if what else ""
-            raise ParseError(f"{label}entry {v} out of range{span}", lineno, line.find(t) + 1)
-        out.append(row)
+            row = tuple(map(decimals.__getitem__, toks))
+        except KeyError:
+            row = None  # read again outside the handler, so no error chains to it
+        out.append(row or _read_row(toks, lineno, line, bound, what))
     if len(out) < rows:
         raise ParseError(f"unexpected end of file in {what} block", lines[-1][0])
     return tuple(out), pos + rows
@@ -695,7 +731,7 @@ def _parse_magma(text: str) -> tuple[OperationTable, int | None]:
     if len(body) != size:
         raise ParseError(f"expected {size} matrix rows, found {len(body)}", lines[0][0])
     rows, _ = _read_matrix(body, 0, size, size, size)
-    return OperationTable(size, rows), identity
+    return OperationTable._trusted(size, rows), identity
 
 
 def parse_table(text: str) -> OperationTable:

@@ -246,3 +246,28 @@ def test_outputs_are_stable(capsys):
     first = run(capsys, "fuzz", "systems:t3r3z2", "--trials=4", "--seed=55")
     second = run(capsys, "fuzz", "systems:t3r3z2", "--trials=4", "--seed=55")
     assert first == second
+
+
+def test_the_parser_built_once_keeps_no_state_between_calls(capsys):
+    from quandlekit import cli
+
+    calls = [
+        ("color", "fixtures:mwuf", "systems:t3r3z2", "--mode=generating"),
+        ("color", "fixtures:mwuf", "systems:t3r3z2"),
+        ("--format", "json", "color", "fixtures:theta", "systems:t3r3z2", "--mode=generating"),
+        ("color", "fixtures:theta", "systems:t3r3z2"),
+        ("color", "fixtures:theta", "systems:t3r3z2", "--mode=none"),
+        ("check-system", "systems:t3r3z2", "--kind=n_compatible", "--arities=2,3"),
+        ("check-system", "systems:t3r3z2", "--kind=n_compatible"),
+        ("fixtures", "show", "theta"),
+        ("fixtures", "list"),
+    ]
+    # each call alone, with a parser built for it
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 2, 2, 0, 0, 0]
+    # then in turn, twice over, on the one kept parser
+    for _ in range(2):
+        assert [run(capsys, *argv)[:2] for argv in calls] == [(code, out) for code, out, _ in alone]

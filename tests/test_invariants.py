@@ -171,16 +171,22 @@ def test_homs_build_the_conjugation_tables_once_per_group(monkeypatch):
     from quandlekit.tables import OperationTable
 
     built = []
-    init = OperationTable.__init__
+    init, trusted = OperationTable.__init__, OperationTable._trusted
 
     def counted(self, *args, **kwargs):
         built.append(args[0] if args else kwargs["size"])
         init(self, *args, **kwargs)
 
+    # tables derived from a checked table skip __init__
+    def counted_trusted(cls, size, rows):
+        built.append(size)
+        return trusted(size, rows)
+
     g = symmetric_group(4)
     trefoil = wirtinger_presentation(diagram("trefoil"))
     expected = brute_hom_count(trefoil, g)
     monkeypatch.setattr(OperationTable, "__init__", counted)
+    monkeypatch.setattr(OperationTable, "_trusted", classmethod(counted_trusted))
     p = wirtinger_presentation(diagram("mwf"))
     first = group_hom_count(p, g)
     assert built == [24, 24]  # the conjugation table and its dual

@@ -30,7 +30,6 @@ from quandlekit.systems import (
 )
 from quandlekit.tables import (
     AxiomReport,
-    GroupTable,
     OperationTable,
     ParseError,
     ReportBuilder,
@@ -732,6 +731,25 @@ def test_group_record_entries_must_be_in_range():
         assert exc.value.line == 4
 
 
+def test_a_group_record_whose_oplus_is_not_a_group_is_a_parse_error_at_its_line():
+    text = serialize_system(system("t3r3z2"))
+    assert "oplus\n0 1\n1 0\n" in text
+    with pytest.raises(ParseError, match="not a group") as exc:
+        parse_system(text.replace("oplus\n0 1\n1 0\n", "oplus\n0 0\n0 0\n"))
+    assert exc.value.line == 4
+    # the identity the record names must be the product's
+    with pytest.raises(ParseError, match="not a group") as exc:
+        parse_system(text.replace("identity=0", "identity=1"))
+    assert exc.value.line == 4
+
+
+def test_a_group_record_whose_inverse_is_not_the_products_is_a_parse_error_at_its_line():
+    text = serialize_system(system("t3r3z2"))
+    with pytest.raises(ParseError, match="inverse") as exc:
+        parse_system(text.replace("inverse=0 1", "inverse=1 0"))
+    assert exc.value.line == 4
+
+
 SYSTEM_RECORDS = ("group", "otimes", "oplus", "f", "star", "rho", "gamma")
 
 
@@ -1231,16 +1249,22 @@ def tables(size):
     return rows.map(lambda r: OperationTable(size, r))
 
 
+def relabelled_groups(n):
+    """Z_n, the one group of each order n <= 3, with its elements relabelled
+    by a drawn permutation p: label p[k] stands for k."""
+    return st.permutations(range(n)).map(lambda p: group_from_table(
+        table_from(n, lambda a, b: p[(p.index(a) + p.index(b)) % n])))
+
+
 @st.composite
 def arbitrary_systems(draw):
-    """Systems with |X| <= 3 and |G| <= 3 whose tables, f, group record,
-    rho and arity-3 composition table are arbitrary, each field present
-    or not."""
+    """Systems with |X| <= 3 and |G| <= 3 whose tables, f, rho and arity-3
+    composition table are arbitrary and whose group is a relabelled Z_n,
+    each field present or not."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     g_index = st.integers(0, n - 1)
     maybe = lambda strategy: st.none() | strategy  # noqa: E731
-    group = maybe(st.builds(
-        GroupTable, tables(n), g_index, st.lists(g_index, min_size=n, max_size=n).map(tuple)))
+    group = maybe(relabelled_groups(n))
     rho = st.lists(st.permutations(range(n)).map(tuple), min_size=m, max_size=m).map(tuple)
     gamma3 = st.lists(g_index, min_size=n**3, max_size=n**3).map(lambda flat: ((3, tuple(flat)),))
     return SystemData(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from quandlekit.solve import Problem
 from quandlekit.tables import (
     OperationTable,
+    ParseError,
+    _read_matrix,
     alexander_quandle,
     conjugation_quandle,
     cyclic_group,
@@ -159,6 +161,37 @@ def test_dual_is_involution_on_column_permutation_tables(seed, n):
     cols = [rng.sample(range(n), n) for _ in range(n)]
     table = table_from(n, lambda i, j: cols[j][i])
     assert dual_operation(dual_operation(table)).entries == table.entries
+
+
+def loop_dual(table):
+    """Reference: a dual b is the i with i * b = a, filled in by a loop."""
+    n = table.size
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for b in range(n):
+            rows[table.entries[i][b]][b] = i
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)), min_size=n, max_size=n),
+    st.none() | st.tuples(
+        st.integers(0, n - 1), st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))))
+def test_dual_matches_a_loop_built_inverse(drawn):
+    # columns that are permutations, and now and then one arbitrary column
+    cols, other = drawn
+    if other is not None:
+        j, col = other
+        cols[j] = col
+    n = len(cols)
+    table = OperationTable(n, tuple(zip(*cols)))
+    bad = [j for j, col in enumerate(cols) if len(set(col)) < n]
+    if bad:
+        with pytest.raises(ValueError, match=f"column {bad[0]} is not a permutation"):
+            dual_operation(table)
+    else:
+        assert dual_operation(table).entries == loop_dual(table)
 
 
 def test_generated_subalgebra_examples():
@@ -592,3 +625,69 @@ def test_operation_tables_refuse_entries_out_of_range_or_not_integers():
     for rows, bad in ((((0, 1), (1, 2)), "2"), (((0, 1), (-1, 0)), "-1"), (((0, 1.0), (1, 0)), "1.0")):
         with pytest.raises(ValueError, match=f"entry {bad} out of range 0..1"):
             OperationTable(2, rows)
+
+
+def read_by_token(lines, rows, cols, bound, what):
+    """Reference for ``_read_matrix``: ``int`` on every token of a row, then
+    the range of every entry, one at a time."""
+    label = f"{what}: " if what else ""
+    out = []
+    for lineno, line in lines[:rows]:
+        toks = line.split()
+        if len(toks) != cols:
+            raise ParseError(f"{label}expected {cols} entries", lineno, 1)
+        row = []
+        for t in toks:
+            try:
+                row.append(int(t))
+            except ValueError:
+                raise ParseError(f"expected integer, got {t!r}", lineno, line.find(t) + 1)
+        for t, v in zip(toks, row):
+            if not 0 <= v < bound:
+                span = f" 0..{bound - 1}" if what else ""
+                raise ParseError(f"{label}entry {v} out of range{span}", lineno, line.find(t) + 1)
+        out.append(tuple(row))
+    if len(out) < rows:
+        raise ParseError(f"unexpected end of file in {what} block", lines[-1][0])
+    return tuple(out)
+
+
+def matrix_tokens(bound):
+    """Mostly plain decimals in range, with zero-padded, signed, non-ASCII,
+    out-of-range and non-integer tokens among them."""
+    plain = st.integers(0, bound - 1).map(str)
+    odd = st.sampled_from(["-0", "+0", "00", "x", "1.0", "0x1", "1_0", "\u0663"]) | st.one_of(
+        st.integers(0, bound - 1).map(lambda v: f"00{v}"),
+        st.integers(0, bound - 1).map(lambda v: f"+{v}"),
+        st.integers(bound, bound + 20).map(str),
+        st.integers(-5, -1).map(str),
+    )
+    return st.one_of(plain, plain, plain, odd)
+
+
+@st.composite
+def matrix_blocks(draw):
+    bound, rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    widths = st.sampled_from([cols, cols, cols, cols, cols + 1, max(cols - 1, 1)])
+    tokens = matrix_tokens(bound)
+    present = draw(st.integers(max(rows - 1, 1), rows))
+    lines = [(3 + 2 * r, "  ".join(draw(st.lists(tokens, min_size=w, max_size=w))))
+             for r, w in enumerate(draw(st.lists(widths, min_size=present, max_size=present)))]
+    return lines, rows, cols, bound, draw(st.sampled_from([None, "star 1"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_blocks())
+def test_read_matrix_agrees_with_int_on_every_token(block):
+    lines, rows, cols, bound, what = block
+    try:
+        want = read_by_token(lines, rows, cols, bound, what)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _read_matrix(lines, 0, rows, cols, bound, what)
+        assert (str(got.value), got.value.line, got.value.column) == (
+            str(exc), exc.line, exc.column)
+    else:
+        got, pos = _read_matrix(lines, 0, rows, cols, bound, what)
+        assert (got, pos) == (want, rows)
+        assert all(type(v) is int for row in got for v in row)

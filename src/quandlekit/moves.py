@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from .coloring import ScopeError, count_colourings
-from .diagrams import IN, OUT, Diagram, InapplicableMoveError, Vertex, _Work, validate_diagram
+from .diagrams import IN, OUT, Diagram, InapplicableMoveError, _Work, validate_diagram
 from .systems import (
     SystemData,
     associated_quandle,
@@ -97,7 +97,7 @@ def _r1_delete(work: _Work, m: MoveSpec) -> MoveSpec:
 
 def _r2_insert(work: _Work, m: MoveSpec) -> MoveSpec:
     a, o = m.site, m.params.get("other")
-    if o is None or not 0 <= o < work.original or a == o:
+    if o not in work.alive or a == o:
         raise InapplicableMoveError("r2_insert needs two distinct arcs")
     sign = _sign(m)
     if m.params.get("moving_over", False):
@@ -117,7 +117,7 @@ def _r2_delete(work: _Work, m: MoveSpec) -> MoveSpec:
         c1["over"] != c2["over"]
         or c2["under_in"] != mid
         or c1["sign"] != -c2["sign"]
-        or mid == c1["over"]
+        or c1["over"] in (mid, c1["under_in"], c2["under_out"])
     ):
         raise InapplicableMoveError("crossings do not form a cancelling pair")
     if work.over_count(mid) > 0:
@@ -283,7 +283,8 @@ def _tr2_strand_contract(work: _Work, m: MoveSpec, b1: int, b2: int, a_out: int)
     if s2 not in (s1, s3):
         work.drop(s2)
     work.cross(a_out, s1, s3, c1["sign"])
-    return MoveSpec("tr2_slide", m.site, params={"direction": "expand", "variant": "strand"})
+    params = {"direction": "expand", "variant": "strand", "crossing": len(work.crossings) - 1}
+    return MoveSpec("tr2_slide", m.site, params=params)
 
 
 _TR2_FORMS = {
@@ -473,12 +474,11 @@ def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -
     if crossings_max < 0 or vertices_max < 0:
         raise ValueError("bounds must be non-negative")
     rng = random.Random(repr(seed))
-    d = Diagram(1, (), ())
+    # nothing is merged or dropped, so the tokens are 0, 1, ... in the
+    # order finalize numbers them
+    work = _Work(Diagram(1, (), ()))
     vertex_budget = vertices_max
     crossing_budget = crossings_max
-
-    def arcs():
-        return range(d.arc_count)
 
     while True:
         ops = []
@@ -486,78 +486,62 @@ def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -
             ops += ["theta", "handcuff"] if 3 in valences else ["theta"]
         if crossing_budget >= 1:
             ops.append("kink")
-        if crossing_budget >= 2 and d.arc_count >= 2:
+        if crossing_budget >= 2 and work.next_token >= 2:
             ops.append("poke")
-        if crossing_budget >= 2 and d.vertices:
+        if crossing_budget >= 2 and work.vertices:
             ops.append("thread")
         if not ops:
             break
         op = rng.choice(ops)
         if op in ("theta", "handcuff"):
-            free = [
-                a
-                for a in arcs()
-                if all(c.under_in != a and c.under_out != a for c in d.crossings)
-                and all(a != e for v in d.vertices for e, _ in v.ends)
-            ]
+            free = [a for a in range(work.next_token) if work.consumer_slot(a) is None]
             if not free:
-                d = Diagram(d.arc_count + 1, d.crossings, d.vertices)
-                free = [d.arc_count - 1]
+                free = [work.fresh()]
             a = rng.choice(free)
             if op == "theta":
                 valence = rng.choice(sorted(valences))
-                edges = [d.arc_count + i for i in range(valence - 1)]
-                b, extra = edges[0], edges[1:]
-                v1 = Vertex(((b, IN), (a, OUT)) + tuple((x, OUT) for x in extra))
-                v2 = Vertex(((a, IN),) + tuple((x, IN) for x in extra) + ((b, OUT),))
-                d = Diagram(d.arc_count + valence - 1, d.crossings, d.vertices + (v1, v2))
+                b, *extra = (work.fresh() for _ in range(valence - 1))
+                work.vertices.append([(b, IN), (a, OUT)] + [(x, OUT) for x in extra])
+                work.vertices.append([(a, IN)] + [(x, IN) for x in extra] + [(b, OUT)])
             else:
-                mth, b = d.arc_count, d.arc_count + 1
-                v1 = Vertex(((a, IN), (mth, OUT), (a, OUT)))
-                v2 = Vertex(((b, IN), (mth, IN), (b, OUT)))
-                d = Diagram(d.arc_count + 2, d.crossings, d.vertices + (v1, v2))
+                mth, b = work.fresh(), work.fresh()
+                work.vertices.append([(a, IN), (mth, OUT), (a, OUT)])
+                work.vertices.append([(b, IN), (mth, IN), (b, OUT)])
             vertex_budget -= 2
         elif op == "kink":
-            spec = MoveSpec(
-                "r1_insert",
-                rng.randrange(d.arc_count),
-                params={"sign": rng.choice((1, -1)), "over_first": rng.random() < 0.5},
-            )
-            d = apply_move(d, spec).diagram
+            a = rng.randrange(work.next_token)
+            params = {"sign": rng.choice((1, -1)), "over_first": rng.random() < 0.5}
+            _r1_insert(work, MoveSpec("r1_insert", a, params=params))
             crossing_budget -= 1
         elif op == "poke":
-            a = rng.randrange(d.arc_count)
-            o = rng.choice([x for x in arcs() if x != a])
-            spec = MoveSpec(
-                "r2_insert", a, params={"other": o, "sign": rng.choice((1, -1))}
-            )
-            d = apply_move(d, spec).diagram
+            a = rng.randrange(work.next_token)
+            o = rng.choice([x for x in range(work.next_token) if x != a])
+            params = {"other": o, "sign": rng.choice((1, -1))}
+            _r2_insert(work, MoveSpec("r2_insert", a, params=params))
             crossing_budget -= 2
         elif op == "thread":
             sites = []
-            for vi, v in enumerate(d.vertices):
-                k = _rotated(v.ends, (IN, IN, OUT)) if v.valence == 3 else None
+            for vi, ends in enumerate(work.vertices):
+                k = _rotated(ends, (IN, IN, OUT)) if len(ends) == 3 else None
                 if k is None:
                     continue
-                incident = {e for e, _ in v.ends}
-                for t in arcs():
+                incident = {e for e, _ in ends}
+                for t in range(work.next_token):
                     if t not in incident:
                         sites.append((vi, k, t))
             if not sites:
                 crossing_budget -= 1
                 continue
             vi, k, t = sites[rng.randrange(len(sites))]
-            v = d.vertices[vi]
-            b1, b2 = v.ends[k][0], v.ends[(k + 1) % 3][0]
+            ends = work.vertices[vi]
+            b1, b2 = ends[k][0], ends[(k + 1) % 3][0]
             sign = rng.choice((1, -1))
             mu1, mu2 = (b1, b2) if sign > 0 else (b2, b1)
-            work = _Work(d)
             work.pass_under(t, (mu1, sign), (mu2, sign))
-            d = work.finalize()[0]
             crossing_budget -= 2
         if crossing_budget <= 0 and vertex_budget <= 1:
             break
-    return d
+    return work.finalize()[0]
 
 
 # ---------------------------------------------------------------------------

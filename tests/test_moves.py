@@ -1,9 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from quandlekit.coloring import count_colourings
-from quandlekit.diagrams import validate_diagram
+from quandlekit.diagrams import serialize_diagram, validate_diagram
 from quandlekit.fixtures import diagram, list_diagrams, system
 from quandlekit.moves import (
     DEFAULT_MOVES,
@@ -168,6 +169,20 @@ def test_random_diagram_deterministic_and_valid():
     assert all(v.valence == 3 for v in d.vertices)
 
 
+def test_random_diagrams_stay_the_same_across_versions():
+    # a seed names the same diagrams in every version: the fuzz report
+    # promises it, and reports are compared across versions
+    digest = hashlib.sha256()
+    for s in range(60):
+        for crossings, vertices in ((4, 2), (2, 1), (6, 3), (0, 4), (3, 0)):
+            for valences in ((3,), (4,), (3, 4), (4, 5)):
+                d = random_diagram(f"pin-{s}", crossings, vertices, valences)
+                digest.update(serialize_diagram(d).encode())
+    assert digest.hexdigest() == (
+        "6e0fdf21490103d65cb2ffea5ccaf7726f4a288af591d33afd0ab07d6ef5dac5"
+    )
+
+
 def test_fuzz_links_scope_with_bare_quandle():
     report = fuzz_invariance(system("r3"), trials=25, seed="links", scope="links")
     assert report.ok
@@ -267,7 +282,8 @@ def test_every_applicable_move_has_an_applicable_inverse():
         for name in list_diagrams()
         if all(v.valence == 3 for v in diagram(name).vertices)
     ]
-    for d in trivalent + [random_diagram(f"inv-{i}", 4, 2) for i in range(30)]:
+    applied = set()
+    for d in trivalent + [random_diagram(f"inv-{i}", 4, 2) for i in range(90)]:
         base = count_colourings(d, T3R3)
         for spec in applicable_moves(d, MOVE_KINDS):
             res = apply_move(d, spec)
@@ -275,6 +291,14 @@ def test_every_applicable_move_has_an_applicable_inverse():
             assert back.arc_count == d.arc_count, (spec, res.inverse)
             assert len(back.crossings) == len(d.crossings), (spec, res.inverse)
             assert back == d or count_colourings(back, T3R3) == base, (spec, res.inverse)
+            for m in (spec, res.inverse):
+                applied.add((m.kind, m.params.get("direction"), m.params.get("variant")))
+    tr2_forms = {
+        ("tr2_slide", direction, variant)
+        for direction in ("expand", "contract")
+        for variant in ("vertex", "strand")
+    }
+    assert tr2_forms | {("r2_delete", None, None)} <= applied
 
 
 def test_fuzz_draws_among_the_applicable_moves():

@@ -16,12 +16,20 @@ the others are fixed.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .diagrams import IN, Diagram, validate_diagram
 from .solve import Problem
 from .systems import SystemData, associated_quandle
-from .tables import AxiomReport, ReportBuilder, generated_subalgebra, trivial_quandle
+from .tables import (
+    AxiomReport,
+    OperationTable,
+    ReportBuilder,
+    Stabiliser,
+    generated_subalgebra,
+    trivial_quandle,
+)
 
 
 class ScopeError(ValueError):
@@ -157,26 +165,36 @@ class ColouringContext(Problem):
                         return False
         return True
 
-    def orbit_weights(self) -> list[int] | None:
-        """Weights for counting by orbit representatives: |C| at the least
-        element of each component C of the associated quandle and 0
-        elsewhere, when the number of colourings with one arc's colour fixed
-        is the same across each component; None when it may not be, or when
-        every component is one element.  The right translations are
-        automorphisms of the associated quandle, so they map colourings to
-        colourings at every crossing; at the vertices, the translations
-        that generate the components are checked on the system's tables,
-        once per system and set of vertex arities."""
-        comp = self.product.components
+    def symmetry(self) -> tuple[OperationTable, Sequence[int]] | None:
+        """The symmetry ``Problem.count`` may count by: the associated
+        quandle and the y whose right translations R_y map colourings to
+        colourings, or None when every component is one element or a
+        translation that generates them breaks a vertex rule.
+
+        Every R_y is an automorphism of the associated quandle, so it maps
+        colourings to colourings at every crossing.  At the vertices, the
+        translations that generate the components are checked on the
+        system's tables, once per system and set of vertex arities.  Where
+        they pass, so does every R_y with y in the subquandle they
+        generate, since R_{a*b} = R_b R_a R_b^-1.  That subquandle is the
+        orbit of the generators under the group of their translations, as
+        R(a) * R(b) = R(a * b) for every such R."""
+        product = self.product
+        comp = product.components
         if max(comp) + 1 == len(comp):
             return None
-        if self.arities:
-            verdicts, key = self.system.symmetry_verdicts, frozenset(self.arities)
-            if key not in verdicts:
-                verdicts[key] = all(map(self.respects_vertex_rules, self.product.translations))
-            if not verdicts[key]:
-                return None
-        return list(self.product.weights)
+        if not self.arities:
+            return product, range(self.carrier)
+        verdicts, key = self.system.symmetry_verdicts, frozenset(self.arities)
+        if key not in verdicts:
+            generators = product.generators
+            ys = None
+            if all(self.respects_vertex_rules(product.columns[y]) for y in generators):
+                group = Stabiliser(product, generators)
+                ys = tuple(sorted(set().union(*map(group.orbit, generators))))
+            verdicts[key] = ys
+        ys = verdicts[key]
+        return None if ys is None else (product, ys)
 
 
 # the benchmark's tracer counts solutions through this name
@@ -231,9 +249,9 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     colourings whose image generates the whole associated quandle.
 
     Where the translations that generate the components respect the
-    vertex rules, colourings are counted once per component C, with the
-    root arc coloured by C's least element, and weighted by |C|: one
-    ``Problem.count`` call either way."""
+    vertex rules, colourings are counted down a chain of stabilisers
+    (``ColouringContext.symmetry``): one ``Problem.count`` call either
+    way."""
     if mode not in ("all", "generating"):
         raise ValueError(f"unknown mode {mode!r}")
     generating = mode == "generating"
@@ -245,7 +263,7 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     if generating and _strand_classes(d) < parts:
         return 0
     if not generating:
-        return ctx.count(ctx.orbit_weights())
+        return ctx.count(ctx.symmetry())
     cache: dict = {}
 
     def generates(colours) -> bool:
@@ -256,7 +274,7 @@ def count_colourings(d: Diagram, sys: SystemData, mode: str = "all") -> int:
             cache[image] = len(generated_subalgebra(ctx.product, image)) == ctx.carrier
         return cache[image]
 
-    return ctx.count(ctx.orbit_weights(), generates)
+    return ctx.count(ctx.symmetry(), generates)
 
 
 def enumerate_colourings(d: Diagram, sys: SystemData, cap: int) -> list[Colouring]:

@@ -89,8 +89,9 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
     z = y^-s x y^s; any other relator is a solver rule that fixes a
     generator met once in it when every other letter is known.
 
-    Counted once per conjugacy class C, with the root generator at C's
-    least element, and weighted by |C|."""
+    Counted down a chain of stabilisers in the conjugation action: the
+    root generator once per conjugacy class, and each later one once per
+    orbit of the centraliser of the elements chosen above it."""
     # conj[s][x][y] = y^-s x y^s, and conj[-s] solves it for x
     conj = {1: g.conjugation, -1: g.conjugation.dual}
     problem = Problem(p.generator_count, g.size)
@@ -100,9 +101,9 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
             problem.add_table(rel[1][0], rel[2][0], rel[3][0], conj[s], conj[-s])
         elif rel:
             problem.add_rule([gen for gen, _ in rel], _relator_rule(rel, g), range(len(rel)))
-    # conjugation maps homomorphisms to homomorphisms, so the count is the
-    # same at every element of a conjugacy class: the orbits of conj[1]
-    return problem.count(g.conjugation.weights)
+    # conjugation maps homomorphisms to homomorphisms: the right
+    # translations of conj[1] are the conjugations
+    return problem.count((g.conjugation, range(g.size)))
 
 
 def _relator_rule(rel, g: GroupTable):

@@ -617,7 +617,15 @@ def draw_trial(trial_seed: str, move_set, crossings_max: int, vertices_max: int,
 
 def validate_scope(sys: SystemData, scope: str) -> list[str]:
     """Check the theorem hypotheses behind a fuzzing scope; returns a list
-    of human-readable problems (empty when the scope is justified)."""
+    of human-readable problems (empty when the scope is justified).  The
+    system keeps them per scope, so it is checked once."""
+    kept = sys.scope_problems
+    if scope not in kept:
+        kept[scope] = tuple(_scope_problems(sys, scope))
+    return list(kept[scope])
+
+
+def _scope_problems(sys: SystemData, scope: str) -> list[str]:
     problems = []
     product, report = associated_quandle(sys)
     if not report.valid:

@@ -33,13 +33,34 @@ assignments in the plain order, less those with v outside ``values``.  If
 propagation fixes v before any branching, the search is the plain one, or
 yields nothing when v's value is not in ``values``.
 
-``count`` is the one counting loop.  Given weights over the values, it
-roots the search at ``root_variable()`` over the values of nonzero weight
-and sums the root's weight over the solutions.  That equals the number of
-solutions whenever the weights are the sizes of the orbits of some group
-of value permutations that maps solutions to solutions, each at the
-orbit's least element: the solutions with the root at one value are then
-as many as at any other value of its orbit.
+``count`` is the one counting loop, and it counts down a chain of
+stabilisers (Sims 1970; Seress, *Permutation Group Algorithms*, 2003).
+It is given a quandle table and a set Y of elements whose right
+translations R_y map solutions to solutions, and solutions ``keep``
+accepts to solutions it accepts.  Let G_0 be the group they generate,
+and G_k the group generated by the R_y, y in Y, that fix the values
+branched at the first k levels, that is with r * y = r for each such r.
+Every element of G_k fixes those values, so it maps the solutions below
+a prefix with one value t at the next level onto those with any other
+value of t's G_k-orbit, equal in number.  So an orbit with solutions lies
+whole inside the candidates of its level, and level k goes over the
+least value of each G_k-orbit among its candidates; each leaf is
+weighted by the product of the sizes of the orbits chosen above it, and
+the weights sum to the number of solutions.  Y must generate the
+components, so the root, ``root_variable()``, goes over one value per
+component.  Where every R_y of G_k fixes the value chosen, G_{k+1} is
+G_k, and the chain ends where every R_y left is the identity, below
+which the search is the plain one.
+
+For a conjugation quandle, with Y the whole group, G_k is the whole
+centraliser of the values chosen, the stabiliser in Inn (Joyce 1982).
+Elsewhere the R_y that fix the prefix generate a subgroup of that
+stabiliser, which is still a symmetry of the solutions.  The table keeps
+each group, with the orbits found so far, per set of fixing elements
+(``tables.Stabiliser``), so a search pays for an orbit once.
+
+Without ``keep``, a variable that no constraint names multiplies the
+count by m and is not branched over.
 """
 
 from __future__ import annotations
@@ -55,6 +76,8 @@ class Problem:
         # op) for tables, (variables, forcing flags, solve) for rules
         self.table_watch: list[list[tuple]] = [[] for _ in range(variables)]
         self.rule_watch: list[list[tuple]] = [[] for _ in range(variables)]
+        self._slots: list[list[int]] | None = None
+        self.nodes = self.leaves = 0
 
     def add_table(self, x: int, y: int, z: int, op, x_from=None) -> None:
         """Constrain z = x * y in the ``OperationTable`` op, and, with an
@@ -62,6 +85,7 @@ class Problem:
         c = (x, y, z, op.entries, None if x_from is None else x_from.entries, op)
         for v in {x, y, z}:
             self.table_watch[v].append(c)
+        self._slots = None
 
     def add_rule(self, variables, solve, forcing) -> None:
         variables = tuple(variables)
@@ -69,6 +93,7 @@ class Problem:
         flags = tuple(i in forcing and variables.count(v) == 1 for i, v in enumerate(variables))
         for v in set(variables):
             self.rule_watch[v].append((variables, flags, solve))
+        self._slots = None
 
     def _propagate(self, val: list[int], trail: list[int], queue: list[int]) -> bool:
         """Apply every constraint watching a variable in ``queue``, and those
@@ -106,46 +131,71 @@ class Problem:
                     queue.append(u)
         return True
 
-    def _slots(self, v: int) -> list[int]:
-        """The variables of every constraint slot on v, v's own included."""
-        return [u for c in self.table_watch[v] for u in c[:3]] + [
-            u for c in self.rule_watch[v] for u in c[0]
-        ]
+    def _slot_lists(self) -> list[list[int]]:
+        """Per variable, the variables of every constraint slot on it, its
+        own included.  Built once, on the first search after a constraint
+        is added."""
+        if self._slots is None:
+            self._slots = [
+                [u for c in self.table_watch[v] for u in c[:3]]
+                + [u for c in self.rule_watch[v] for u in c[0]]
+                for v in range(self.n)
+            ]
+        return self._slots
 
     def root_variable(self) -> int:
-        """The variable an orbit sum branches on first: the lowest of those
-        in the fewest constraint slots, leaving out variables in none.  Its
-        value is the least determined by the others, so the solutions spread
-        the most evenly over the orbits.  A variable in no constraint comes
-        last: as the root it would repeat the search of the others for every
-        representative, where the plain search branches on it once a
-        solution."""
-        slots = [len(self._slots(v)) for v in range(self.n)]
+        """The variable a chain count branches on first: the lowest of
+        those in the fewest constraint slots, leaving out variables in
+        none.  Its value is the least determined by the others, so the
+        solutions spread the most evenly over the orbits.  A variable in no
+        constraint comes last: as the root it would repeat the search of
+        the others for every representative."""
+        slots = list(map(len, self._slot_lists()))
         return min(range(self.n), key=lambda v: (not slots[v], slots[v], v))
 
-    def count(self, weight: Sequence[int] | None = None, keep=None) -> int:
+    def count(self, symmetry=None, keep=None) -> int:
         """The number of solutions that ``keep`` accepts (all of them when
-        it is None), counted as the sum of ``weight[s[r]]`` over the
-        solutions s with ``r = root_variable()`` in the values of nonzero
-        weight.  ``weight=None``, or no variables, counts each solution once
-        in the plain search."""
-        root = None
-        if weight is not None and self.n:
-            r = self.root_variable()
-            root = (r, [value for value, w in enumerate(weight) if w])
-        solutions = self.solutions(root)  # looked up on self, so wrappers see it
-        if keep is not None:
-            solutions = filter(keep, solutions)
-        if root is None:
-            return sum(1 for _ in solutions)
-        return sum(weight[s[r]] for s in solutions)
+        it is None).
 
-    def solutions(self, root: tuple[int, Sequence[int]] | None = None):
+        With ``symmetry = (table, ys)``, the right translations R_y of the
+        quandle ``table``, y in ys, must map solutions to solutions and
+        solutions ``keep`` accepts to solutions it accepts, and generate
+        the components of the table.  The search then starts at
+        ``root_variable()`` and goes down the chain of stabilisers from
+        ``table.stabiliser(ys)``, and the count is the sum of the weights
+        of its leaves.  Without, or with no variables, it counts the plain
+        search.  Without ``keep``, a variable in no constraint is not
+        branched over: it multiplies the count by m."""
+        slots = self._slot_lists()
+        free = () if keep is not None else tuple(v for v in range(self.n) if not slots[v])
+        factor = self.m ** len(free)
+        # looked up on self, so wrappers see every leaf
+        if symmetry is None or len(free) == self.n:
+            leaves = self.solutions(None, None, free)
+            return factor * sum(1 for s in leaves if keep is None or keep(s))
+        table, ys = symmetry
+        root = (self.root_variable(), range(self.m))
+        leaves = self.solutions(root, table.stabiliser(ys), free)
+        return factor * sum(w for w, s in leaves if keep is None or keep(s))
+
+    def solutions(self, root=None, chain=None, skip: Sequence[int] = ()):
         """Yield every satisfying assignment as a tuple, in search order;
-        with ``root = (v, values)``, only those with v in ``values``."""
+        with ``root = (v, values)``, only those with v in ``values``.
+
+        The variables in ``skip``, which no constraint may name, are left
+        at -1 and never branched over.  With ``chain``, a
+        ``tables.Stabiliser`` whose translations map solutions to
+        solutions, every level goes over the least value of each orbit
+        among its candidates, of the group generated by the translations
+        of ``chain`` that fix every value branched above it, and each leaf
+        is yielded as a pair (weight, assignment), where weight is the
+        product of those orbits' sizes.  The root's ``values`` must then be
+        a union of the orbits of ``chain``.  ``nodes`` and ``leaves`` count
+        the branching nodes and the leaves of the last search."""
         n, m = self.n, self.m
         val = [-1] * n
         trail: list[int] = []
+        self.nodes = self.leaves = 0
         if not self._propagate(val, trail, list(range(n))):
             return
         order: list[int] = []
@@ -158,24 +208,37 @@ class Problem:
             v, firsts = root
             if val[v] < 0:
                 order.append(v)
-                values.append(firsts)
+                values.append(tuple(firsts))
                 sources.append(None)
             elif val[v] not in firsts:
                 return
-        slots = [self._slots(v) for v in range(n)]
+        slots = self._slot_lists()
+        goal = n - len(skip)
+        skipped = set(skip)
         score = [0] * n
-        heap = [(0, -len(slots[v]), v) for v in range(n)]  # lazy max-heap
+        heap = [(0, -len(slots[v]), v) for v in range(n) if v not in skipped]  # lazy max-heap
         heapq.heapify(heap)
         scored = 0  # the first ``scored`` trail entries have raised the scores
         marks, tried = [0] * n, [None] * n
+        # per depth: the group of the chain there, None below its end, and
+        # the product of the orbit sizes of the values chosen above it
+        groups, weights = [chain] + [None] * n, [1] * (n + 1)
         k, arrived = 0, True
         while k >= 0:
             if arrived:
                 arrived = False
-                if len(trail) == n:
-                    yield tuple(val)
+                chained = k and chain is not None
+                if chained:
+                    group, w = groups[k - 1], val[order[k - 1]]
+                    weights[k] = weights[k - 1] * (1 if group is None else group.weight[w])
+                if len(trail) == goal:
+                    self.leaves += 1
+                    yield tuple(val) if chain is None else (weights[k], tuple(val))
                     k -= 1
                     continue
+                self.nodes += 1
+                if chained:
+                    groups[k] = group and group.child(w)
                 if k == len(order):
                     for u in (u for v in trail[scored:] for u in slots[v] if val[u] < 0):
                         score[u] += 1
@@ -191,10 +254,13 @@ class Problem:
                         if y == v and val[x] >= 0 and val[z] >= 0), None))
                 source = sources[k]
                 if source is None:
-                    tried[k] = iter(values[k])
+                    candidates = values[k]
                 else:
                     x, z, op = source
-                    tried[k] = iter(op.row_factors(val[x])[val[z]])
+                    candidates = op.row_factors(val[x])[val[z]]
+                if groups[k] is not None:
+                    candidates = groups[k].representatives(candidates)
+                tried[k] = iter(candidates)
                 marks[k] = len(trail)
             while len(trail) > marks[k]:
                 val[trail.pop()] = -1

@@ -202,10 +202,17 @@ class SystemData:
         return tuple(x * n + h for x, r in enumerate(self.rho) for h in r)
 
     @cached_property
-    def symmetry_verdicts(self) -> dict[frozenset[int], bool]:
-        """Whether the translations that generate the components of the
-        associated quandle respect the vertex rules, per set of vertex
-        arities, as ``coloring`` finds it.  Filled there and kept."""
+    def symmetry_verdicts(self) -> dict[frozenset[int], tuple[int, ...] | None]:
+        """Per set of vertex arities, the y whose right translations of the
+        associated quandle respect the vertex rules, or None where a
+        translation that generates its components breaks one, as
+        ``coloring`` finds it.  Filled there and kept."""
+        return {}
+
+    @cached_property
+    def scope_problems(self) -> dict[str, tuple[str, ...]]:
+        """Per fuzzing scope, the problems ``moves.validate_scope`` finds
+        with the scope's hypotheses.  Filled there and kept."""
         return {}
 
     @cached_property

@@ -169,17 +169,16 @@ class OperationTable:
     @cached_property
     def weights(self) -> tuple[int, ...]:
         """The size of each component at its least element and 0
-        elsewhere: the weights ``solve.Problem.count`` sums over orbit
-        representatives.  Built on first use and kept."""
+        elsewhere.  Built on first use and kept."""
         weight, least = [0] * self.size, {}
         for a, orbit in enumerate(self.components):
             weight[least.setdefault(orbit, a)] += 1
         return tuple(weight)
 
     @cached_property
-    def translations(self) -> tuple[tuple[int, ...], ...]:
-        """The right translations R_y that generate the components: in
-        order of y, each kept if it merges orbits of those kept before it,
+    def generators(self) -> tuple[int, ...]:
+        """The y whose right translations R_y generate the components: in
+        order of y, each kept if R_y merges orbits of those kept before it,
         until the orbits are the components.  Built on first use and kept."""
         columns = self.columns
         parts = max(self.components) + 1
@@ -191,7 +190,7 @@ class OperationTable:
             return p
 
         orbits, kept = len(columns), []
-        for column in columns:
+        for y, column in enumerate(columns):
             if orbits == parts:
                 break
             before = orbits
@@ -201,8 +200,88 @@ class OperationTable:
                     parent[rp] = rq
                     orbits -= 1
             if orbits < before:
-                kept.append(column)
+                kept.append(y)
         return tuple(kept)
+
+    @cached_property
+    def _stabilisers(self) -> dict[tuple[int, ...], "Stabiliser"]:
+        return {}
+
+    def stabiliser(self, ys) -> "Stabiliser":
+        """The group generated by the right translations R_y, y in ys, at
+        the top of a chain of stabilisers.  They must be permutations that
+        generate the components, as every R_y of a quandle does, so its
+        orbits are the components, with their ``weights``.  Kept, with
+        every group below it, per set of ys."""
+        return self._stabiliser(tuple(ys), self.weights)
+
+    def _stabiliser(self, fixers: tuple[int, ...], weight=None) -> "Stabiliser":
+        groups = self._stabilisers
+        if fixers not in groups:
+            groups[fixers] = Stabiliser(self, fixers, weight)
+        return groups[fixers]
+
+
+class Stabiliser:
+    """The group generated by the right translations R_y of a table, for
+    y in ``fixers``, with the size of each of its orbits on the values at
+    the orbit's least element, 0 at its other elements and -1 where not
+    yet found.  ``solve.Problem`` counts down a chain of these: each
+    ``child`` is generated by the R_y here that fix one value more.
+
+    Orbits are found only for the values a search asks about, through
+    ``representatives``, and kept."""
+
+    __slots__ = ("table", "fixers", "moves", "weight", "_at", "_children", "_representatives")
+
+    def __init__(self, table: OperationTable, fixers: tuple[int, ...], weight=None) -> None:
+        self.table, self.fixers = table, fixers
+        identity = tuple(range(table.size))
+        self.moves = any(table.columns[y] != identity for y in fixers)
+        self.weight = [-1] * table.size if weight is None else list(weight)
+        # row a -> (a * y for y in fixers)
+        self._at = _composer(fixers) if fixers else lambda row: ()
+        self._children: dict[int, Stabiliser | None] = {}
+        self._representatives: dict = {}
+
+    def child(self, w: int) -> "Stabiliser | None":
+        """The group generated by the R_y here that fix w, that is with
+        w * y = w: this group when every one does, None when those that do
+        all act as the identity."""
+        children = self._children
+        if w not in children:
+            fixing = map(w.__eq__, self._at(self.table.entries[w]))
+            fixers = tuple(itertools.compress(self.fixers, fixing))
+            group = self
+            if len(fixers) < len(self.fixers):
+                group = self.table._stabiliser(fixers)
+            children[w] = group if group.moves else None
+        return children[w]
+
+    def representatives(self, candidates) -> tuple[int, ...]:
+        """The values of ``candidates``, a tuple or range that is a union
+        of orbits, that are least in their orbits, in the order given."""
+        reps = self._representatives.get(candidates)
+        if reps is None:
+            weight = self.weight
+            for c in candidates:
+                if weight[c] < 0:
+                    orbit = self.orbit(c)
+                    for b in orbit:
+                        weight[b] = 0
+                    weight[min(orbit)] = len(orbit)
+            reps = self._representatives[candidates] = tuple(c for c in candidates if weight[c])
+        return reps
+
+    def orbit(self, c: int) -> set[int]:
+        """The orbit of c: its closure under c -> c * y for y in ``fixers``."""
+        rows, at = self.table.entries, self._at
+        orbit, queue = {c}, [c]
+        while queue:
+            fresh = set(at(rows[queue.pop()])) - orbit
+            orbit |= fresh
+            queue.extend(fresh)
+        return orbit
 
 
 def table_from(size: int, op) -> OperationTable:
@@ -618,17 +697,17 @@ def hom_count(source: OperationTable, target: OperationTable, surjective_only: b
 
     When the target is a quandle its right translations are automorphisms,
     and composing with one keeps a map a homomorphism and keeps it
-    surjective.  So the maps are counted once per component of the target,
-    at its least element, and weighted by its size."""
+    surjective.  So the maps are counted down a chain of stabilisers of
+    the target's translations, starting once per component."""
     p = Problem(source.size, target.size)
     x_from = target.dual if is_right_invertible(target) else None
     for a, row in enumerate(source.entries):
         for b, c in enumerate(row):
             p.add_table(a, b, c, target, x_from)
     quandle = x_from is not None and validate_axioms(target, "quandle").valid
-    weight = target.weights if quandle else None
+    symmetry = (target, range(target.size)) if quandle else None
     onto = (lambda phi: len(set(phi)) == target.size) if surjective_only else None
-    return p.count(weight, onto)
+    return p.count(symmetry, onto)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quandlekit.coloring import (
     ColouringContext,
@@ -35,6 +37,7 @@ from quandlekit.systems import (
 from quandlekit.tables import (
     OperationTable,
     generated_subalgebra,
+    hom_count,
     symmetric_group,
     trivial_quandle,
     validate_axioms,
@@ -424,22 +427,33 @@ def test_orbit_sums_equal_plain_counts_on_random_diagrams():
         for sys_ in systems:
             assert assert_orbit_sums_match(d, sys_, 50_000)
             ctx = ColouringContext(d, sys_)
-            orbit_sums += ctx.orbit_weights() is not None
+            orbit_sums += ctx.symmetry() is not None
     # t2t2z2 alone takes the plain path
     assert orbit_sums == 600
 
 
 def recorded_roots(monkeypatch):
-    """The root restriction of every search ColouringContext starts."""
+    """The root variable of every search ColouringContext starts, with the
+    values it goes over; None for the plain search."""
     roots = []
     solutions = ColouringContext.solutions
 
-    def recording(self, root=None):
-        roots.append(root)
-        return solutions(self, root)
+    def recording(self, root=None, chain=None, skip=()):
+        # a chain's root goes over the representatives among its values
+        reads = root if root is None or chain is None else (
+            root[0], list(chain.representatives(root[1])))
+        roots.append(reads)
+        return solutions(self, root, chain, skip)
 
     monkeypatch.setattr(ColouringContext, "solutions", recording)
     return roots
+
+
+def s3_point_with_gamma3(t):
+    """The S3 point family with Gamma_3(a, b, c) = a b c t."""
+    mul = symmetric_group(3).table.entries
+    gamma3 = tuple(mul[mul[mul[a][b]][c]][t] for a in range(6) for b in range(6) for c in range(6))
+    return replace(S3_POINT, gamma=((3, gamma3),))
 
 
 def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
@@ -448,15 +462,14 @@ def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
     s3 = symmetric_group(3)
     mul = s3.table.entries
     t = next(g for g in range(6) if g != s3.identity and mul[g][g] == s3.identity)
-    gamma3 = [mul[mul[mul[a][b]][c]][t] for a in range(6) for b in range(6) for c in range(6)]
-    data = replace(S3_POINT, gamma=((3, tuple(gamma3)),))
+    data = s3_point_with_gamma3(t)
     graphs = [random_diagram(f"valence-{s}", 1, 2, (3, 4)) for s in range(12)]
     graphs = [g for g in graphs if g.vertices and all(v.valence == 4 for v in g.vertices)]
     graphs.append(random_diagram("valence-58", 2, 2, (3, 4)))
     roots = recorded_roots(monkeypatch)
     for g in graphs:
         ctx = ColouringContext(g, data)
-        assert ctx.orbit_weights() is None
+        assert ctx.symmetry() is None
         for mode in ("all", "generating"):
             assert count_colourings(g, data, mode) == brute_force_count(g, data, mode), (g, mode)
     assert len(roots) == 2 * len(graphs) and all(root is None for root in roots)
@@ -466,10 +479,11 @@ def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
     assert count_colourings(graphs[-1], data) == 108
     assert sum(weight[c[a]] for c in ctx.solutions((a, [0, 1, 3]))) == 126
     # the same family with the central t = 1 counts by orbits
-    central = replace(S3_POINT, gamma=((3, tuple(mul[mul[a][b]][c] for a in range(6)
-                                                  for b in range(6) for c in range(6))),))
+    central = s3_point_with_gamma3(s3.identity)
     ctx = ColouringContext(graphs[-1], central)
-    assert ctx.orbit_weights() == weight
+    assert ctx.symmetry() is not None
+    assert ctx.count(ctx.symmetry()) == brute_force_count(graphs[-1], central)
+    assert roots[-1] == (a, [0, 1, 3])
 
 
 def test_the_symmetry_check_reads_x_parts_and_rho():
@@ -483,7 +497,7 @@ def test_the_symmetry_check_reads_x_parts_and_rho():
     # orbit sum would count 12 colourings of theta, not 8
     odd = replace(T3R3, rho=((0, 1), (0, 1), (1, 0)))
     ctx = ColouringContext(diagram("theta"), odd)
-    assert ctx.orbit_weights() is None
+    assert ctx.symmetry() is None
     for mode in ("all", "generating"):
         assert count_colourings(diagram("theta"), odd, mode) == brute_force_count(
             diagram("theta"), odd, mode)
@@ -496,7 +510,7 @@ def test_singleton_components_take_the_plain_path(monkeypatch):
     roots = recorded_roots(monkeypatch)
     for name in ("theta", "mwuf", "athlete-happy"):
         d = diagram(name)
-        assert ColouringContext(d, t2).orbit_weights() is None
+        assert ColouringContext(d, t2).symmetry() is None
         assert count_colourings(d, t2) == brute_force_count(d, t2)
     assert roots == [None] * 3
     # by the S3 point family, the root arc goes over one element a component
@@ -612,3 +626,71 @@ def test_generating_counts_vanish_below_the_strand_classes(monkeypatch):
         searches = len(roots)
         assert count_colourings(diagram(name), S4_POINT, "generating") == 0
         assert len(roots) == searches
+
+
+# the vertex-breaking family of the test above, with a transposition t
+BREAKING = s3_point_with_gamma3(next(
+    g for g, row in enumerate(symmetric_group(3).table.entries) if g != 0 and row[g] == 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 2), st.booleans())
+def test_chain_counts_equal_brute_force_on_small_diagrams(seed, crossings, vertices, four):
+    d = random_diagram(f"chain-{seed}", crossings, vertices, (3, 4) if four else (3,))
+    assume(d.arc_count <= 5)
+    arities = {v.valence - 1 for v in d.vertices}
+    for sys_ in (T3R3, system("t2t2z2"), system("s3point"), S3_POINT, BREAKING):
+        if any(sys_.gamma_table(k) is None for k in arities):
+            continue
+        for mode in ("all", "generating"):
+            assert count_colourings(d, sys_, mode) == brute_force_count(d, sys_, mode), (
+                d, mode)
+
+
+def test_a_stabiliser_trivial_at_the_second_level_gives_the_one_level_count():
+    # R_0 and R_1 are the identity and R_2 swaps 0 and 1: components {0, 1}
+    # and {2}.  Only R_0 and R_1 fix 0, so the chain ends below the root,
+    # and below 2 every translation fixes it: the chain keeps the root's
+    # group, and the next level goes over {0, 2}
+    q = OperationTable(3, ((0, 0, 1), (1, 1, 0), (2, 2, 2)))
+    assert validate_axioms(q, "quandle").valid and q.weights == (2, 0, 1)
+    top = q.stabiliser(range(3))
+    assert top.child(0) is None and top.child(2) is top
+    data = quandle_system(q)
+    for name in ("trefoil", "hopf", "mlf", "mwf", "athlete-happy"):
+        d = diagram(name)
+        ctx = ColouringContext(d, data)
+        a = ctx.root_variable()
+        one_level = sum(q.weights[c[a]] for c in ctx.solutions((a, [0, 2])))
+        assert ctx.count(ctx.symmetry()) == one_level == brute_force_count(d, data), name
+
+
+def test_chain_reaches_fewer_leaves_than_colourings():
+    ctx = ColouringContext(diagram("theta"), S4_POINT)
+    assert ctx.count() == 576 and ctx.leaves == 576 and ctx.nodes > 0
+    assert ctx.count(ctx.symmetry()) == 576
+    assert 0 < ctx.leaves < 120 and 0 < ctx.nodes < ctx.leaves
+
+
+def test_homs_by_the_chain_equal_plain_counts_into_s4(monkeypatch):
+    # every count into S4, checked against the same problem counted with
+    # no symmetry
+    s4 = symmetric_group(4)
+    count, checked = Problem.count, []
+
+    def checking(self, symmetry=None, keep=None):
+        got = count(self, symmetry, keep)
+        if symmetry is not None:
+            checked.append(got)
+            assert got == count(self, None, keep)
+        return got
+
+    monkeypatch.setattr(Problem, "count", checking)
+    for name in ("unknot", "trefoil", "hopf", "theta", "mlf", "muf", "mwf", "mwuf",
+                 "athlete-happy", "athlete-unhappy"):
+        group_hom_count(wirtinger_presentation(diagram(name)), s4)
+    conj4 = s4.conjugation
+    for source in (ASSOC, associated_quandle(system("s3point"))[0], conj4):
+        for onto in (False, True):
+            hom_count(source, conj4, onto)
+    assert len(checked) == 16 and min(checked[:10]) > 0

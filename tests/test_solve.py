@@ -5,11 +5,12 @@ import itertools
 import math
 import sys
 
+from braids import closed_braid, measured_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import Timer
 
-from quandlekit.coloring import count_colourings
+from quandlekit.coloring import ColouringContext, brute_force_count, count_colourings
 from quandlekit.diagrams import Crossing, Diagram
 from quandlekit.fixtures import diagram, system
 from quandlekit.invariants import group_hom_count, wirtinger_presentation
@@ -105,11 +106,20 @@ def test_count_without_weights_is_the_number_of_solutions():
 def test_count_sums_the_root_weight_over_the_solutions():
     p = rooted_problem()
     plain = list(p.solutions())
-    for weight in ((3, 0, 0), (1, 1, 1), (0, 2, 5), (0, 0, 0)):
-        assert p.count(weight) == sum(weight[s[3]] for s in plain), weight
     # R3 is one component of 3 elements, and its translations map solutions
-    # to solutions: one representative weighted by 3 counts them all
-    assert p.count(dihedral_quandle(3).weights) == 27
+    # to solutions: the root goes over one representative weighted by 3
+    r3 = dihedral_quandle(3)
+    assert p.count((r3, range(3))) == len(plain) == 27
+    # below the root at 0 only R_0 fixes it, and R_0 swaps 1 and 2; below
+    # a second value the chain ends.  A leaf's weight is the product of
+    # its orbit sizes: 3 for the root's component, then 1 or 2
+    below = r3.stabiliser(range(3)).child(0)
+    assert below.fixers == (0,) and below.representatives(range(3)) == (0, 1)
+    leaves = list(p.solutions((3, range(3)), r3.stabiliser(range(3)), (4,)))
+    assert leaves == [(3, (0, 0, 0, 0, -1)), (6, (0, 1, 2, 0, -1))]
+    # the free variable 4, left unskipped, is branched below the chain's end
+    leaves = list(p.solutions((3, range(3)), r3.stabiliser(range(3))))
+    assert sum(w for w, _ in leaves) == 27 and len(leaves) == 5
 
 
 def test_count_with_the_root_fixed_before_any_branching():
@@ -119,21 +129,22 @@ def test_count_with_the_root_fixed_before_any_branching():
     p.add_rule([0], lambda values, i: 1, [0])
     p.add_table(0, 0, 1, dihedral_quandle(3))
     assert p.root_variable() == 1
-    assert p.count() == 3
-    assert p.count((2, 5, 0)) == 15  # every solution has variable 1 at 1
-    assert p.count((1, 0, 2)) == 0
-    # Conj(S3), with variable 0 fixed to the identity, a class of one
+    assert p.count() == 3 and p.leaves == 1
+    # the free variable is searched only when keep reads it
+    assert p.count(keep=lambda s: s[2] != 1) == 2 and p.leaves == 3
+    # Conj(S3), with variable 0 fixed to the identity, a class of one: the
+    # rule commutes with conjugation, as the symmetry must
     conj = conjugation_quandle(S3)
     p = Problem(2, 6)
     p.add_rule([0], lambda values, i: S3.identity, [0])
     p.add_table(0, 0, 1, conj)
     assert p.root_variable() == 1
-    assert p.count(conj.weights) == p.count() == 1
+    assert p.count((conj, range(6))) == p.count() == 1
 
 
 def test_zero_variables_count_one():
     assert Problem(0, 4).count() == 1
-    assert Problem(0, 4).count((1, 1, 2, 0)) == 1
+    assert Problem(0, 4).count((dihedral_quandle(4), range(4))) == 1
     assert Problem(0, 4).count(keep=lambda s: s == ()) == 1
     assert Problem(0, 4).count(keep=lambda s: False) == 0
 
@@ -144,7 +155,26 @@ def test_keep_filters_the_solutions():
     plain = list(p.solutions())
     keep = lambda s: s[4] != s[0]  # noqa: E731
     assert p.count(keep=keep) == sum(map(keep, plain)) == 18
-    assert p.count((3, 0, 1), keep) == sum((3, 0, 1)[s[3]] for s in plain if keep(s))
+    # keep is read on full assignments: the free variable 4 is branched
+    # over, and R3's translations keep s[4] != s[0]
+    assert p.count((dihedral_quandle(3), range(3)), keep) == 18
+
+
+def test_free_variables_are_a_factor_and_not_searched():
+    p = rooted_problem()
+    assert p.count() == 27 and p.leaves == 9
+    p.count(keep=lambda s: True)
+    assert p.leaves == 27
+    assert Problem(3, 4).count() == 64 and Problem(3, 4).leaves == 0
+    # mwuf's arc 3 is a free circle, and generating mode reads every arc,
+    # so it searches that circle
+    mwuf = diagram("mwuf")
+    for mode in ("all", "generating"):
+        assert count_colourings(mwuf, S3_POINT, mode) == brute_force_count(mwuf, S3_POINT, mode)
+    # by P5, arcs 0 to 2 alone have 14,400 colourings, each met 120 times
+    # when the circle is branched over
+    ctx = ColouringContext(mwuf, p5())
+    assert ctx.count(ctx.symmetry()) == 1728000 and ctx.leaves < 14400
 
 
 @st.composite
@@ -246,18 +276,34 @@ def test_handcuff_graphs_by_the_conjugation_quandle_of_s5():
         assert count_colourings(diagram("athlete-happy"), conj_s5) == 840
 
 
+def p5():
+    """P5, the G-family of one-point trivial quandles over S5, whose
+    product is Conj(S5)."""
+    s5 = symmetric_group(5)
+    return g_family_system(tuple(trivial_quandle(1) for _ in range(s5.size)), s5)
+
+
 def test_one_point_family_over_s5():
     # P5: its product is Conj(S5), which has 7 components, so a diagram of
     # fewer arcs has no generating colouring and no search is made
-    s5 = symmetric_group(5)
-    p5 = g_family_system(tuple(trivial_quandle(1) for _ in range(s5.size)), s5)
+    data = p5()
     with Timer(3.0):
-        assert count_colourings(diagram("athlete-happy"), p5) == 28680
-    # counted once per component of the root arc's colour
+        assert count_colourings(diagram("athlete-happy"), data) == 28680
+    # counted down the chain of centralisers from the root arc's class
     with Timer(3.0):
-        assert count_colourings(diagram("mwf"), p5) == 184800
+        assert count_colourings(diagram("mwf"), data) == 184800
     with Timer(3.0):
-        assert count_colourings(diagram("mwf"), p5, "generating") == 0
+        assert count_colourings(diagram("mwf"), data, "generating") == 0
     for name in ("mwuf", "theta", "athlete-unhappy"):
         with Timer(0.1):
-            assert count_colourings(diagram(name), p5, "generating") == 0
+            assert count_colourings(diagram(name), data, "generating") == 0
+
+
+def test_closed_braids_by_the_one_point_family_over_s5():
+    # the 24-crossing closed 4- and 5-braids of ROADMAP.md's "Measured
+    # state", counted down the chain of centralisers in S5
+    data = p5()
+    _, (k4, word4), (k5, word5) = measured_words()
+    with Timer(5.0):
+        assert count_colourings(closed_braid(k4, word4), data) == 275520
+        assert count_colourings(closed_braid(k5, word5), data) == 34920

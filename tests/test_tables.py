@@ -296,13 +296,17 @@ def test_orbit_weights_are_class_sizes_at_least_elements():
 
 
 def recorded_roots(monkeypatch):
-    """The root restriction of every search a Problem starts."""
+    """The root variable of every search a Problem starts, with the values
+    it goes over; None for the plain search."""
     roots = []
     solutions = Problem.solutions
 
-    def recording(self, root=None):
-        roots.append(root)
-        return solutions(self, root)
+    def recording(self, root=None, chain=None, skip=()):
+        # a chain's root goes over the representatives among its values
+        reads = root if root is None or chain is None else (
+            root[0], list(chain.representatives(root[1])))
+        roots.append(reads)
+        return solutions(self, root, chain, skip)
 
     monkeypatch.setattr(Problem, "solutions", recording)
     return roots

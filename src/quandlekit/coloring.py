@@ -19,7 +19,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .diagrams import IN, Diagram, validate_diagram
+from .diagrams import IN, Diagram
 from .solve import Problem
 from .systems import SystemData, associated_quandle
 from .tables import (
@@ -53,9 +53,6 @@ class ColouringContext(Problem):
     are then no invariant."""
 
     def __init__(self, d: Diagram, sys: SystemData):
-        report = validate_diagram(d)
-        if not report.valid:
-            raise ValueError(f"invalid diagram: {report.violations[:4]}")
         self.system = sys
         self.product, axioms = associated_quandle(sys)
         if not axioms.valid:
@@ -289,8 +286,6 @@ def brute_force_count(d: Diagram, sys: SystemData, mode: str = "all") -> int:
     product (x, g).(y, h) = (x *_{f(g,h)} y, g (x) h) and the vertex rule,
     both taken straight from the system, and close images under that
     product for ``generating``.  Only usable for small diagrams."""
-    if not validate_diagram(d).valid:
-        raise ValueError("invalid diagram")
     if sys.otimes is None:
         raise ValueError("system has neither otimes nor a group")
     n, size = sys.g_size, sys.x_size * sys.g_size

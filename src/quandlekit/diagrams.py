@@ -4,6 +4,9 @@ An arc runs from its producer to its consumer.  Producers are a crossing's
 under_out slot or a vertex out-end; consumers are an under_in slot or a
 vertex in-end.  An arc with neither is a free loop (it may still pass over
 crossings).  Vertex ends are stored in cyclic order.
+
+A ``Diagram`` checks itself when it is built, so every function that
+takes one trusts it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ class Diagram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "crossings", tuple(self.crossings))
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        report = validate_diagram(self)
+        if not report.valid:
+            raise ValueError(f"invalid diagram: {report.violations[:4]}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,13 @@ class Edge:
 
 
 def validate_diagram(d: Diagram) -> AxiomReport:
-    """Check index ranges, valences and the one-producer/one-consumer (or
-    free loop) rule for every arc."""
+    """The constructor's check of a ``Diagram``: a non-negative arc count,
+    index ranges and the one-producer/one-consumer (or free loop) rule
+    for every arc."""
     rb = ReportBuilder()
     n = d.arc_count
+    if n < 0:
+        rb.hit("arc-count", (n,))
     producers = [0] * n
     consumers = [0] * n
 
@@ -88,8 +97,6 @@ def validate_diagram(d: Diagram) -> AxiomReport:
         if 0 <= c.under_out < n:
             producers[c.under_out] += 1
     for vi, v in enumerate(d.vertices):
-        if v.valence < 3:
-            rb.hit("valence", (vi,))
         for a, direction in v.ends:
             if check_range(a, vi):
                 if direction == IN:
@@ -112,12 +119,14 @@ def parse_diagram(text: str) -> Diagram:
     arc_count = None
     crossings: list[Crossing] = []
     vertices: list[Vertex] = []
+    loops: list[tuple[int, int, int]] = []  # (arc, line, column)
     for lineno, line in _content_lines(text):
         toks = line.split()
         kind = toks[0]
         if arc_count is None:
             if kind != "arcs" or len(toks) != 2:
                 raise ParseError("expected header 'arcs <N>'", lineno, 1)
+            header = lineno
             try:
                 arc_count = int(toks[1])
             except ValueError:
@@ -184,20 +193,27 @@ def parse_diagram(text: str) -> Diagram:
             # optional annotation for free loops; free-loopness is structural
             if len(toks) != 2:
                 raise ParseError("expected 'loop <a>'", lineno, 1)
-            arc_of(toks[1], "loop")
+            loops.append((arc_of(toks[1], "loop"), lineno, line.find(toks[1]) + 1))
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno, 1)
     if arc_count is None:
         raise ParseError("empty diagram file", 1)
-    return Diagram(arc_count, tuple(crossings), tuple(vertices))
+    ended = {a for c in crossings for a in (c.under_in, c.under_out)}
+    ended.update(a for v in vertices for a, _ in v.ends)
+    for a, lineno, column in loops:
+        if a in ended:
+            raise ParseError(f"arc {a} has an end, so it is no free loop", lineno, column)
+    try:
+        return Diagram(arc_count, tuple(crossings), tuple(vertices))
+    except ValueError as exc:
+        # every check that a single record can fail is made above; what is
+        # left spans records, such as an arc consumed twice
+        raise ParseError(str(exc), header) from None
 
 
 def serialize_diagram(d: Diagram) -> str:
-    """Canonical text; loop annotations are omitted (free loops are the
-    arcs no record mentions)."""
-    report = validate_diagram(d)
-    if not report.valid:
-        raise ValueError(f"invalid diagram: {report.violations[:4]}")
+    """Canonical text; loop annotations are omitted (a free loop is an
+    arc with neither end)."""
     lines = [f"arcs {d.arc_count}"]
     for c in d.crossings:
         sign = "+" if c.sign > 0 else "-"
@@ -218,9 +234,6 @@ def compute_edges(d: Diagram) -> list[Edge]:
     """Partition the arcs into graph edges by chaining through
     undercrossings; deterministic order (vertex-anchored edges first by
     start position, then closed loops by smallest arc)."""
-    report = validate_diagram(d)
-    if not report.valid:
-        raise ValueError(f"invalid diagram: {report.violations[:4]}")
     # arc -> following arc through its consuming crossing
     next_arc = {c.under_in: c.under_out for c in d.crossings}
     vertex_end = {}  # arc -> (vertex, position, direction)
@@ -420,12 +433,13 @@ class _Work:
                     ends[i] = (arc, OUT if direction == IN else IN)
 
     def finalize(self) -> tuple[Diagram, dict[int, int]]:
-        """The edited diagram and the new index of every surviving token:
-        original arcs first in their old order, then the created ones."""
+        """The edited diagram, which checks itself, and the new index of
+        every surviving token: original arcs first in their old order,
+        then the created ones."""
         tokens = sorted(t for t in self.alive if t < self.original)
         tokens += [t for t in self.created if t in self.alive]
         index = {t: i for i, t in enumerate(tokens)}
-        d = Diagram(
+        return Diagram(
             arc_count=len(tokens),
             crossings=tuple(
                 Crossing(index[c["over"]], index[c["under_in"]], index[c["under_out"]], c["sign"])
@@ -435,11 +449,7 @@ class _Work:
                 Vertex(tuple((index[a], direction) for a, direction in ends))
                 for ends in self.vertices
             ),
-        )
-        report = validate_diagram(d)
-        if not report.valid:
-            raise AssertionError(f"edit produced an invalid diagram: {report.violations[:4]}")
-        return d, index
+        ), index
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagrams import IN, Diagram, compute_edges, delete_edges, validate_diagram
+from .diagrams import IN, Diagram, compute_edges, delete_edges
 from .solve import Problem
 from .tables import GroupTable, ParseError, _content_lines
 
@@ -68,9 +68,6 @@ class LinkingMatrix:
 
 
 def wirtinger_presentation(d: Diagram) -> GroupPresentation:
-    report = validate_diagram(d)
-    if not report.valid:
-        raise ValueError(f"invalid diagram: {report.violations[:4]}")
     relators: list[tuple[Letter, ...]] = []
     for c in d.crossings:
         if c.sign > 0:
@@ -212,9 +209,6 @@ def kauffman_constituents(d: Diagram) -> list[Diagram]:
     """For every choice of two edge-ends per trivalent vertex whose induced
     deletion leaves each vertex 2-valent, delete the unchosen edges.  The
     multiset ranges over choice functions."""
-    report = validate_diagram(d)
-    if not report.valid:
-        raise ValueError(f"invalid diagram: {report.violations[:4]}")
     for v in d.vertices:
         if v.valence != 3:
             raise ValueError("constituent links require trivalent vertices")

@@ -237,6 +237,18 @@ def test_resolve_calls_the_parser_bound_at_call_time(tmp_path, monkeypatch):
     assert seen == [path.read_text()]
 
 
+def test_color_of_a_diagram_with_an_arc_consumed_twice_is_a_parse_error(tmp_path, capsys):
+    broken = tmp_path / "broken.diagram"
+    broken.write_text(
+        "arcs 2\n"
+        "crossing over=1 under_in=0 under_out=1 sign=+\n"
+        "crossing over=1 under_in=0 under_out=1 sign=-\n"
+    )
+    code, out, err = run(capsys, "color", str(broken), "systems:t3r3z2")
+    assert code == 2 and not out
+    assert "arc-consumers" in err and "line 1" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit import diagrams
+from quandlekit.coloring import count_colourings
 from quandlekit.diagrams import (
     Crossing,
     Diagram,
@@ -12,9 +16,9 @@ from quandlekit.diagrams import (
     serialize_diagram,
     validate_diagram,
 )
-from quandlekit.fixtures import DIAGRAMS, diagram
-from quandlekit.invariants import linking_matrix
-from quandlekit.moves import random_diagram
+from quandlekit.fixtures import DIAGRAMS, diagram, system
+from quandlekit.invariants import linking_matrix, wirtinger_presentation
+from quandlekit.moves import MoveSpec, apply_move, random_diagram
 from quandlekit.tables import ParseError
 
 
@@ -41,6 +45,20 @@ def test_loop_annotation_is_accepted():
     d = parse_diagram("arcs 2\nloop 0\nloop 1\n")
     assert d.arc_count == 2
     assert serialize_diagram(d) == "arcs 2\n"
+
+
+def test_a_loop_annotation_on_an_arc_with_an_end_is_a_parse_error_at_its_line():
+    for text, line in (
+        ("arcs 1\ncrossing over=0 under_in=0 under_out=0 sign=+\nloop 0\n", 3),
+        ("arcs 2\nloop 1\ncrossing over=1 under_in=0 under_out=0 sign=+\nloop 0\n", 4),
+        ("arcs 3\nloop 2\nvertex ends=0:out,1:in,2:in\nvertex ends=0:in,1:out,2:out\n", 2),
+    ):
+        with pytest.raises(ParseError, match="no free loop") as err:
+            parse_diagram(text)
+        assert err.value.line == line, text
+    # an arc that only passes over crossings is still a free loop
+    d = parse_diagram("arcs 2\ncrossing over=1 under_in=0 under_out=0 sign=+\nloop 1\n")
+    assert serialize_diagram(d) == "arcs 2\ncrossing over=1 under_in=0 under_out=0 sign=+\n"
 
 
 def test_parse_errors_report_location():
@@ -101,15 +119,52 @@ def test_single_token_diagram_mutations_parse_or_raise_parse_error_with_a_line(n
 
 
 def test_validate_rejects_double_consumption():
-    d = Diagram(
-        3,
-        (Crossing(0, 1, 2, 1),),
-        (Vertex(((1, "in"), (2, "out"), (0, "in"))),),
-    )
-    report = validate_diagram(d)
-    assert not report.valid
-    witnesses = {w for axiom, w in report.violations if axiom == "arc-consumers"}
-    assert (1,) in witnesses
+    with pytest.raises(ValueError, match=r"'arc-consumers', \(1,\)"):
+        Diagram(
+            3,
+            (Crossing(0, 1, 2, 1),),
+            (Vertex(((1, "in"), (2, "out"), (0, "in"))),),
+        )
+
+
+def test_a_negative_arc_count_is_refused():
+    with pytest.raises(ValueError, match=r"'arc-count', \(-1,\)"):
+        Diagram(-1, (), ())
+
+
+def test_structural_violations_are_parse_errors_at_the_header_line():
+    for text, axiom in (
+        # arc 0 consumed by both crossings
+        (
+            "arcs 2\ncrossing over=1 under_in=0 under_out=1 sign=+\n"
+            "crossing over=1 under_in=0 under_out=1 sign=-\n",
+            r"'arc-consumers', \(0,\)",
+        ),
+        # arc 1 produced but never consumed
+        ("arcs 2\ncrossing over=1 under_in=0 under_out=1 sign=+\n", r"'arc-producers', \(1,\)"),
+    ):
+        with pytest.raises(ParseError, match=axiom) as err:
+            parse_diagram(text)
+        assert err.value.line == 1, text
+        with pytest.raises(ParseError) as err:
+            parse_diagram("# a comment\n\n" + text)
+        assert err.value.line == 3, text
+
+
+def test_a_built_diagram_is_trusted_and_only_an_edit_result_is_checked():
+    d = diagram("theta")
+    t3r3 = system("t3r3z2")
+    with mock.patch.object(
+        diagrams, "validate_diagram", wraps=diagrams.validate_diagram
+    ) as spy:
+        count_colourings(d, t3r3)
+        wirtinger_presentation(d)
+        serialize_diagram(d)
+        compute_edges(d)
+        assert spy.call_count == 0
+        out = apply_move(d, MoveSpec("vertex_rotate", 0, params={"direction": 1})).diagram
+        assert spy.call_count == 1
+        assert spy.call_args.args == (out,)
 
 
 def test_all_fixtures_are_valid():

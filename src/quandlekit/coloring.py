@@ -24,6 +24,7 @@ from .solve import Problem
 from .systems import SystemData, associated_quandle
 from .tables import (
     AxiomReport,
+    Lines,
     OperationTable,
     ReportBuilder,
     Stabiliser,
@@ -147,19 +148,21 @@ class ColouringContext(Problem):
         flat_rho = self.system.flat_rho
         if list(map(sigma.__getitem__, flat_rho)) != list(map(flat_rho.__getitem__, sigma)):
             return False
+        # Gamma as rows over its last argument: row i fixes the arguments
+        # before it to prefix i
+        gammas = {}
+        for k in self.arities:
+            flat = self.system.gamma_table(k)
+            gammas[k] = Lines([flat[i : i + n] for i in range(0, len(flat), n)], n)
         for start in range(0, self.carrier, n):
             s = [p % n for p in sigma[start : start + n]]
-            for k in self.arities:
-                flat = self.system.gamma_table(k)
-                # Gamma as rows over its last argument: row i fixes the
-                # arguments before it to prefix i, row lift[i] to their images
+            for k, rows in gammas.items():
+                # row lift[i] fixes those arguments to the images of prefix i
                 lift = [0]
                 for _ in range(k - 1):
                     lift = [a * n + t for a in lift for t in s]
-                for i, j in enumerate(lift):
-                    row, image = flat[i * n : i * n + n], flat[j * n : j * n + n]
-                    if list(map(image.__getitem__, s)) != list(map(s.__getitem__, row)):
-                        return False
+                if rows.after(s) != rows.before(s, lift):
+                    return False
         return True
 
     def symmetry(self) -> tuple[OperationTable, Sequence[int]] | None:

@@ -132,7 +132,7 @@ class SystemData:
         object.__setattr__(self, "gamma", gamma)
         if self.oplus is not None:
             for k, flat in gamma:
-                if k == 2 and flat != tuple(v for row in self.oplus.entries for v in row):
+                if k == 2 and flat != tuple(chain.from_iterable(self.oplus.entries)):
                     raise ValueError("arity-2 gamma must agree with oplus")
         if self.rho is not None:
             rows = tuple(tuple(r) for r in self.rho)
@@ -154,7 +154,7 @@ class SystemData:
     def _gammas(self) -> dict[int, tuple[int, ...]]:
         gammas = dict(self.gamma)
         if 2 not in gammas and self.oplus is not None:
-            gammas[2] = tuple(v for row in self.oplus.entries for v in row)
+            gammas[2] = tuple(chain.from_iterable(self.oplus.entries))
         return gammas
 
     def gamma_table(self, arity: int) -> tuple[int, ...] | None:
@@ -993,7 +993,7 @@ def parse_system(text: str) -> SystemData:
                 )
             once(f"gamma {k}", lineno)
             rows, pos = _read_matrix(lines, pos + 1, n ** (k - 1), n, n, f"gamma {k}")
-            gamma.append((k, tuple(v for row in rows for v in row)))
+            gamma.append((k, tuple(chain.from_iterable(rows))))
             if k == 2:
                 gamma_line = lineno
         else:

@@ -18,6 +18,7 @@ from .solve import Problem
 
 MAX_WITNESSES = 16  # per axiom id, keeps reports bounded
 SCAN_BELOW = 8  # validate_axioms scans smaller tables element by element
+BYTE_LINES_UP_TO = 256  # ``Lines`` of maps on at most this many elements are bytes
 
 
 class ParseError(ValueError):
@@ -122,6 +123,19 @@ class OperationTable:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """``columns[j][i] = i * j``, built on first use and kept."""
         return tuple(zip(*self.entries))
+
+    @cached_property
+    def _lines(self) -> dict[tuple[str, bool], "Lines"]:
+        return {}
+
+    def lines(self, side: str) -> "Lines":
+        """The ``rows`` or the ``columns`` as ``Lines``, built on first use
+        and kept per representation, which BYTE_LINES_UP_TO picks."""
+        key = (side, self.size <= BYTE_LINES_UP_TO)
+        if key not in self._lines:
+            lines = self.entries if side == "rows" else self.columns
+            self._lines[key] = Lines(lines, self.size)
+        return self._lines[key]
 
     @cached_property
     def _row_factors(self) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -312,32 +326,117 @@ def _composer(p: tuple[int, ...]):
     return itemgetter(*p)
 
 
+class Lines:
+    """Lines of n entries each -- the rows or the columns of a table, the
+    rows of a flat Gamma table -- that are maps of range(n) into itself,
+    held so that whole lines compose at C speed.  ``after``, ``before``
+    and ``pick`` return their lines joined end to end, so two results
+    compare whole and line j is the slice [j * n, (j + 1) * n).
+
+    With n <= BYTE_LINES_UP_TO a line is bytes, and q o p, the line
+    i -> q[p[i]], is ``p.translate(q padded to 256)``.  A byte cannot hold
+    larger values, so larger lines stay tuples, composed by ``itemgetter``.
+    """
+
+    __slots__ = ("n", "lines", "flat", "_tables", "_range", "_after")
+
+    def __init__(self, lines, n: int) -> None:
+        self.n = n
+        if n <= BYTE_LINES_UP_TO:
+            self.lines = list(map(bytes, lines))
+            self.flat = b"".join(self.lines)
+            pad = bytes(256 - n)
+            # line q as the table that maps p to q o p
+            self._tables = [line + pad for line in self.lines]
+            self._range = bytes(range(n))
+        else:
+            self.lines = list(map(tuple, lines))
+            self.flat = tuple(itertools.chain.from_iterable(self.lines))
+            self._after = None
+
+    @property
+    def as_bytes(self) -> bool:
+        return type(self.flat) is bytes
+
+    def after(self, q):
+        """q o p for every line p, in order."""
+        if self.as_bytes:
+            return self.flat.translate(bytes(q) + bytes(256 - self.n))
+        if self._after is None:
+            self._after = _composer(self.flat)
+        return self._after(q)
+
+    def before(self, p, picks):
+        """lines[m] o p for every m in ``picks``, in order."""
+        if self.as_bytes:
+            return b"".join(map(bytes(p).translate, map(self._tables.__getitem__, picks)))
+        composed = map(_composer(p), map(self.lines.__getitem__, picks))
+        return tuple(itertools.chain.from_iterable(composed))
+
+    def pick(self, picks):
+        """lines[m] for every m in ``picks``, in order."""
+        joined = map(self.lines.__getitem__, picks)
+        return b"".join(joined) if self.as_bytes else tuple(itertools.chain.from_iterable(joined))
+
+    def inverse(self, j):
+        """The inverse of line j as a line, or None if line j is not a
+        permutation."""
+        line, n = self.lines[j], self.n
+        if self.as_bytes:
+            # a value missing from the line maps to itself, which the line
+            # does not map back to it
+            inverse = bytes.maketrans(line, self._range)[:n]
+            return inverse if inverse.translate(self._tables[j]) == self._range else None
+        if len(set(line)) < n:
+            return None
+        inverse = [0] * n
+        for i, v in enumerate(line):
+            inverse[v] = i
+        return tuple(inverse)
+
+
 def _close(lines, members: set[int], new: set[int]) -> None:
     """Add the elements of ``new`` to ``members``, a set closed under some
     operations that holds none of them, and close it again.
 
-    ``lines`` holds the rows and the columns of each operation, so the
-    products a*b and b*a of an element a with every member b are read off
-    row a and column a.  Each element meets the members once, when it
-    leaves the queue, so closing one element at a time costs no more than
-    closing all at once.
+    ``lines`` holds the ``Lines`` of the rows and of the columns of each
+    operation, so the products a*b and b*a of an element a with every
+    member b are read off row a and column a.  Each element meets the
+    members once, when it leaves the queue, so closing one element at a
+    time costs no more than closing all at once.
     """
     members |= new
     queue = list(new)
+    if lines[0].as_bytes:
+        # the members in order of arrival; the products of a with all of
+        # them are read off at once, and the members deleted from those
+        order = bytearray(members)
+        tables = [line._tables for line in lines]
+        while queue:
+            a = queue.pop()
+            fresh = b"".join([order.translate(table[a]) for table in tables])
+            fresh = fresh.translate(None, order)
+            if fresh:
+                fresh = set(fresh)
+                members |= fresh
+                order.extend(fresh)
+                queue.extend(fresh)
+        return
     while queue:
         a = queue.pop()
         at_members = _composer(tuple(members))
         fresh: set[int] = set()
         for line in lines:
-            fresh.update(at_members(line[a]))
+            fresh.update(at_members(line.lines[a]))
         fresh -= members
         members |= fresh
         queue.extend(fresh)
 
 
 def _mismatches(n: int, lhs, rhs, lines) -> list[tuple[int, list[int]]]:
-    """Where lhs(k)[j] != rhs(k)[j] over every k < n, as (j, [k, ...])
-    pairs in increasing order of j and of k.
+    """Where line j of lhs(k) differs from line j of rhs(k) over every
+    k < n, as (j, [k, ...]) pairs in increasing order of j and of k.  Each
+    side is n lines of n entries joined end to end, as ``Lines`` gives.
 
     When ``lines`` is not empty, the k with lhs(k) == rhs(k) must form a
     set closed under its operations.  Then every k inside the closure of
@@ -350,8 +449,8 @@ def _mismatches(n: int, lhs, rhs, lines) -> list[tuple[int, list[int]]]:
             continue
         left, right = lhs(k), rhs(k)
         if left != right:
-            for j, (a, b) in enumerate(zip(left, right)):
-                if a != b:
+            for j, start in enumerate(range(0, n * n, n)):
+                if left[start : start + n] != right[start : start + n]:
                     ks.setdefault(j, []).append(k)
         elif lines:
             _close(lines, good, {k})
@@ -399,11 +498,12 @@ def _associativity_misses(table: OperationTable, middle: OperationTable | None =
         candidates = [(x, range(n)) for x in range(n)]
     else:
         cols = table.columns
+        rows = table.lines("rows")
         candidates = _mismatches(
             n,
-            lambda a: list(map(e.__getitem__, cols[a])),
-            lambda a: list(map(_composer(m[a]), e)),
-            (e, cols) if middle is None else (),
+            lambda a: rows.pick(cols[a]),
+            lambda a: rows.before(m[a], range(n)),
+            (rows, table.lines("columns")) if middle is None else (),
         )
     return _assoc_witnesses(e, m, candidates)
 
@@ -446,29 +546,28 @@ def validate_axioms(table: OperationTable, profile: str, identity: int | None = 
             if e[i][i] != i:
                 rb.hit("Q1", (i,))
     if profile in ("quandle", "rack", "kei"):
+        columns = table.lines("columns")
+        inverses = list(map(columns.inverse, range(n)))
         permutes = True
-        for j, col in enumerate(cols):
-            if len(set(col)) < n:
+        for j, inverse in enumerate(inverses):
+            if inverse is None:
                 permutes = False
                 rb.hit("Q2", (j, *_column_collision(table, j)))
         candidates = everything
         if candidates is None:
-            after = [_composer(col) for col in cols]
             # column j of each side: (i*j)*k against (i*k)*(j*k) over i.
             # When every R_k is a bijection, the k whose R_k is an
             # automorphism are closed under *: R_{a*b} = R_b R_a R_b^-1.
             candidates = _mismatches(
                 n,
-                lambda k: [g(cols[k]) for g in after],
-                lambda k: list(map(after[k], after[k](cols))),
-                (e, cols) if permutes else (),
+                lambda k: columns.after(cols[k]),
+                lambda k: columns.before(cols[k], cols[k]),
+                (table.lines("rows"), columns) if permutes else (),
             )
         rb.hit_first("Q3", _q3_witnesses(e, candidates))
         if profile == "kei":
-            # K4 can fail only in a column that, composed with itself, is
-            # not the identity map
-            ident = tuple(range(n))
-            k4_columns = [j for j, col in enumerate(cols) if _composer(col)(col) != ident]
+            # K4 can fail only in a column that is not its own inverse
+            k4_columns = [j for j, inverse in enumerate(inverses) if inverse != columns.lines[j]]
             rb.hit_first(
                 "K4", ((i, j) for i in range(n) for j in k4_columns if e[e[i][j]][j] != i)
             )
@@ -661,16 +760,10 @@ def dual_operation(table: OperationTable) -> OperationTable:
 
     Requires every right translation to be a permutation.
     """
-    n = table.size
-    inverses = []
-    for j, col in enumerate(table.columns):
-        if len(set(col)) < n:
-            raise ValueError(f"column {j} is not a permutation; dual undefined")
-        inverse = [0] * n
-        for i, v in enumerate(col):
-            inverse[v] = i
-        inverses.append(inverse)
-    return OperationTable._trusted(n, tuple(zip(*inverses)))
+    inverses = list(map(table.lines("columns").inverse, range(table.size)))
+    if None in inverses:
+        raise ValueError(f"column {inverses.index(None)} is not a permutation; dual undefined")
+    return OperationTable._trusted(table.size, tuple(zip(*inverses)))
 
 
 def generated_subalgebra(table: OperationTable, seeds) -> tuple[int, ...]:
@@ -687,7 +780,7 @@ def generated_subalgebra(table: OperationTable, seeds) -> tuple[int, ...]:
         if not 0 <= s < table.size:
             raise ValueError(f"seed {s} out of range")
     members: set[int] = set()
-    _close((table.entries, table.columns), members, seeds)
+    _close((table.lines("rows"), table.lines("columns")), members, seeds)
     return tuple(sorted(members))
 
 

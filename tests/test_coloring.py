@@ -1,6 +1,7 @@
 import itertools
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -502,6 +503,82 @@ def test_the_symmetry_check_reads_x_parts_and_rho():
         assert count_colourings(diagram("theta"), odd, mode) == brute_force_count(
             diagram("theta"), odd, mode)
     assert count_colourings(diagram("theta"), odd) == 8
+
+
+# two trivalent and two four-valent vertices: the rules read Gamma_2 and Gamma_3
+MIXED = random_diagram("mixed-1", 1, 4, (3, 4))
+
+
+def plain_respects(ctx, sigma):
+    """``respects_vertex_rules`` as its docstring says it, element by
+    element: sigma keeps X blocks whole, commutes with the flattened rho,
+    and its G part at each x commutes with every Gamma the rules read."""
+    data, n = ctx.system, ctx.g_size
+    if any(sigma[p] // n != sigma[p - p % n] // n for p in range(ctx.carrier)):
+        return False
+    rho = data.flat_rho
+    if any(sigma[rho[p]] != rho[sigma[p]] for p in range(ctx.carrier)):
+        return False
+    for x in range(data.x_size):
+        s = [sigma[x * n + g] % n for g in range(n)]
+        for k in ctx.arities:
+            flat = data.gamma_table(k)
+            for gs in itertools.product(range(n), repeat=k):
+                at = image = 0
+                for g in gs:
+                    at, image = at * n + g, image * n + s[g]
+                if flat[image] != s[flat[at]]:
+                    return False
+    return True
+
+
+def rho_respecting(data, rng):
+    """A permutation of the carrier that keeps X blocks whole and commutes
+    with the flattened rho, or None where the rho_x it would have to match
+    have different numbers of fixed points."""
+    n, m = data.g_size, data.x_size
+    tau = rng.sample(range(m), m)
+    sigma = []
+    for x in range(m):
+        src, dst = data.rho[x], data.rho[tau[x]]
+        fixed = [[g for g in range(n) if r[g] == g] for r in (src, dst)]
+        pairs = [[g for g in range(n) if r[g] > g] for r in (src, dst)]
+        if len(fixed[0]) != len(fixed[1]):
+            return None
+        rng.shuffle(fixed[1])
+        rng.shuffle(pairs[1])
+        s = dict(zip(*fixed))
+        for g, h in zip(*pairs):
+            h = dst[h] if rng.random() < 0.5 else h
+            s[g], s[src[g]] = h, dst[h]
+        sigma += [tau[x] * n + s[g] for g in range(n)]
+    return tuple(sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-1, 5), st.integers(0, 2), st.integers(0, 10**6))
+def test_the_symmetry_check_equals_a_plain_check_of_its_conditions(t, kind, seed):
+    from quandlekit import tables
+
+    # t3r3z2 on theta (three X blocks, Gamma_2), or the S3 point family
+    # with Gamma_3(a, b, c) = a b c t on MIXED (Gamma_2 and Gamma_3)
+    d, data = (diagram("theta"), T3R3) if t < 0 else (MIXED, s3_point_with_gamma3(t))
+    ctx = ColouringContext(d, data)
+    assert ctx.arities == ({2} if t < 0 else {2, 3})
+    rng = random.Random(seed)
+    sigma = None
+    if kind == 0:
+        # a right translation of the product, as ``symmetry`` checks them
+        sigma = ctx.product.columns[rng.randrange(ctx.carrier)]
+    elif kind == 1:
+        sigma = rho_respecting(data, rng)
+    if sigma is None:
+        sigma = tuple(rng.sample(range(ctx.carrier), ctx.carrier))
+    want = plain_respects(ctx, sigma)
+    # lines composed as tuples and as bytes
+    for limit in (0, tables.BYTE_LINES_UP_TO):
+        with mock.patch.object(tables, "BYTE_LINES_UP_TO", limit):
+            assert ctx.respects_vertex_rules(sigma) == want, (t, sigma)
 
 
 def test_singleton_components_take_the_plain_path(monkeypatch):

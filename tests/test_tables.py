@@ -179,6 +179,8 @@ def loop_dual(table):
     st.none() | st.tuples(
         st.integers(0, n - 1), st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))))
 def test_dual_matches_a_loop_built_inverse(drawn):
+    from quandlekit import tables
+
     # columns that are permutations, and now and then one arbitrary column
     cols, other = drawn
     if other is not None:
@@ -187,11 +189,14 @@ def test_dual_matches_a_loop_built_inverse(drawn):
     n = len(cols)
     table = OperationTable(n, tuple(zip(*cols)))
     bad = [j for j, col in enumerate(cols) if len(set(col)) < n]
-    if bad:
-        with pytest.raises(ValueError, match=f"column {bad[0]} is not a permutation"):
-            dual_operation(table)
-    else:
-        assert dual_operation(table).entries == loop_dual(table)
+    # lines composed as tuples and as bytes
+    for limit in (0, tables.BYTE_LINES_UP_TO):
+        with mock.patch.object(tables, "BYTE_LINES_UP_TO", limit):
+            if bad:
+                with pytest.raises(ValueError, match=f"column {bad[0]} is not a permutation"):
+                    dual_operation(table)
+            else:
+                assert dual_operation(table).entries == loop_dual(table)
 
 
 def test_generated_subalgebra_examples():
@@ -249,6 +254,24 @@ def test_generated_subalgebra_equals_the_closure_under_both_operations():
             assert generated_subalgebra(table, seeds) == closure_under_both(table, seeds)
         assert generated_subalgebra(table, [1]) == closure_under_both(table, [1])
     assert generated_subalgebra(shift, [2]) == tuple(range(5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)), min_size=n, max_size=n),
+    st.sets(st.integers(0, n - 1), min_size=1))))
+def test_generated_subalgebra_equals_the_closure_when_columns_permute(drawn):
+    from quandlekit import tables
+
+    # no rack axiom holds, so a closure that reads only a*b, or only
+    # b*a, of a new element a and the members b falls short
+    cols, seeds = drawn
+    table = table_from(len(cols), lambda i, j: cols[j][i])
+    want = closure_under_both(table, seeds)
+    # lines composed as tuples and as bytes
+    for limit in (0, tables.BYTE_LINES_UP_TO):
+        with mock.patch.object(tables, "BYTE_LINES_UP_TO", limit):
+            assert generated_subalgebra(table, seeds) == want
 
 
 def test_generated_subalgebra_needs_right_translations_that_are_permutations():
@@ -451,7 +474,8 @@ PROFILES = ("quandle", "rack", "kei", "group")
 
 def assert_matches_reference(table, profiles=PROFILES, identities=(None,)):
     """validate_axioms agrees with the plain scan, both through the
-    generating-set check and through a whole scan of a small table."""
+    generating-set check and through a whole scan of a small table, with
+    lines composed as bytes and as tuples."""
     from quandlekit import tables
 
     small = table.size < tables.SCAN_BELOW
@@ -459,9 +483,12 @@ def assert_matches_reference(table, profiles=PROFILES, identities=(None,)):
         for identity in identities if profile == "group" else (None,):
             want = reference_report(table.entries, profile, identity)
             for below in (1, tables.SCAN_BELOW) if small else (tables.SCAN_BELOW,):
-                with mock.patch.object(tables, "SCAN_BELOW", below):
-                    report = validate_axioms(table, profile, identity=identity)
-                assert (report.valid, report.violations) == want, (profile, identity, below)
+                for limit in (0, tables.BYTE_LINES_UP_TO):
+                    with mock.patch.object(tables, "SCAN_BELOW", below), \
+                            mock.patch.object(tables, "BYTE_LINES_UP_TO", limit):
+                        report = validate_axioms(table, profile, identity=identity)
+                    assert (report.valid, report.violations) == want, (
+                        profile, identity, below, limit)
 
 
 @settings(max_examples=150, deadline=None)
@@ -545,6 +572,25 @@ def test_conjugation_quandle_of_s5_and_s5_match_a_plain_scan():
     broken = swap_in_column(s5.table, 7, 3, 90)
     assert_matches_reference(broken, profiles=("group",))
     assert not validate_axioms(broken, "group").valid
+
+
+def test_tables_too_large_for_byte_lines_are_checked_as_tuples():
+    from quandlekit import tables
+
+    n = 263
+    assert n > tables.BYTE_LINES_UP_TO
+    table = dihedral_quandle(n)
+    assert validate_axioms(table, "quandle").valid
+    assert validate_axioms(table, "kei").valid
+    assert validate_axioms(cyclic_group(n).table, "group").valid
+    # one swap in one column keeps it a permutation and breaks Q3
+    swapped = swap_in_column(table, 7, 3, 90)
+    report = validate_axioms(swapped, "quandle")
+    assert report.axioms_violated() == ("Q3",)
+    e = swapped.entries
+    assert all(e[e[i][j]][k] != e[e[i][k]][e[j][k]] for _, (i, j, k) in report.violations)
+    dual = dual_operation(swapped).entries
+    assert all(dual[e[i][j]][j] == i for i in range(n) for j in range(n))
 
 
 def test_identity_out_of_range_is_refused():

@@ -11,6 +11,7 @@ takes one trusts it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .tables import AxiomReport, ParseError, ReportBuilder, _content_lines
@@ -120,6 +121,16 @@ def parse_diagram(text: str) -> Diagram:
     crossings: list[Crossing] = []
     vertices: list[Vertex] = []
     loops: list[tuple[int, int, int]] = []  # (arc, line, column)
+
+    def arc_of(tok: str, field: str, lineno: int, line: str) -> int:
+        try:
+            a = int(tok)
+        except ValueError:
+            raise ParseError(f"bad arc index {tok!r} for {field}", lineno, line.find(tok) + 1)
+        if not 0 <= a < arc_count:
+            raise ParseError(f"arc index {a} out of range", lineno, line.find(tok) + 1)
+        return a
+
     for lineno, line in _content_lines(text):
         toks = line.split()
         kind = toks[0]
@@ -134,30 +145,21 @@ def parse_diagram(text: str) -> Diagram:
             if arc_count < 0:
                 raise ParseError("arc count must be non-negative", lineno)
             continue
-
-        def arc_of(tok: str, field: str) -> int:
-            try:
-                a = int(tok)
-            except ValueError:
-                raise ParseError(f"bad arc index {tok!r} for {field}", lineno, line.find(tok) + 1)
-            if not 0 <= a < arc_count:
-                raise ParseError(f"arc index {a} out of range", lineno, line.find(tok) + 1)
-            return a
-
         if kind == "crossing":
             fields = {}
-            end = len(kind)
-            for tok in toks[1:]:
-                start = line.index(tok, end)  # this token, not an equal earlier one
-                end = start + len(tok)
-                if "=" not in tok:
-                    raise ParseError(f"bad crossing field {tok!r}", lineno, start + 1)
-                key, val = tok.split("=", 1)
-                if key not in CROSSING_FIELDS:
-                    raise ParseError(f"unknown crossing field {key!r}", lineno, start + 1)
-                if key in fields:
-                    raise ParseError(f"repeated crossing field {key!r}", lineno, start + 1)
-                fields[key] = val
+            for i, tok in enumerate(toks[1:], 1):
+                key, eq, val = tok.partition("=")
+                if not eq:
+                    error = f"bad crossing field {tok!r}"
+                elif key not in CROSSING_FIELDS:
+                    error = f"unknown crossing field {key!r}"
+                elif key in fields:
+                    error = f"repeated crossing field {key!r}"
+                else:
+                    fields[key] = val
+                    continue
+                starts = [t.start() for t in re.finditer(r"\S+", line)]  # toks[i], not an equal one
+                raise ParseError(error, lineno, starts[i] + 1)
             if len(fields) < len(CROSSING_FIELDS):  # each field is known and given once
                 missing = sorted(CROSSING_FIELDS - fields.keys())
                 raise ParseError(f"crossing missing fields {missing}", lineno, 1)
@@ -167,9 +169,9 @@ def parse_diagram(text: str) -> Diagram:
                 )
             crossings.append(
                 Crossing(
-                    over=arc_of(fields["over"], "over"),
-                    under_in=arc_of(fields["under_in"], "under_in"),
-                    under_out=arc_of(fields["under_out"], "under_out"),
+                    over=arc_of(fields["over"], "over", lineno, line),
+                    under_in=arc_of(fields["under_in"], "under_in", lineno, line),
+                    under_out=arc_of(fields["under_out"], "under_out", lineno, line),
                     sign=1 if fields["sign"] == "+" else -1,
                 )
             )
@@ -185,7 +187,7 @@ def parse_diagram(text: str) -> Diagram:
                     raise ParseError(
                         f"bad direction {direction!r}", lineno, line.find(piece) + 1
                     )
-                ends.append((arc_of(a, "vertex end"), direction))
+                ends.append((arc_of(a, "vertex end", lineno, line), direction))
             if len(ends) < 3:
                 raise ParseError("vertex valence must be at least 3", lineno, 1)
             vertices.append(Vertex(tuple(ends)))
@@ -193,7 +195,7 @@ def parse_diagram(text: str) -> Diagram:
             # optional annotation for free loops; free-loopness is structural
             if len(toks) != 2:
                 raise ParseError("expected 'loop <a>'", lineno, 1)
-            loops.append((arc_of(toks[1], "loop"), lineno, line.find(toks[1]) + 1))
+            loops.append((arc_of(toks[1], "loop", lineno, line), lineno, line.find(toks[1]) + 1))
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno, 1)
     if arc_count is None:

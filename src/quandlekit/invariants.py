@@ -30,13 +30,12 @@ class GroupPresentation:
     def __post_init__(self) -> None:
         if self.generator_count < 0:
             raise ValueError("generator count must be non-negative")
-        rels = tuple(tuple((int(g), int(s)) for g, s in rel) for rel in self.relators)
-        for rel in rels:
-            for g, s in rel:
-                if not 0 <= g < self.generator_count:
-                    raise ValueError(f"generator {g} out of range")
-                if s not in (1, -1):
-                    raise ValueError("letter signs must be +1 or -1")
+        rels = tuple(map(tuple, self.relators))
+        for g, s in dict.fromkeys(itertools.chain.from_iterable(rels)):  # each letter once
+            if not 0 <= g < self.generator_count:
+                raise ValueError(f"generator {g} out of range")
+            if s not in (1, -1):
+                raise ValueError("letter signs must be +1 or -1")
         object.__setattr__(self, "relators", rels)
 
 

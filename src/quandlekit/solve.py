@@ -10,10 +10,13 @@ values 0..m-1 that satisfy every constraint, each of which is
 
 Each assignment propagates through a worklist over per-variable watch
 lists, and backtracking keeps an explicit stack and a trail, so size is
-limited by time, not by the recursion limit.  Propagation fixes the same
-variables whatever their values, so the branch variable chosen on the
-first arrival at a depth serves every path: the unknown variable sharing
-the most constraint slots with known ones.
+limited by time, not by the recursion limit.  Set-up is the watch lists
+and a count per variable of the constraint slots on it.  Propagation
+fixes the same variables whatever their values, so the branch variable
+chosen on the first arrival at a depth serves every path: the unknown
+variable sharing the most constraint slots with known ones, kept in a
+heap built at the first such arrival, below any root restriction.  A
+search that propagation completes below the root never builds it.
 
 For the same reason, so does the source of the values it is branched
 over, picked on that first arrival too.  Where the variable is y, and
@@ -76,7 +79,7 @@ class Problem:
         # op) for tables, (variables, forcing flags, solve) for rules
         self.table_watch: list[list[tuple]] = [[] for _ in range(variables)]
         self.rule_watch: list[list[tuple]] = [[] for _ in range(variables)]
-        self._slots: list[list[int]] | None = None
+        self.slots = [0] * variables  # per variable: 3 per table constraint, the arity per rule
         self.nodes = self.leaves = 0
 
     def add_table(self, x: int, y: int, z: int, op, x_from=None) -> None:
@@ -85,7 +88,7 @@ class Problem:
         c = (x, y, z, op.entries, None if x_from is None else x_from.entries, op)
         for v in {x, y, z}:
             self.table_watch[v].append(c)
-        self._slots = None
+            self.slots[v] += 3
 
     def add_rule(self, variables, solve, forcing) -> None:
         variables = tuple(variables)
@@ -93,17 +96,19 @@ class Problem:
         flags = tuple(i in forcing and variables.count(v) == 1 for i, v in enumerate(variables))
         for v in set(variables):
             self.rule_watch[v].append((variables, flags, solve))
-        self._slots = None
+            self.slots[v] += len(variables)
 
     def _propagate(self, val: list[int], trail: list[int], queue: list[int]) -> bool:
         """Apply every constraint watching a variable in ``queue``, and those
         of every variable this fixes; False on a violated constraint."""
+        table_watch, rule_watch = self.table_watch, self.rule_watch
         while queue:
             v = queue.pop()
-            for x, y, z, op, x_from, _ in self.table_watch[v]:
-                vx, vy, vz = val[x], val[y], val[z]
+            for x, y, z, op, x_from, _ in table_watch[v]:
+                vy = val[y]
                 if vy < 0:
                     continue
+                vx, vz = val[x], val[z]
                 if vx >= 0:
                     if vz < 0:
                         val[z] = op[vx][vy]
@@ -115,33 +120,24 @@ class Problem:
                     val[x] = x_from[vz][vy]
                     trail.append(x)
                     queue.append(x)
-            for variables, flags, solve in self.rule_watch[v]:
+            rules = rule_watch[v]
+            if not rules:
+                continue
+            for variables, flags, solve in rules:
                 values = [val[u] for u in variables]
-                missing = [i for i, w in enumerate(values) if w < 0]
+                missing = values.count(-1)
                 if not missing:
                     if solve(values, len(values) - 1) != values[-1]:
                         return False
-                elif len(missing) == 1 and flags[missing[0]]:
-                    w = solve(values, missing[0])
+                elif missing == 1 and flags[(i := values.index(-1))]:
+                    w = solve(values, i)
                     if w < 0:
                         return False
-                    u = variables[missing[0]]
+                    u = variables[i]
                     val[u] = w
                     trail.append(u)
                     queue.append(u)
         return True
-
-    def _slot_lists(self) -> list[list[int]]:
-        """Per variable, the variables of every constraint slot on it, its
-        own included.  Built once, on the first search after a constraint
-        is added."""
-        if self._slots is None:
-            self._slots = [
-                [u for c in self.table_watch[v] for u in c[:3]]
-                + [u for c in self.rule_watch[v] for u in c[0]]
-                for v in range(self.n)
-            ]
-        return self._slots
 
     def root_variable(self) -> int:
         """The variable a chain count branches on first: the lowest of
@@ -150,8 +146,7 @@ class Problem:
         solutions spread the most evenly over the orbits.  A variable in no
         constraint comes last: as the root it would repeat the search of
         the others for every representative."""
-        slots = list(map(len, self._slot_lists()))
-        return min(range(self.n), key=lambda v: (not slots[v], slots[v], v))
+        return self.slots.index(min(filter(None, self.slots), default=0))
 
     def count(self, symmetry=None, keep=None) -> int:
         """The number of solutions that ``keep`` accepts (all of them when
@@ -166,8 +161,7 @@ class Problem:
         of its leaves.  Without, or with no variables, it counts the plain
         search.  Without ``keep``, a variable in no constraint is not
         branched over: it multiplies the count by m."""
-        slots = self._slot_lists()
-        free = () if keep is not None else tuple(v for v in range(self.n) if not slots[v])
+        free = () if keep is not None else tuple(v for v, s in enumerate(self.slots) if not s)
         factor = self.m ** len(free)
         # looked up on self, so wrappers see every leaf
         if symmetry is None or len(free) == self.n:
@@ -196,7 +190,8 @@ class Problem:
         val = [-1] * n
         trail: list[int] = []
         self.nodes = self.leaves = 0
-        if not self._propagate(val, trail, list(range(n))):
+        # nothing is known, so no table constraint can fire: each needs its y
+        if not self._propagate(val, trail, [v for v in range(n) if self.rule_watch[v]]):
             return
         order: list[int] = []
         # per depth: the values tried, unless a table constraint z = x * y
@@ -212,14 +207,9 @@ class Problem:
                 sources.append(None)
             elif val[v] not in firsts:
                 return
-        slots = self._slot_lists()
-        goal = n - len(skip)
-        skipped = set(skip)
-        score = [0] * n
-        heap = [(0, -len(slots[v]), v) for v in range(n) if v not in skipped]  # lazy max-heap
-        heapq.heapify(heap)
-        scored = 0  # the first ``scored`` trail entries have raised the scores
-        marks, tried = [0] * n, [None] * n
+        slots, goal, skipped = self.slots, n - len(skip), set(skip)
+        score, marks, tried = [0] * n, [0] * n, [None] * n
+        heap, scored = None, 0  # the first ``scored`` trail entries have raised the scores
         # per depth: the group of the chain there, None below its end, and
         # the product of the orbit sizes of the values chosen above it
         groups, weights = [chain] + [None] * n, [1] * (n + 1)
@@ -240,10 +230,15 @@ class Problem:
                 if chained:
                     groups[k] = group and group.child(w)
                 if k == len(order):
-                    for u in (u for v in trail[scored:] for u in slots[v] if val[u] < 0):
+                    if heap is None:  # a lazy max-heap, first needed here
+                        heap = [(0, -slots[v], v) for v in range(n) if v not in skipped]
+                        heapq.heapify(heap)
+                    fresh, scored = trail[scored:], len(trail)
+                    raised = [u for v in fresh for c in self.table_watch[v] for u in c[:3]]
+                    raised += [u for v in fresh for c in self.rule_watch[v] for u in c[0]]
+                    for u in (u for u in raised if val[u] < 0):
                         score[u] += 1
-                        heapq.heappush(heap, (-score[u], -len(slots[u]), u))
-                    scored = len(trail)
+                        heapq.heappush(heap, (-score[u], -slots[u], u))
                     while val[heap[0][2]] >= 0 or -heap[0][0] != score[heap[0][2]]:
                         heapq.heappop(heap)
                     v = heapq.heappop(heap)[2]

@@ -703,7 +703,9 @@ def is_abelian(g: GroupTable) -> bool:
 
 
 def trivial_quandle(n: int) -> OperationTable:
-    return table_from(n, lambda i, j: i)
+    if n <= 0:
+        raise ValueError("table size must be positive")
+    return OperationTable._trusted(n, tuple((i,) * n for i in range(n)))
 
 
 def dihedral_quandle(n: int) -> OperationTable:

@@ -96,6 +96,18 @@ def test_an_unknown_crossing_field_is_a_parse_error_at_its_column():
             parse_diagram(text)
         assert (err.value.line, err.value.column) == (2, column), text
 
+
+def test_a_crossing_field_without_an_equals_sign_is_a_parse_error_at_its_column():
+    for text, column in (
+        ("arcs 2\ncrossing sign over=0 under_in=1 under_out=0 sign=+\n", 10),
+        ("arcs 2\ncrossing over=0 under_in=1 under_in under_out=0 sign=+\n", 28),
+        ("arcs 2\ncrossing over=0 under_in=1 under_out=0 sign=+ +\n", 47),
+    ):
+        with pytest.raises(ParseError, match="bad crossing field") as err:
+            parse_diagram(text)
+        assert (err.value.line, err.value.column) == (2, column), text
+
+
 DIAGRAM_MUTANTS = st.sampled_from([
     "", "x", "=", "arcs", "crossing", "vertex", "loop", "over=0", "over=9", "under_in=1",
     "under_out=-1", "sign=+", "sign=*", "sign=", "ends=0:in,1:out,2:in", "ends=0:in",

@@ -229,6 +229,13 @@ def test_a_negative_generator_count_is_refused():
         GroupPresentation(-1, ())
 
 
+def test_a_letter_out_of_range_or_with_a_bad_sign_is_refused():
+    with pytest.raises(ValueError, match="generator 2 out of range"):
+        GroupPresentation(2, (((0, 1), (1, -1)), ((0, 1), (2, 1))))
+    with pytest.raises(ValueError, match=r"letter signs must be \+1 or -1"):
+        GroupPresentation(2, (((0, 1), (1, 2), (0, 1)),))
+
+
 def presentations():
     def with_count(n):
         letters = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))

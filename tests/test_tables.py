@@ -47,6 +47,13 @@ def test_trivial_is_quandle():
         assert validate_axioms(trivial_quandle(n), "quandle").valid
 
 
+def test_trivial_quandle_is_the_checked_table_of_i_times_j_equals_i():
+    for n in range(1, 9):
+        assert trivial_quandle(n) == table_from(n, lambda i, j: i)
+    with pytest.raises(ValueError, match="positive"):
+        trivial_quandle(0)
+
+
 def test_corrupted_dihedral_reports_column_violation():
     rows = [list(r) for r in R3.entries]
     rows[0][1] = 0  # column 1 now repeats 0

@@ -71,8 +71,11 @@ def _write(path: str | None, text: str) -> str:
     left for stdout."""
     if not path:
         return text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}")
     return ""
 
 

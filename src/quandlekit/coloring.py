@@ -27,9 +27,7 @@ from .tables import (
     Lines,
     OperationTable,
     ReportBuilder,
-    Stabiliser,
     generated_subalgebra,
-    trivial_quandle,
 )
 
 
@@ -72,15 +70,15 @@ class ColouringContext(Problem):
             self.add_table(c.under_in, c.over, c.under_out, op, inverse)
         if d.vertices and sys.rho is None:
             raise ValueError("vertex rules require the involution rho")
-        # ends share their X part, for a one-element G the whole colour
-        same = trivial_quandle(self.carrier) if d.vertices and self.g_size == 1 else None
         # the Gamma arities the vertex rules read
         self.arities = {v.valence - 1 for v in d.vertices}
         for v in d.vertices:
             ends = [a for a, _ in v.ends]
             self.add_rule(ends, *self.vertex_rule(v))
-            for a, b in zip(ends, ends[1:] + ends[:1]) if same else ():
-                self.add_table(a, a, b, same)
+            # ends share their X part, for a one-element G the whole
+            # colour: b = a * a, which is a in a quandle
+            for a, b in zip(ends, ends[1:] + ends[:1]) if self.g_size == 1 else ():
+                self.add_table(a, a, b, table)
 
     def crossing_ok(self, c, colours) -> bool:
         op = self.table if c.sign > 0 else self.dual
@@ -176,9 +174,7 @@ class ColouringContext(Problem):
         translations that generate the components are checked on the
         system's tables, once per system and set of vertex arities.  Where
         they pass, so does every R_y with y in the subquandle they
-        generate, since R_{a*b} = R_b R_a R_b^-1.  That subquandle is the
-        orbit of the generators under the group of their translations, as
-        R(a) * R(b) = R(a * b) for every such R."""
+        generate, since R_{a*b} = R_b R_a R_b^-1."""
         product = self.product
         comp = product.components
         if max(comp) + 1 == len(comp):
@@ -190,8 +186,7 @@ class ColouringContext(Problem):
             generators = product.generators
             ys = None
             if all(self.respects_vertex_rules(product.columns[y]) for y in generators):
-                group = Stabiliser(product, generators)
-                ys = tuple(sorted(set().union(*map(group.orbit, generators))))
+                ys = generated_subalgebra(product, generators)
             verdicts[key] = ys
         ys = verdicts[key]
         return None if ys is None else (product, ys)

@@ -470,6 +470,8 @@ def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -
     trivalent, are drawn only when 3 is among them."""
     if crossings_max < 0 or vertices_max < 0:
         raise ValueError("bounds must be non-negative")
+    if not valences or min(valences) < 3:
+        raise ValueError(f"valences {tuple(valences)} must be non-empty and each at least 3")
     rng = random.Random(repr(seed))
     # nothing is merged or dropped, so the tokens are 0, 1, ... in the
     # order finalize numbers them

@@ -15,26 +15,19 @@ and a count per variable of the constraint slots on it.  Propagation
 fixes the same variables whatever their values, so the branch variable
 chosen on the first arrival at a depth serves every path: the unknown
 variable sharing the most constraint slots with known ones, kept in a
-heap built at the first such arrival, below any root restriction.  A
-search that propagation completes below the root never builds it.
+heap built at the first such arrival.  A chain count branches first on
+``root_variable()`` instead, and one that propagation completes below
+that root never builds it.
 
 For the same reason, so does the source of the values it is branched
 over, picked on that first arrival too.  Where the variable is y, and
 neither x nor z, in a table constraint ``z = op[x][y]`` whose x and z are
 known, only the y with ``op[x][y] == z`` can succeed: the search branches
-over those, ``op.row_factors(x)[z]``, and over all m values elsewhere.
+over those, ``op.row_factors(x)[z]``, and over all m values elsewhere
+and at a chain count's root.
 Propagation would refuse every other y at once, and the factors come in
 ascending order, so the search yields what branching over all m values
 yields, in the same order, without the failed tries.
-
-A search may be given a root restriction ``(v, values)``: v is branched
-on first, over ``values`` in their order whatever constrains v, and only
-the assignments with v in ``values`` are yielded; the variables after it
-are chosen as above.  Rooted at the variable the plain search branches on
-first, with values in ascending order, it yields the plain search's
-assignments in the plain order, less those with v outside ``values``.  If
-propagation fixes v before any branching, the search is the plain one, or
-yields nothing when v's value is not in ``values``.
 
 ``count`` is the one counting loop, and it counts down a chain of
 stabilisers (Sims 1970; Seress, *Permutation Group Algorithms*, 2003).
@@ -165,27 +158,26 @@ class Problem:
         factor = self.m ** len(free)
         # looked up on self, so wrappers see every leaf
         if symmetry is None or len(free) == self.n:
-            leaves = self.solutions(None, None, free)
+            leaves = self.solutions(None, free)
             return factor * sum(1 for s in leaves if keep is None or keep(s))
         table, ys = symmetry
-        root = (self.root_variable(), range(self.m))
-        leaves = self.solutions(root, table.stabiliser(ys), free)
+        leaves = self.solutions(table.stabiliser(ys), free)
         return factor * sum(w for w, s in leaves if keep is None or keep(s))
 
-    def solutions(self, root=None, chain=None, skip: Sequence[int] = ()):
-        """Yield every satisfying assignment as a tuple, in search order;
-        with ``root = (v, values)``, only those with v in ``values``.
+    def solutions(self, chain=None, skip: Sequence[int] = ()):
+        """Yield every satisfying assignment as a tuple, in search order.
 
         The variables in ``skip``, which no constraint may name, are left
         at -1 and never branched over.  With ``chain``, a
         ``tables.Stabiliser`` whose translations map solutions to
-        solutions, every level goes over the least value of each orbit
-        among its candidates, of the group generated by the translations
-        of ``chain`` that fix every value branched above it, and each leaf
-        is yielded as a pair (weight, assignment), where weight is the
-        product of those orbits' sizes.  The root's ``values`` must then be
-        a union of the orbits of ``chain``.  ``nodes`` and ``leaves`` count
-        the branching nodes and the leaves of the last search."""
+        solutions, the search branches first on ``root_variable()``, over
+        every value, unless propagation alone fixes it.  Every level goes
+        over the least value of each orbit among its candidates, of the
+        group generated by the translations of ``chain`` that fix every
+        value branched above it, and each leaf is yielded as a pair
+        (weight, assignment), where weight is the product of those orbits'
+        sizes.  ``nodes`` and ``leaves`` count the branching nodes and the
+        leaves of the last search."""
         n, m = self.n, self.m
         val = [-1] * n
         trail: list[int] = []
@@ -194,19 +186,13 @@ class Problem:
         if not self._propagate(val, trail, [v for v in range(n) if self.rule_watch[v]]):
             return
         order: list[int] = []
-        # per depth: the values tried, unless a table constraint z = x * y
-        # on the branch variable y has x and z known, kept as its source:
-        # then the y in its row factors, the only values that can succeed
-        values: list[Sequence[int]] = []
+        # per depth: a table constraint z = x * y on the branch variable y
+        # with x and z known, the source of the only values that can
+        # succeed, its row factors; None to go over every value
         sources: list[tuple | None] = []
-        if root is not None:
-            v, firsts = root
-            if val[v] < 0:
-                order.append(v)
-                values.append(tuple(firsts))
-                sources.append(None)
-            elif val[v] not in firsts:
-                return
+        if chain is not None and val[root := self.root_variable()] < 0:
+            order.append(root)
+            sources.append(None)
         slots, goal, skipped = self.slots, n - len(skip), set(skip)
         score, marks, tried = [0] * n, [0] * n, [None] * n
         heap, scored = None, 0  # the first ``scored`` trail entries have raised the scores
@@ -243,13 +229,12 @@ class Problem:
                         heapq.heappop(heap)
                     v = heapq.heappop(heap)[2]
                     order.append(v)
-                    values.append(range(m))
                     sources.append(next((
                         (x, z, op) for x, y, z, _, _, op in self.table_watch[v]
                         if y == v and val[x] >= 0 and val[z] >= 0), None))
                 source = sources[k]
                 if source is None:
-                    candidates = values[k]
+                    candidates = range(m)
                 else:
                     x, z, op = source
                     candidates = op.row_factors(val[x])[val[z]]

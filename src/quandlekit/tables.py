@@ -314,10 +314,6 @@ def _column_collision(table: OperationTable, j: int) -> tuple[int, int] | None:
     return None
 
 
-def is_right_invertible(table: OperationTable) -> bool:
-    return all(_column_collision(table, j) is None for j in range(table.size))
-
-
 def _composer(p: tuple[int, ...]):
     """The map q -> q o p, that is (q[p[0]], q[p[1]], ...), run at C speed."""
     if len(p) == 1:
@@ -795,7 +791,10 @@ def hom_count(source: OperationTable, target: OperationTable, surjective_only: b
     surjective.  So the maps are counted down a chain of stabilisers of
     the target's translations, starting once per component."""
     p = Problem(source.size, target.size)
-    x_from = target.dual if is_right_invertible(target) else None
+    try:
+        x_from = target.dual
+    except ValueError:  # a column is not a permutation
+        x_from = None
     for a, row in enumerate(source.entries):
         for b, c in enumerate(row):
             p.add_table(a, b, c, target, x_from)

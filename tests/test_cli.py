@@ -129,6 +129,15 @@ def test_associated_writes_table(tmp_path, capsys):
     assert table.size == 6
 
 
+def test_output_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    for command, source in (("associated", "systems:t3r3z2"), ("wirtinger", "fixtures:mlf")):
+        code, out, err = run(capsys, command, source, "-o", str(missing))
+        assert code == 2 and out == "", command
+        assert err.startswith(f"error: cannot write {missing}: "), (command, err)
+    assert not missing.parent.exists()
+
+
 def test_involutions_lists_good_ones(tmp_path, capsys):
     path = tmp_path / "t3.magma"
     path.write_text("magma 3\n0 0 0\n1 1 1\n2 2 2\n")

@@ -17,7 +17,7 @@ from quandlekit.coloring import (
     verify_colouring,
 )
 from quandlekit.diagrams import Crossing, Diagram, Vertex, compute_edges, parse_diagram
-from quandlekit.fixtures import axet_z2_s3, diagram, system
+from quandlekit.fixtures import axet_z2_s3, diagram, list_systems, system
 from quandlekit.invariants import group_hom_count, wirtinger_presentation
 from quandlekit.moves import (
     DEFAULT_MOVES,
@@ -33,10 +33,12 @@ from quandlekit.systems import (
     associated_quandle,
     axet_to_system,
     g_family_system,
+    gamma_from_oplus,
     quandle_system,
 )
 from quandlekit.tables import (
     OperationTable,
+    conjugation_quandle,
     generated_subalgebra,
     hom_count,
     symmetric_group,
@@ -380,8 +382,8 @@ BUNDLED = ("t3r3z2", "t2t2z2", "r3", "s3point", "broken-tc4")
 
 
 def plain_counts(d, sys_):
-    """Both modes' counts from one search with no root restriction, each
-    colouring counted once; images closed by ``generated_subalgebra``."""
+    """Both modes' counts from one plain search, each colouring counted
+    once; images closed by ``generated_subalgebra``."""
     ctx = ColouringContext(d, sys_)
     generates: dict = {}
     counts = {"all": 0, "generating": 0}
@@ -439,12 +441,11 @@ def recorded_roots(monkeypatch):
     roots = []
     solutions = ColouringContext.solutions
 
-    def recording(self, root=None, chain=None, skip=()):
-        # a chain's root goes over the representatives among its values
-        reads = root if root is None or chain is None else (
-            root[0], list(chain.representatives(root[1])))
-        roots.append(reads)
-        return solutions(self, root, chain, skip)
+    def recording(self, chain=None, skip=()):
+        # a chain's root goes over the representatives of every value
+        roots.append(None if chain is None else (
+            self.root_variable(), list(chain.representatives(range(self.m)))))
+        return solutions(self, chain, skip)
 
     monkeypatch.setattr(ColouringContext, "solutions", recording)
     return roots
@@ -478,7 +479,7 @@ def test_translations_that_break_a_vertex_rule_take_the_plain_path(monkeypatch):
     ctx = ColouringContext(graphs[-1], data)
     a, weight = ctx.root_variable(), [1, 3, 0, 2, 0, 0]  # the components of Conj(S3)
     assert count_colourings(graphs[-1], data) == 108
-    assert sum(weight[c[a]] for c in ctx.solutions((a, [0, 1, 3]))) == 126
+    assert sum(weight[c[a]] for c in ctx.solutions() if c[a] in (0, 1, 3)) == 126
     # the same family with the central t = 1 counts by orbits
     central = s3_point_with_gamma3(s3.identity)
     ctx = ColouringContext(graphs[-1], central)
@@ -593,6 +594,58 @@ def test_singleton_components_take_the_plain_path(monkeypatch):
     # by the S3 point family, the root arc goes over one element a component
     count_colourings(diagram("theta"), S3_POINT)
     assert roots[-1] == (ColouringContext(diagram("theta"), S3_POINT).root_variable(), [0, 1, 3])
+
+
+def test_the_symmetry_translates_by_the_subquandle_the_generators_generate():
+    def closure(table, seeds):
+        members = set(seeds)
+        while True:
+            more = {table[a][b] for a in members for b in members} - members
+            if not more:
+                return tuple(sorted(members))
+            members |= more
+
+    cases = [(diagram("theta"), system(name)) for name in list_systems()]
+    for data in (S3_POINT, S4_POINT):
+        cases += [(diagram("theta"), data), (MIXED, gamma_from_oplus(data, 3)[0])]
+    plain = 0
+    for d, data in cases:
+        ctx = ColouringContext(d, data)
+        symmetry = ctx.symmetry()
+        if symmetry is None:  # every component is one element
+            assert max(ctx.product.components) + 1 == ctx.carrier
+            plain += 1
+            continue
+        product = ctx.product
+        assert symmetry == (product, closure(product.entries, product.generators)), data
+    assert plain == 1  # t2t2z2
+
+
+def test_one_element_g_vertex_counts_are_pinned():
+    # the ends of a vertex share their whole colour: counts in both modes,
+    # and the nodes and leaves of the chain count
+    want = {
+        "r3": {
+            "theta": (3, 0, 1, 1), "mlf": (3, 0, 1, 1), "muf": (3, 0, 1, 1),
+            "mwf": (3, 0, 2, 1), "mwuf": (9, 6, 1, 1), "athlete-happy": (3, 0, 2, 1),
+            "athlete-unhappy": (3, 0, 2, 1),
+        },
+        "conj-s4": {
+            "theta": (24, 0, 1, 5), "mlf": (24, 0, 1, 5), "muf": (24, 0, 1, 5),
+            "mwf": (120, 0, 6, 22), "mwuf": (576, 0, 1, 5), "athlete-happy": (120, 0, 6, 22),
+            "athlete-unhappy": (120, 0, 6, 22),
+        },
+    }
+    systems = {"r3": system("r3"),
+               "conj-s4": quandle_system(conjugation_quandle(symmetric_group(4)))}
+    for key, data in systems.items():
+        assert data.g_size == 1
+        for name, pinned in want[key].items():
+            d = diagram(name)
+            ctx = ColouringContext(d, data)
+            got = ctx.count(ctx.symmetry())
+            assert (got, count_colourings(d, data, "generating"), ctx.nodes, ctx.leaves) == pinned
+            assert count_colourings(d, data) == got, (key, name)
 
 
 def test_one_system_validates_its_product_once(monkeypatch):
@@ -738,7 +791,7 @@ def test_a_stabiliser_trivial_at_the_second_level_gives_the_one_level_count():
         d = diagram(name)
         ctx = ColouringContext(d, data)
         a = ctx.root_variable()
-        one_level = sum(q.weights[c[a]] for c in ctx.solutions((a, [0, 2])))
+        one_level = sum(q.weights[c[a]] for c in ctx.solutions() if c[a] in (0, 2))
         assert ctx.count(ctx.symmetry()) == one_level == brute_force_count(d, data), name
 
 

@@ -169,6 +169,14 @@ def test_random_diagram_deterministic_and_valid():
     assert all(v.valence == 3 for v in d.vertices)
 
 
+def test_random_diagram_refuses_bad_valences_before_drawing():
+    for valences in ((), (2,), (3, 1)):
+        for vertices in (0, 2):
+            with pytest.raises(ValueError) as refused:
+                random_diagram(0, 2, vertices, valences)
+            assert str(refused.value).startswith(f"valences {valences} "), vertices
+
+
 def test_random_diagrams_stay_the_same_across_versions():
     # a seed names the same diagrams in every version: the fuzz report
     # promises it, and reports are compared across versions

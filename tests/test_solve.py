@@ -53,33 +53,6 @@ def test_table_constraint_with_inverse_forces_both_ways():
     assert sorted(p.solutions()) == [(x, y, (2 * y - x) % 3) for x in range(3) for y in range(3)]
 
 
-def test_root_restriction_yields_the_plain_solutions_with_the_root_in_its_values():
-    r3 = dihedral_quandle(3)
-    p = Problem(4, 3)
-    p.add_table(0, 1, 2, r3, r3)
-    p.add_table(2, 1, 0, r3, r3)
-    p.add_table(1, 2, 3, r3)
-    plain = list(p.solutions())
-    assert len(plain) == 9
-    # variable 1 is in the most constraint slots, so the plain search
-    # branches on it first: rooted there, the order is kept
-    for values in ([0], [1, 2], [0, 2], [0, 1, 2], []):
-        assert list(p.solutions((1, values))) == [s for s in plain if s[1] in values]
-    # rooted elsewhere, the same solutions in the rooted search's order
-    for v in range(4):
-        assert sorted(p.solutions((v, [2, 0]))) == sorted(s for s in plain if s[v] in (0, 2))
-
-
-def test_root_fixed_before_the_search_filters_the_plain_solutions():
-    # a one-variable rule fixes variable 0 to 1 before any branching
-    p = Problem(3, 3)
-    p.add_rule([0], lambda values, i: 1, [0])
-    plain = list(p.solutions())
-    assert len(plain) == 9 and all(s[0] == 1 for s in plain)
-    assert list(p.solutions((0, [1, 2]))) == plain
-    assert list(p.solutions((0, [0, 2]))) == []
-
-
 def rooted_problem():
     """A dihedral-quandle problem in which variable 3 is in the fewest
     constraint slots and variable 4 in none."""
@@ -115,10 +88,10 @@ def test_count_sums_the_root_weight_over_the_solutions():
     # its orbit sizes: 3 for the root's component, then 1 or 2
     below = r3.stabiliser(range(3)).child(0)
     assert below.fixers == (0,) and below.representatives(range(3)) == (0, 1)
-    leaves = list(p.solutions((3, range(3)), r3.stabiliser(range(3)), (4,)))
+    leaves = list(p.solutions(r3.stabiliser(range(3)), (4,)))
     assert leaves == [(3, (0, 0, 0, 0, -1)), (6, (0, 1, 2, 0, -1))]
     # the free variable 4, left unskipped, is branched below the chain's end
-    leaves = list(p.solutions((3, range(3)), r3.stabiliser(range(3))))
+    leaves = list(p.solutions(r3.stabiliser(range(3))))
     assert sum(w for w, _ in leaves) == 27 and len(leaves) == 5
 
 
@@ -227,20 +200,19 @@ def problems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(problems(), st.data())
-def test_solutions_are_the_assignments_that_satisfy_every_constraint(problem, data):
+@given(problems())
+def test_solutions_are_the_assignments_that_satisfy_every_constraint(problem):
     p, checks = problem
-    root = None
-    if data.draw(st.booleans()):
-        v = data.draw(st.integers(0, p.n - 1))
-        root = (v, data.draw(st.lists(st.integers(0, p.m - 1), unique=True)))
-    found = list(p.solutions(root))
+    found = list(p.solutions())
     assert len(set(found)) == len(found)
     want = {
-        s for s in itertools.product(range(p.m), repeat=p.n)
-        if all(check(s) for check in checks) and (root is None or s[root[0]] in root[1])
+        s for s in itertools.product(range(p.m), repeat=p.n) if all(check(s) for check in checks)
     }
     assert set(found) == want
+    # the translations of a trivial quandle are the identity, so a chain of
+    # them starts at root_variable(), over every value, then searches plainly
+    chain = trivial_quandle(p.m).stabiliser(range(p.m))
+    assert sorted(p.solutions(chain)) == sorted((1, s) for s in found)
 
 
 def test_long_kink_chain_counts():

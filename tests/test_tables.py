@@ -331,12 +331,11 @@ def recorded_roots(monkeypatch):
     roots = []
     solutions = Problem.solutions
 
-    def recording(self, root=None, chain=None, skip=()):
-        # a chain's root goes over the representatives among its values
-        reads = root if root is None or chain is None else (
-            root[0], list(chain.representatives(root[1])))
-        roots.append(reads)
-        return solutions(self, root, chain, skip)
+    def recording(self, chain=None, skip=()):
+        # a chain's root goes over the representatives of every value
+        roots.append(None if chain is None else (
+            self.root_variable(), list(chain.representatives(range(self.m)))))
+        return solutions(self, chain, skip)
 
     monkeypatch.setattr(Problem, "solutions", recording)
     return roots

@@ -104,9 +104,14 @@ def _check_table(args):
 
 
 def _check_system(args):
+    arities = []
+    for text in filter(None, args.arities.split(",")):
+        try:
+            arities.append(int(text))
+        except ValueError:
+            raise ParseError(f"arity {text!r} is not an integer") from None
     data = resolve(args.file, "systems:")
-    arities = [int(a) for a in args.arities.split(",") if a] or [2]
-    return _report(validate_family(data, args.kind, arities))
+    return _report(validate_family(data, args.kind, arities or [2]))
 
 
 def _associated(args):

@@ -6,10 +6,17 @@ the original arc as the piece nearest its producer, and arcs whose colour
 would change may not serve as over-arcs elsewhere.
 
 Supported kinds: r1_insert/r1_delete, r2_insert/r2_delete,
-tr1_insert/tr1_delete, tr2_slide (expand or contract, vertex or strand
-variant), sr_forward/sr_backward, vertex_rotate, reverse_arc.  The delete
-kinds are the reverse directions of the corresponding insertions; every
-result records the inverse move and an arc relabelling map.
+tr1_insert/tr1_delete, tr2_slide, sr_forward/sr_backward, vertex_rotate,
+reverse_arc.  The delete kinds are the reverse directions of the
+corresponding insertions; every result records the inverse move and an
+arc relabelling map.
+
+tr2_slide is one slide with two variants: a strand passes over the
+vertex arcs next to the vertex (``variant="vertex"``) or under them
+(``variant="strand"``).  Expanding moves its crossing from the out-arc
+to each in-arc, and contracting moves them back.  ``crossings``, when
+given, is the tuple of crossing indices the slide removes; the inverse
+names the crossings the slide added.
 """
 
 from __future__ import annotations
@@ -178,121 +185,98 @@ def _tr2_slide(work: _Work, m: MoveSpec) -> MoveSpec:
     k = _rotated(ends, (IN, IN, OUT))
     if k is None:
         raise InapplicableMoveError("vertex has no in,in,out rotation")
-    b1, b2, a_out = (ends[(k + i) % 3][0] for i in range(3))
     direction = m.params.get("direction", "expand")
     variant = m.params.get("variant", "vertex")
-    form = _TR2_FORMS.get((direction, variant))
-    if form is None:
+    if direction not in ("expand", "contract") or variant not in ("vertex", "strand"):
         raise InapplicableMoveError(f"unknown tr2 form {direction!r}/{variant!r}")
-    return form(work, m, b1, b2, a_out)
-
-
-def _tr2_vertex_expand(work: _Work, m: MoveSpec, b1: int, b2: int, a_out: int) -> MoveSpec:
-    slot = work.consumer_slot(a_out)
-    if slot is None or slot[0] != "c":
-        raise InapplicableMoveError("output arc is not consumed by a crossing")
-    ci = slot[1]
-    c = work.crossings[ci]
-    over, delta = c["over"], c["under_out"]
-    # a kink (over == delta) would merge its over-arc into a_out, and
-    # the contraction back refuses an over-arc that is a vertex arc
-    if work.over_count(a_out) > 0 or len({a_out, b1, b2, over}) != 4 or over == delta:
-        raise InapplicableMoveError("slide arcs are not independent")
-    nb1 = work.split(b1)
-    nb2 = work.split(b2)
-    del work.crossings[ci]
-    work.cross(over, b1, nb1, c["sign"])
-    work.cross(over, b2, nb2, c["sign"])
-    work.merge(a_out, delta)
-    n = len(work.crossings)
-    params = {"direction": "contract", "variant": "vertex", "crossings": (n - 2, n - 1)}
-    return MoveSpec("tr2_slide", m.site, params=params)
-
-
-def _tr2_vertex_contract(work: _Work, m: MoveSpec, b1: int, b2: int, a_out: int) -> MoveSpec:
-    p1, p2 = work.producer_slot(b1), work.producer_slot(b2)
-    if p1 is None or p2 is None or p1[0] != "c" or p2[0] != "c":
-        raise InapplicableMoveError("no contractible crossing pair at this vertex")
-    c1i, c2i = p1[1], p2[1]
-    c1, c2 = work.crossings[c1i], work.crossings[c2i]
-    wanted = m.params.get("crossings")
-    if (
-        c1["over"] != c2["over"]
-        or c1["sign"] != c2["sign"]
-        or (wanted is not None and (c1i, c2i) != tuple(wanted))
-    ):
-        raise InapplicableMoveError("no contractible crossing pair at this vertex")
-    over = c1["over"]
-    if work.over_count(b1) > 0 or work.over_count(b2) > 0:
-        raise InapplicableMoveError("vertex in-arcs pass over other crossings")
-    if over in (a_out, b1, b2, c1["under_in"], c2["under_in"]):
-        raise InapplicableMoveError("slide arcs are not independent")
-    work.delete_crossings(c1i, c2i)
-    work.merge(c1["under_in"], b1)
-    work.merge(c2["under_in"], b2)
-    na = work.split(a_out)
-    work.cross(over, a_out, na, c1["sign"])
-    return MoveSpec("tr2_slide", m.site, params={"direction": "expand", "variant": "vertex"})
-
-
-def _tr2_strand_expand(work: _Work, m: MoveSpec, b1: int, b2: int, a_out: int) -> MoveSpec:
-    ci = m.params.get("crossing")
-    found = next(
-        (i for i, c in enumerate(work.crossings) if c["over"] == a_out and ci in (None, i)),
-        None,
-    )
-    if found is None:
-        raise InapplicableMoveError("no strand crosses under the output arc")
-    c = work.crossings[found]
-    s1, s3, sign = c["under_in"], c["under_out"], c["sign"]
-    if {s1, s3} & {a_out, b1, b2} or b1 == b2:
-        raise InapplicableMoveError("slide arcs are not independent")
-    del work.crossings[found]
-    s2 = work.fresh()
-    mu1, mu2 = (b1, b2) if sign > 0 else (b2, b1)
-    work.cross(mu1, s1, s2, sign)
-    work.cross(mu2, s2, s3, sign)
-    n = len(work.crossings)
-    params = {"direction": "contract", "variant": "strand", "crossings": (n - 2, n - 1)}
-    return MoveSpec("tr2_slide", m.site, params=params)
-
-
-def _tr2_strand_contract(work: _Work, m: MoveSpec, b1: int, b2: int, a_out: int) -> MoveSpec:
-    crossings = work.crossings
-    consumer = {c["under_in"]: i for i, c in enumerate(crossings)}
-    pairs = []
-    for c1i, c1 in enumerate(crossings):
-        c2i = consumer.get(c1["under_out"], c1i)
-        mu = (b1, b2) if c1["sign"] > 0 else (b2, b1)
-        c2 = crossings[c2i]
-        if c2i != c1i and c2["sign"] == c1["sign"] and (c1["over"], c2["over"]) == mu:
-            pairs.append((c1i, c2i))
+    expand = direction == "expand"
+    *ins, out = (arc for arc, _ in ends[k:] + ends[:k])
+    away, onto = ((out,), ins) if expand else (ins, (out,))
     wanted = m.params.get("crossings")
     if wanted is not None:
-        pairs = [pair for pair in pairs if pair == tuple(wanted)]
-    if not pairs:
-        raise InapplicableMoveError("no contractible strand pair at this vertex")
-    c1i, c2i = pairs[0]
-    c1, c2 = crossings[c1i], crossings[c2i]
-    s1, s2, s3 = c1["under_in"], c1["under_out"], c2["under_out"]
-    if work.over_count(s2) > 0:
-        raise InapplicableMoveError("middle arc passes over other crossings")
-    if {s1, s3} & {a_out, b1, b2}:
-        raise InapplicableMoveError("slide arcs are not independent")
-    work.delete_crossings(c1i, c2i)
-    if s2 not in (s1, s3):
-        work.drop(s2)
-    work.cross(a_out, s1, s3, c1["sign"])
-    params = {"direction": "expand", "variant": "strand", "crossing": len(work.crossings) - 1}
+        wanted = tuple(wanted)
+    if variant == "vertex":
+        _slide_over(work, away, onto, expand, wanted)
+    else:
+        _slide_under(work, away, onto, wanted)
+    n = len(work.crossings)
+    params = {
+        "direction": "contract" if expand else "expand",
+        "variant": variant,
+        "crossings": tuple(range(n - len(onto), n)),
+    }
     return MoveSpec("tr2_slide", m.site, params=params)
 
 
-_TR2_FORMS = {
-    ("expand", "vertex"): _tr2_vertex_expand,
-    ("contract", "vertex"): _tr2_vertex_contract,
-    ("expand", "strand"): _tr2_strand_expand,
-    ("contract", "strand"): _tr2_strand_contract,
-}
+# The two variants of the slide.  Expanding moves the slid crossings from
+# the out-arc to the in-arcs, and contracting moves them back: each variant
+# removes the crossings at the ``away`` arcs (those ``wanted`` when given)
+# and appends one crossing at each ``onto`` arc.
+
+
+def _slide_over(work: _Work, away, onto, expand, wanted) -> None:
+    """A strand passes over the vertex arcs next to the vertex: over the
+    out-arc, or over every in-arc with one sign."""
+    slots = [work.consumer_slot(a) if expand else work.producer_slot(a) for a in away]
+    if any(slot is None or slot[0] != "c" for slot in slots):
+        raise InapplicableMoveError("no crossing next to the vertex to slide")
+    found = tuple(slot[1] for slot in slots)
+    slid = [work.crossings[ci] for ci in found]
+    over, sign = slid[0]["over"], slid[0]["sign"]
+    if any(c["over"] != over or c["sign"] != sign for c in slid) or wanted not in (None, found):
+        raise InapplicableMoveError("no slidable crossings at this vertex")
+    if any(work.over_count(a) for a in away):
+        raise InapplicableMoveError("vertex arcs pass over other crossings")
+    # an over-arc that is a vertex arc or a slid under-arc (a kink) would be merged
+    if over in {*away, *onto} | {c[key] for c in slid for key in ("under_in", "under_out")}:
+        raise InapplicableMoveError("slide arcs are not independent")
+    work.delete_crossings(*found)
+    for c in slid:
+        work.merge(c["under_in"], c["under_out"])
+    for a in onto:
+        a = work.find(a)
+        work.cross(over, a, work.split(a), sign)
+
+
+def _slide_under(work: _Work, away, onto, wanted) -> None:
+    """A strand passes under the vertex arcs: under the out-arc, or under
+    every in-arc in turn with one sign, in the in-ends' order when the sign
+    is positive and reversed when it is negative."""
+    run = next((run for run in _runs_under(work, away) if wanted in (None, run)), None)
+    if run is None:
+        raise InapplicableMoveError("no strand passes under the vertex arcs")
+    slid = [work.crossings[ci] for ci in run]
+    first, last, sign = slid[0]["under_in"], slid[-1]["under_out"], slid[0]["sign"]
+    middle = [c["under_out"] for c in slid[:-1]]
+    if any(work.over_count(a) for a in middle):
+        raise InapplicableMoveError("middle arc passes over other crossings")
+    if {first, last} & {*away, *onto}:
+        raise InapplicableMoveError("slide arcs are not independent")
+    work.delete_crossings(*run)
+    for a in middle:
+        work.drop(a)
+    arcs = [first, *(work.fresh() for _ in onto[1:]), last]
+    for over, a, b in zip(onto if sign > 0 else onto[::-1], arcs, arcs[1:]):
+        work.cross(over, a, b, sign)
+
+
+def _runs_under(work: _Work, overs):
+    """The crossing indices of each run along one strand, of one sign,
+    under the arcs ``overs`` in turn (reversed when the sign is negative),
+    in the order of their first crossings."""
+    crossings = work.crossings
+    consumer = {c["under_in"]: i for i, c in enumerate(crossings)}
+    for start, c in enumerate(crossings):
+        run, ci = [], start
+        for over in overs if c["sign"] > 0 else overs[::-1]:
+            step = crossings[ci]
+            if ci in run or step["over"] != over or step["sign"] != c["sign"]:
+                break
+            run.append(ci)
+            # an arc no crossing consumes leads back to the start, which ends the run
+            ci = consumer.get(step["under_out"], start)
+        else:
+            yield tuple(run)
 
 
 def _sr(work: _Work, m: MoveSpec) -> MoveSpec:

@@ -42,7 +42,6 @@ from .tables import (
     GroupTable,
     OperationTable,
     ParseError,
-    SCAN_BELOW,
     ReportBuilder,
     _associativity_misses,
     _column_collision,
@@ -363,10 +362,8 @@ def _distributivity_witnesses(a, b, c, d, e):
 
 
 def _distributes(a, b, c, d, e) -> bool:
-    """No (x, y, z) is a distributivity witness.  From SCAN_BELOW elements
-    on, checked a row over y at a time."""
-    if a.size < SCAN_BELOW:
-        return next(_distributivity_witnesses(a, b, c, d, e), None) is None
+    """No (x, y, z) is a distributivity witness, checked a row over y at a
+    time."""
     after_a = [_composer(row) for row in a.entries]
     return all(
         [ax(bz) for ax in after_a] == list(map(_composer(ez), map(d.entries.__getitem__, cz)))

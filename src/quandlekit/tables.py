@@ -17,7 +17,6 @@ from operator import itemgetter
 from .solve import Problem
 
 MAX_WITNESSES = 16  # per axiom id, keeps reports bounded
-SCAN_BELOW = 8  # validate_axioms scans smaller tables element by element
 BYTE_LINES_UP_TO = 256  # ``Lines`` of maps on at most this many elements are bytes
 
 
@@ -484,23 +483,19 @@ def _associativity_misses(table: OperationTable, middle: OperationTable | None =
 
     Light's test over rows: row(x.a) against row_x o row_a, for every x.
     With one operation, the middle elements a at which it associates are
-    closed under it, so only a generating set of them is checked.  Tables
-    of fewer than SCAN_BELOW elements are scanned whole.
+    closed under it, so only a generating set of them is checked.
     """
     e = table.entries
     m = e if middle is None else middle.entries
     n = len(e)
-    if n < SCAN_BELOW:
-        candidates = [(x, range(n)) for x in range(n)]
-    else:
-        cols = table.columns
-        rows = table.lines("rows")
-        candidates = _mismatches(
-            n,
-            lambda a: rows.pick(cols[a]),
-            lambda a: rows.before(m[a], range(n)),
-            (rows, table.lines("columns")) if middle is None else (),
-        )
+    cols = table.columns
+    rows = table.lines("rows")
+    candidates = _mismatches(
+        n,
+        lambda a: rows.pick(cols[a]),
+        lambda a: rows.before(m[a], range(n)),
+        (rows, table.lines("columns")) if middle is None else (),
+    )
     return _assoc_witnesses(e, m, candidates)
 
 
@@ -524,8 +519,7 @@ def validate_axioms(table: OperationTable, profile: str, identity: int | None = 
     Q3 and associativity only on a generating set (see README.md, "Axiom
     checks").  Witnesses are then found by an element-by-element scan of
     the failing translations alone, so the report is that of a scan of
-    every triple.  Tables of fewer than SCAN_BELOW elements are scanned
-    whole, which is cheaper there.
+    every triple.
     """
     n = table.size
     e = table.entries
@@ -533,9 +527,6 @@ def validate_axioms(table: OperationTable, profile: str, identity: int | None = 
     if identity is not None and not 0 <= identity < n:
         raise ValueError(f"identity {identity} out of range 0..{n - 1}")
     rb = ReportBuilder()
-    # what the scans below visit: everything in a small table, else the
-    # columns or rows whose whole translations disagree
-    everything = [(a, range(n)) for a in range(n)] if n < SCAN_BELOW else None
 
     if profile in ("quandle", "kei"):
         for i in range(n):
@@ -549,17 +540,15 @@ def validate_axioms(table: OperationTable, profile: str, identity: int | None = 
             if inverse is None:
                 permutes = False
                 rb.hit("Q2", (j, *_column_collision(table, j)))
-        candidates = everything
-        if candidates is None:
-            # column j of each side: (i*j)*k against (i*k)*(j*k) over i.
-            # When every R_k is a bijection, the k whose R_k is an
-            # automorphism are closed under *: R_{a*b} = R_b R_a R_b^-1.
-            candidates = _mismatches(
-                n,
-                lambda k: columns.after(cols[k]),
-                lambda k: columns.before(cols[k], cols[k]),
-                (table.lines("rows"), columns) if permutes else (),
-            )
+        # column j of each side: (i*j)*k against (i*k)*(j*k) over i.
+        # When every R_k is a bijection, the k whose R_k is an
+        # automorphism are closed under *: R_{a*b} = R_b R_a R_b^-1.
+        candidates = _mismatches(
+            n,
+            lambda k: columns.after(cols[k]),
+            lambda k: columns.before(cols[k], cols[k]),
+            (table.lines("rows"), columns) if permutes else (),
+        )
         rb.hit_first("Q3", _q3_witnesses(e, candidates))
         if profile == "kei":
             # K4 can fail only in a column that is not its own inverse

@@ -121,6 +121,13 @@ def test_check_system_kinds(capsys):
         assert code == 1 and len(json.loads(out)["violations"]) == 4, arities
 
 
+def test_check_system_names_an_arity_that_is_not_an_integer(capsys):
+    code, out, err = run(
+        capsys, "check-system", "systems:t3r3z2", "--kind=n_compatible", "--arities=2,x"
+    )
+    assert (code, out, err) == (2, "", "error: arity 'x' is not an integer\n")
+
+
 def test_associated_writes_table(tmp_path, capsys):
     out_path = tmp_path / "assoc.magma"
     code, out, _ = run(capsys, "associated", "systems:t3r3z2", "-o", str(out_path))

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from searches import recorded_roots
 
 from quandlekit.coloring import (
     ColouringContext,
@@ -433,22 +434,6 @@ def test_orbit_sums_equal_plain_counts_on_random_diagrams():
             orbit_sums += ctx.symmetry() is not None
     # t2t2z2 alone takes the plain path
     assert orbit_sums == 600
-
-
-def recorded_roots(monkeypatch):
-    """The root variable of every search ColouringContext starts, with the
-    values it goes over; None for the plain search."""
-    roots = []
-    solutions = ColouringContext.solutions
-
-    def recording(self, chain=None, skip=()):
-        # a chain's root goes over the representatives of every value
-        roots.append(None if chain is None else (
-            self.root_variable(), list(chain.representatives(range(self.m)))))
-        return solutions(self, chain, skip)
-
-    monkeypatch.setattr(ColouringContext, "solutions", recording)
-    return roots
 
 
 def s3_point_with_gamma3(t):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from searches import recorded_roots
 
 from quandlekit.diagrams import parse_diagram
 from quandlekit.fixtures import DIAGRAMS, diagram
@@ -18,7 +19,6 @@ from quandlekit.invariants import (
     wirtinger_presentation,
 )
 from quandlekit.moves import MoveSpec, apply_move, applicable_moves, random_diagram
-from quandlekit.solve import Problem
 from quandlekit.tables import (
     ParseError,
     cyclic_group,
@@ -116,22 +116,6 @@ def relabelled(g, shift):
     back = [(a - shift) % g.size for a in range(g.size)]
     mul = g.table.entries
     return group_from_table(table_from(g.size, lambda a, b: (mul[back[a]][back[b]] + shift) % g.size))
-
-
-def recorded_roots(monkeypatch):
-    """The root variable of every search a Problem starts, with the values
-    it goes over; None for the plain search."""
-    roots = []
-    solutions = Problem.solutions
-
-    def recording(self, chain=None, skip=()):
-        # a chain's root goes over the representatives of every value
-        roots.append(None if chain is None else (
-            self.root_variable(), list(chain.representatives(range(self.m)))))
-        return solutions(self, chain, skip)
-
-    monkeypatch.setattr(Problem, "solutions", recording)
-    return roots
 
 
 def test_class_representative_counts_match_brute_force_on_fixtures():

@@ -15,6 +15,7 @@ from quandlekit.moves import (
     ScopeError,
     applicable_moves,
     apply_move,
+    candidate_moves,
     draw_trial,
     fuzz_invariance,
     random_diagram,
@@ -95,6 +96,75 @@ def test_tr2_both_variants_preserve_counts():
         assert count_colourings(res.diagram, T3R3) == base
         back = apply_move(res.diagram, res.inverse)
         assert count_colourings(back.diagram, T3R3) == base
+
+
+def tr2_candidates():
+    """Every tr2_slide spec on the fixtures and on random trivalent
+    diagrams of up to 10 crossings and 6 vertices, with its diagram."""
+    diagrams = [diagram(name) for name in list_diagrams()] + [
+        random_diagram(f"tr2:{s}", crossings, vertices)
+        for s in range(150)
+        for crossings, vertices in ((4, 2), (6, 2), (8, 4), (10, 6))
+    ]
+    for d in diagrams:
+        for spec in candidate_moves(d, ("tr2_slide",)):
+            yield d, spec
+
+
+def test_tr2_slide_outcomes_stay_the_same_across_versions():
+    # per candidate: refused, or the moved diagram, its arc map, created
+    # arcs, inverse kind and site, and the diagram the inverse gives back
+    digest = hashlib.sha256()
+    candidates = applied = 0
+    for d, spec in tr2_candidates():
+        candidates += 1
+        try:
+            res = apply_move(d, spec)
+        except InapplicableMoveError:
+            digest.update(b"refused\n")
+            continue
+        applied += 1
+        back = apply_move(res.diagram, res.inverse).diagram
+        digest.update(repr((
+            serialize_diagram(res.diagram), sorted(res.arc_map.items()), res.created,
+            res.inverse.kind, res.inverse.site, serialize_diagram(back),
+        )).encode())
+    assert (candidates, applied) == (8456, 794)
+    assert digest.hexdigest() == (
+        "29ef39472ecc36c730e529a18dfee8a8cacb7cf25ae1798e92ffc3ce734d0478"
+    )
+
+
+def test_tr2_slide_removes_the_crossings_it_is_given():
+    # the inverse names the crossings the slide appended; given crossings,
+    # a slide removes those and keeps the others, in their order, over the
+    # same arcs
+    checked = 0
+    for d, spec in tr2_candidates():
+        try:
+            res = apply_move(d, spec)
+        except InapplicableMoveError:
+            continue
+        inverse, n = res.inverse, len(res.diagram.crossings)
+        added = 2 if spec.params["direction"] == "expand" else 1
+        assert inverse.params["crossings"] == tuple(range(n - added, n)), spec
+        for given in (inverse.params["crossings"], tuple(range(added))):
+            params = {**inverse.params, "crossings": given}
+            try:
+                back = apply_move(res.diagram, replace(inverse, params=params))
+            except InapplicableMoveError:
+                assert given != inverse.params["crossings"], spec
+                continue
+            # a split at the vertex may give a kept crossing a new under-arc
+            kept = [
+                (back.arc_map[c.over], c.sign)
+                for i, c in enumerate(res.diagram.crossings)
+                if i not in given
+            ]
+            now = [(c.over, c.sign) for c in back.diagram.crossings]
+            assert now[: len(kept)] == kept, (spec, given)
+            checked += 1
+    assert checked > 794
 
 
 def relabel(d, mapping):

@@ -1186,8 +1186,7 @@ def family_report(data, kind, arities=()):
 
 def assert_family_reports_match(data, kinds=FAMILY_KINDS + ("lemma",)):
     """Every kind that data has the fields for reports what the loops do,
-    n_compatible at each arity with a composition table.  Tables under
-    SCAN_BELOW elements are also checked with whole rows compared."""
+    n_compatible at each arity with a composition table."""
     compared = 0
     for kind in kinds:
         arities = ()
@@ -1197,9 +1196,7 @@ def assert_family_reports_match(data, kinds=FAMILY_KINDS + ("lemma",)):
                 continue
         if all(getattr(data, field) is not None for field in NEEDS[kind]):
             want = reference_family_report(data, kind, arities)
-            for below in {1, systems.SCAN_BELOW}:
-                with mock.patch.object(systems, "SCAN_BELOW", below):
-                    assert family_report(data, kind, arities) == want, (kind, below)
+            assert family_report(data, kind, arities) == want, kind
             compared += 1
     return compared
 
@@ -1228,14 +1225,12 @@ DISTRIBUTIVITY_POOL = {n: [trivial_quandle(n), dihedral_quandle(n), table_from(n
 def test_whole_row_distributivity_agrees_with_a_scan(tables):
     # b[a[x][y]][z] = d[c[x][z]][e[y][z]], compared a row at a time and
     # element by element
-    for below in (1, systems.SCAN_BELOW):
-        with mock.patch.object(systems, "SCAN_BELOW", below):
-            found = next(systems._distributivity_witnesses(*tables), None)
-            assert systems._distributes(*tables) == (found is None)
-            a, b, c, d, e = (t.entries for t in tables)
-            if found is not None:
-                x, y, z = found
-                assert b[a[x][y]][z] != d[c[x][z]][e[y][z]]
+    found = next(systems._distributivity_witnesses(*tables), None)
+    assert systems._distributes(*tables) == (found is None)
+    a, b, c, d, e = (t.entries for t in tables)
+    if found is not None:
+        x, y, z = found
+        assert b[a[x][y]][z] != d[c[x][z]][e[y][z]]
 
 
 def test_bundled_systems_match_the_reference():

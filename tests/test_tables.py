@@ -4,8 +4,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from searches import recorded_roots
 
-from quandlekit.solve import Problem
 from quandlekit.tables import (
     OperationTable,
     ParseError,
@@ -325,22 +325,6 @@ def test_orbit_weights_are_class_sizes_at_least_elements():
     assert trivial_quandle(3).weights == (1, 1, 1)
 
 
-def recorded_roots(monkeypatch):
-    """The root variable of every search a Problem starts, with the values
-    it goes over; None for the plain search."""
-    roots = []
-    solutions = Problem.solutions
-
-    def recording(self, chain=None, skip=()):
-        # a chain's root goes over the representatives of every value
-        roots.append(None if chain is None else (
-            self.root_variable(), list(chain.representatives(range(self.m)))))
-        return solutions(self, chain, skip)
-
-    monkeypatch.setattr(Problem, "solutions", recording)
-    return roots
-
-
 def test_hom_count_by_components_into_quandles(monkeypatch):
     conj = conjugation_quandle(S3, 1)
     pairs = [(R3, R3), (R3, conj), (conj, R3), (T3, R3), (R3, T3), (trivial_quandle(2), conj),
@@ -479,22 +463,17 @@ PROFILES = ("quandle", "rack", "kei", "group")
 
 
 def assert_matches_reference(table, profiles=PROFILES, identities=(None,)):
-    """validate_axioms agrees with the plain scan, both through the
-    generating-set check and through a whole scan of a small table, with
-    lines composed as bytes and as tuples."""
+    """validate_axioms agrees with the plain scan, with lines composed as
+    bytes and as tuples."""
     from quandlekit import tables
 
-    small = table.size < tables.SCAN_BELOW
     for profile in profiles:
         for identity in identities if profile == "group" else (None,):
             want = reference_report(table.entries, profile, identity)
-            for below in (1, tables.SCAN_BELOW) if small else (tables.SCAN_BELOW,):
-                for limit in (0, tables.BYTE_LINES_UP_TO):
-                    with mock.patch.object(tables, "SCAN_BELOW", below), \
-                            mock.patch.object(tables, "BYTE_LINES_UP_TO", limit):
-                        report = validate_axioms(table, profile, identity=identity)
-                    assert (report.valid, report.violations) == want, (
-                        profile, identity, below, limit)
+            for limit in (0, tables.BYTE_LINES_UP_TO):
+                with mock.patch.object(tables, "BYTE_LINES_UP_TO", limit):
+                    report = validate_axioms(table, profile, identity=identity)
+                assert (report.valid, report.violations) == want, (profile, identity, limit)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,14 +5,16 @@ under_out slot or a vertex out-end; consumers are an under_in slot or a
 vertex in-end.  An arc with neither is a free loop (it may still pass over
 crossings).  Vertex ends are stored in cyclic order.
 
-A ``Diagram`` checks itself when it is built, so every function that
-takes one trusts it.
+``Crossing`` and ``Vertex`` are plain records.  A ``Diagram`` checks
+itself once when it is built, signs, valences and end directions
+included, so every function that takes one trusts it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tables import AxiomReport, ParseError, ReportBuilder, _content_lines
 
@@ -20,30 +22,15 @@ IN, OUT = "in", "out"
 CROSSING_FIELDS = frozenset(("over", "under_in", "under_out", "sign"))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     over: int
     under_in: int
     under_out: int
     sign: int  # +1 or -1
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("crossing sign must be +1 or -1")
 
-
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     ends: tuple[tuple[int, str], ...]  # (arc, "in"|"out"), cyclic order
-
-    def __post_init__(self) -> None:
-        ends = tuple((int(a), d) for a, d in self.ends)
-        if len(ends) < 3:
-            raise ValueError("vertex valence must be at least 3")
-        for _, d in ends:
-            if d not in (IN, OUT):
-                raise ValueError(f"bad end direction {d!r}")
-        object.__setattr__(self, "ends", ends)
 
     @property
     def valence(self) -> int:
@@ -75,8 +62,9 @@ class Edge:
 
 def validate_diagram(d: Diagram) -> AxiomReport:
     """The constructor's check of a ``Diagram``: a non-negative arc count,
-    index ranges and the one-producer/one-consumer (or free loop) rule
-    for every arc."""
+    index ranges, crossing signs of +1 or -1, vertices of valence at least
+    3 whose ends are ``in`` or ``out``, and the one-producer/one-consumer
+    (or free loop) rule for every arc."""
     rb = ReportBuilder()
     n = d.arc_count
     if n < 0:
@@ -90,20 +78,23 @@ def validate_diagram(d: Diagram) -> AxiomReport:
             return False
         return True
 
-    for ci, c in enumerate(d.crossings):
-        for a in (c.over, c.under_in, c.under_out):
+    for ci, (over, under_in, under_out, sign) in enumerate(d.crossings):
+        for a in (over, under_in, under_out):
             check_range(a, ci)
-        if 0 <= c.under_in < n:
-            consumers[c.under_in] += 1
-        if 0 <= c.under_out < n:
-            producers[c.under_out] += 1
+        if sign not in (1, -1):
+            rb.hit("crossing-sign", (ci, sign))
+        if 0 <= under_in < n:
+            consumers[under_in] += 1
+        if 0 <= under_out < n:
+            producers[under_out] += 1
     for vi, v in enumerate(d.vertices):
+        if len(v.ends) < 3:
+            rb.hit("vertex-valence", (vi, len(v.ends)))
         for a, direction in v.ends:
-            if check_range(a, vi):
-                if direction == IN:
-                    consumers[a] += 1
-                else:
-                    producers[a] += 1
+            if direction not in (IN, OUT):
+                rb.hit("vertex-direction", (vi, a))
+            elif check_range(a, vi):
+                (consumers if direction == IN else producers)[a] += 1
     for a in range(n):
         if producers[a] > 1 or (producers[a] == 1 and consumers[a] == 0):
             rb.hit("arc-producers", (a,))
@@ -298,17 +289,15 @@ class InapplicableMoveError(ValueError):
 
 class _Work:
     """Mutable token-level copy of a diagram, the one editor behind moves,
-    random diagrams and edge deletion.  Tokens name arcs: the original
-    arcs keep their indices, fresh tokens count on from there, and
-    ``finalize`` numbers the survivors."""
+    random diagrams and edge deletion.  It edits a list of ``Crossing``
+    records, storing a new record for each change, and lists of vertex
+    ends.  Tokens name arcs: the original arcs keep their indices, fresh
+    tokens count on from there, and ``finalize`` numbers the survivors."""
 
     def __init__(self, d: Diagram):
         self.original = d.arc_count
         self.next_token = d.arc_count
-        self.crossings = [
-            {"over": c.over, "under_in": c.under_in, "under_out": c.under_out, "sign": c.sign}
-            for c in d.crossings
-        ]
+        self.crossings = list(d.crossings)
         self.vertices = [list(v.ends) for v in d.vertices]
         self.alive = set(range(d.arc_count))
         self.created: list[int] = []
@@ -328,46 +317,37 @@ class _Work:
         return t
 
     def cross(self, over: int, under_in: int, under_out: int, sign: int) -> None:
-        self.crossings.append(
-            {"over": over, "under_in": under_in, "under_out": under_out, "sign": sign}
-        )
+        self.crossings.append(Crossing(over, under_in, under_out, sign))
 
     def delete_crossings(self, *indices: int) -> None:
         for ci in sorted(indices, reverse=True):
             del self.crossings[ci]
 
-    def consumer_slot(self, a: int):
+    def slot(self, a: int, direction: str):
+        """Where arc a ends (direction ``IN``) or starts (``OUT``):
+        ("c", crossing index), ("v", vertex index, end position) or None."""
+        i = 1 if direction == IN else 2  # under_in or under_out
         for ci, c in enumerate(self.crossings):
-            if c["under_in"] == a:
+            if c[i] == a:
                 return ("c", ci)
+        end = (a, direction)
         for vi, ends in enumerate(self.vertices):
-            for pos, (arc, direction) in enumerate(ends):
-                if arc == a and direction == IN:
-                    return ("v", vi, pos)
-        return None
-
-    def producer_slot(self, a: int):
-        for ci, c in enumerate(self.crossings):
-            if c["under_out"] == a:
-                return ("c", ci)
-        for vi, ends in enumerate(self.vertices):
-            for pos, (arc, direction) in enumerate(ends):
-                if arc == a and direction == OUT:
-                    return ("v", vi, pos)
+            if end in ends:
+                return ("v", vi, ends.index(end))
         return None
 
     def over_count(self, a: int) -> int:
-        return sum(1 for c in self.crossings if c["over"] == a)
+        return sum(1 for c in self.crossings if c.over == a)
 
     def split(self, a: int) -> int:
         """Cut arc a before its consumer: a keeps the producer and any
         over-passages, the new token takes the old consumer."""
-        slot = self.consumer_slot(a)
+        slot = self.slot(a, IN)
         if slot is None:
             raise InapplicableMoveError(f"arc {a} is a free loop; cannot split")
         b = self.fresh()
         if slot[0] == "c":
-            self.crossings[slot[1]]["under_in"] = b
+            self.crossings[slot[1]] = self.crossings[slot[1]]._replace(under_in=b)
         else:
             _, vi, pos = slot
             self.vertices[vi][pos] = (b, IN)
@@ -378,7 +358,7 @@ class _Work:
         ends at the first crossing, a fresh arc joins the two, and the
         arc after the second takes a's old consumer (a free loop closes
         back into a)."""
-        if self.consumer_slot(a) is None:
+        if self.slot(a, IN) is None:
             b, c = self.fresh(), a
         else:
             b = self.split(a)
@@ -387,10 +367,11 @@ class _Work:
         self.cross(second[0], b, c, second[1])
 
     def replace_everywhere(self, old: int, new: int) -> None:
-        for c in self.crossings:
-            for key in ("over", "under_in", "under_out"):
-                if c[key] == old:
-                    c[key] = new
+        # in place, so a loop over the crossings sees the new records
+        for ci, (over, under_in, under_out, sign) in enumerate(self.crossings):
+            if old in (over, under_in, under_out):
+                arcs = (new if t == old else t for t in (over, under_in, under_out))
+                self.crossings[ci] = Crossing(*arcs, sign)
         for ends in self.vertices:
             for pos, (arc, direction) in enumerate(ends):
                 if arc == old:
@@ -408,8 +389,8 @@ class _Work:
 
     def strand(self, a: int) -> set[int]:
         """All arcs on the same under-strand as a, walking both ways."""
-        next_arc = {c["under_in"]: c["under_out"] for c in self.crossings}
-        prev_arc = {c["under_out"]: c["under_in"] for c in self.crossings}
+        next_arc = {c.under_in: c.under_out for c in self.crossings}
+        prev_arc = {c.under_out: c.under_in for c in self.crossings}
         chain = {a}
         for step in (next_arc, prev_arc):
             cur = a
@@ -423,12 +404,12 @@ class _Work:
         swap under slots, flip signs once per reversed participant, flip
         vertex end directions."""
         chain = self.strand(a)
-        for c in self.crossings:
-            participations = int(c["over"] in chain) + int(c["under_in"] in chain)
-            if c["under_in"] in chain:
-                c["under_in"], c["under_out"] = c["under_out"], c["under_in"]
-            if participations % 2 == 1:
-                c["sign"] = -c["sign"]
+        for ci, (over, under_in, under_out, sign) in enumerate(self.crossings):
+            if (over in chain) != (under_in in chain):
+                sign = -sign
+            if under_in in chain:
+                under_in, under_out = under_out, under_in
+            self.crossings[ci] = Crossing(over, under_in, under_out, sign)
         for ends in self.vertices:
             for i, (arc, direction) in enumerate(ends):
                 if arc in chain:
@@ -444,8 +425,8 @@ class _Work:
         return Diagram(
             arc_count=len(tokens),
             crossings=tuple(
-                Crossing(index[c["over"]], index[c["under_in"]], index[c["under_out"]], c["sign"])
-                for c in self.crossings
+                Crossing(index[over], index[under_in], index[under_out], sign)
+                for over, under_in, under_out, sign in self.crossings
             ),
             vertices=tuple(
                 Vertex(tuple((index[a], direction) for a, direction in ends))
@@ -471,7 +452,7 @@ def delete_edges(d: Diagram, edges_to_delete) -> Diagram:
         doomed_arcs.update(edges[ei].arcs)
 
     work = _Work(d)
-    work.crossings = [c for c in work.crossings if c["under_in"] not in doomed_arcs]
+    work.crossings = [c for c in work.crossings if c.under_in not in doomed_arcs]
     work.vertices = [[e for e in ends if e[0] not in doomed_arcs] for ends in work.vertices]
     for vi, ends in enumerate(work.vertices):
         if len(ends) != 2:
@@ -481,9 +462,9 @@ def delete_edges(d: Diagram, edges_to_delete) -> Diagram:
 
     # fuse under strands through crossings whose over arc died
     for c in work.crossings:
-        if c["over"] in doomed_arcs:
-            work.merge(c["under_in"], c["under_out"])
-    work.crossings = [c for c in work.crossings if c["over"] not in doomed_arcs]
+        if c.over in doomed_arcs:
+            work.merge(c.under_in, c.under_out)
+    work.crossings = [c for c in work.crossings if c.over not in doomed_arcs]
 
     # smooth the two-valent vertices; a closed strand hanging on one
     # vertex alone just loses the vertex

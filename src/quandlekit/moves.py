@@ -9,7 +9,9 @@ Supported kinds: r1_insert/r1_delete, r2_insert/r2_delete,
 tr1_insert/tr1_delete, tr2_slide, sr_forward/sr_backward, vertex_rotate,
 reverse_arc.  The delete kinds are the reverse directions of the
 corresponding insertions; every result records the inverse move and an
-arc relabelling map.
+arc relabelling map.  Each move edits the ``Crossing`` records of a
+``diagrams._Work`` copy, and the result checks itself as it is built.
+``_MOVES`` declares each kind's parameters; ``apply_move`` refuses others.
 
 tr2_slide is one slide with two variants: a strand passes over the
 vertex arcs next to the vertex (``variant="vertex"``) or under them
@@ -71,7 +73,7 @@ def _reverse_arc_tokens(work: _Work, a: int) -> None:
     """Reverse the formal orientation of an arc whose endpoints are vertex
     ends (or a free loop): flip its end directions and the sign of every
     crossing it passes over."""
-    for slot in (work.consumer_slot(a), work.producer_slot(a)):
+    for slot in (work.slot(a, IN), work.slot(a, OUT)):
         if slot is not None and slot[0] == "c":
             raise InapplicableMoveError(f"arc {a} ends at a crossing; cannot reverse alone")
     work.reverse_strand(a)
@@ -83,7 +85,7 @@ def _reverse_arc_tokens(work: _Work, a: int) -> None:
 
 def _r1_insert(work: _Work, m: MoveSpec) -> MoveSpec:
     a = m.site
-    if work.consumer_slot(a) is None:
+    if work.slot(a, IN) is None:
         over = b = a
     else:
         b = work.split(a)
@@ -94,12 +96,12 @@ def _r1_insert(work: _Work, m: MoveSpec) -> MoveSpec:
 
 def _r1_delete(work: _Work, m: MoveSpec) -> MoveSpec:
     c = work.crossings[m.site]
-    if c["over"] not in (c["under_in"], c["under_out"]):
+    if c.over not in (c.under_in, c.under_out):
         raise InapplicableMoveError(f"crossing {m.site} is not a kink")
     del work.crossings[m.site]
-    work.merge(c["under_in"], c["under_out"])
-    params = {"sign": c["sign"], "over_first": c["over"] == c["under_in"]}
-    return MoveSpec("r1_insert", c["under_in"], params=params)
+    work.merge(c.under_in, c.under_out)
+    params = {"sign": c.sign, "over_first": c.over == c.under_in}
+    return MoveSpec("r1_insert", c.under_in, params=params)
 
 
 def _r2_insert(work: _Work, m: MoveSpec) -> MoveSpec:
@@ -107,8 +109,6 @@ def _r2_insert(work: _Work, m: MoveSpec) -> MoveSpec:
     if o not in work.alive or a == o:
         raise InapplicableMoveError("r2_insert needs two distinct arcs")
     sign = _sign(m)
-    if m.params.get("moving_over", False):
-        a, o = o, a  # the static strand is the one that splits
     work.pass_under(a, (o, sign), (o, -sign))
     n = len(work.crossings)
     return MoveSpec("r2_delete", n - 2, params={"second": n - 1})
@@ -119,21 +119,21 @@ def _r2_delete(work: _Work, m: MoveSpec) -> MoveSpec:
     if not 0 <= c2i < len(work.crossings) or c1i == c2i:
         raise InapplicableMoveError("r2_delete needs two crossings")
     c1, c2 = work.crossings[c1i], work.crossings[c2i]
-    mid = c1["under_out"]
+    mid = c1.under_out
     if (
-        c1["over"] != c2["over"]
-        or c2["under_in"] != mid
-        or c1["sign"] != -c2["sign"]
-        or c1["over"] in (mid, c1["under_in"], c2["under_out"])
+        c1.over != c2.over
+        or c2.under_in != mid
+        or c1.sign != -c2.sign
+        or c1.over in (mid, c1.under_in, c2.under_out)
     ):
         raise InapplicableMoveError("crossings do not form a cancelling pair")
     if work.over_count(mid) > 0:
         raise InapplicableMoveError("middle arc passes over other crossings")
-    first = c1["under_in"]
+    first = c1.under_in
     work.delete_crossings(c1i, c2i)
     work.merge(first, mid)
-    work.merge(first, c2["under_out"])
-    return MoveSpec("r2_insert", first, params={"other": c1["over"], "sign": c1["sign"]})
+    work.merge(first, c2.under_out)
+    return MoveSpec("r2_insert", first, params={"other": c1.over, "sign": c1.sign})
 
 
 def _tr1_insert(work: _Work, m: MoveSpec) -> MoveSpec:
@@ -162,15 +162,15 @@ def _tr1_delete(work: _Work, m: MoveSpec) -> MoveSpec:
     if rd != IN or sd != IN:
         raise InapplicableMoveError("tr1_delete needs two in-ends")
     for ci, c in enumerate(work.crossings):
-        if c["under_out"] == s and c["over"] == r and c["sign"] > 0:
+        if c.under_out == s and c.over == r and c.sign > 0:
             curl, sign = s, 1
-        elif c["under_out"] == r and c["over"] == s and c["sign"] < 0:
+        elif c.under_out == r and c.over == s and c.sign < 0:
             curl, sign = r, -1
         else:
             continue
         if work.over_count(curl) > 0:
             raise InapplicableMoveError("curl arc passes over other crossings")
-        t = c["under_in"]
+        t = c.under_in
         del work.crossings[ci]
         work.merge(t, curl)
         ends[pos], ends[(pos + 1) % v] = ((t, IN), (r, IN)) if sign > 0 else ((s, IN), (t, IN))
@@ -193,8 +193,10 @@ def _tr2_slide(work: _Work, m: MoveSpec) -> MoveSpec:
     *ins, out = (arc for arc, _ in ends[k:] + ends[:k])
     away, onto = ((out,), ins) if expand else (ins, (out,))
     wanted = m.params.get("crossings")
-    if wanted is not None:
-        wanted = tuple(wanted)
+    if wanted is not None and not (
+        isinstance(wanted, tuple) and all(isinstance(ci, int) for ci in wanted)
+    ):
+        raise InapplicableMoveError(f"crossings {wanted!r} is not a tuple of crossing indices")
     if variant == "vertex":
         _slide_over(work, away, onto, expand, wanted)
     else:
@@ -217,22 +219,22 @@ def _tr2_slide(work: _Work, m: MoveSpec) -> MoveSpec:
 def _slide_over(work: _Work, away, onto, expand, wanted) -> None:
     """A strand passes over the vertex arcs next to the vertex: over the
     out-arc, or over every in-arc with one sign."""
-    slots = [work.consumer_slot(a) if expand else work.producer_slot(a) for a in away]
+    slots = [work.slot(a, IN if expand else OUT) for a in away]
     if any(slot is None or slot[0] != "c" for slot in slots):
         raise InapplicableMoveError("no crossing next to the vertex to slide")
     found = tuple(slot[1] for slot in slots)
     slid = [work.crossings[ci] for ci in found]
-    over, sign = slid[0]["over"], slid[0]["sign"]
-    if any(c["over"] != over or c["sign"] != sign for c in slid) or wanted not in (None, found):
+    over, sign = slid[0].over, slid[0].sign
+    if any(c.over != over or c.sign != sign for c in slid) or wanted not in (None, found):
         raise InapplicableMoveError("no slidable crossings at this vertex")
     if any(work.over_count(a) for a in away):
         raise InapplicableMoveError("vertex arcs pass over other crossings")
     # an over-arc that is a vertex arc or a slid under-arc (a kink) would be merged
-    if over in {*away, *onto} | {c[key] for c in slid for key in ("under_in", "under_out")}:
+    if over in {*away, *onto} | {a for c in slid for a in (c.under_in, c.under_out)}:
         raise InapplicableMoveError("slide arcs are not independent")
     work.delete_crossings(*found)
     for c in slid:
-        work.merge(c["under_in"], c["under_out"])
+        work.merge(c.under_in, c.under_out)
     for a in onto:
         a = work.find(a)
         work.cross(over, a, work.split(a), sign)
@@ -246,8 +248,8 @@ def _slide_under(work: _Work, away, onto, wanted) -> None:
     if run is None:
         raise InapplicableMoveError("no strand passes under the vertex arcs")
     slid = [work.crossings[ci] for ci in run]
-    first, last, sign = slid[0]["under_in"], slid[-1]["under_out"], slid[0]["sign"]
-    middle = [c["under_out"] for c in slid[:-1]]
+    first, last, sign = slid[0].under_in, slid[-1].under_out, slid[0].sign
+    middle = [c.under_out for c in slid[:-1]]
     if any(work.over_count(a) for a in middle):
         raise InapplicableMoveError("middle arc passes over other crossings")
     if {first, last} & {*away, *onto}:
@@ -265,24 +267,24 @@ def _runs_under(work: _Work, overs):
     under the arcs ``overs`` in turn (reversed when the sign is negative),
     in the order of their first crossings."""
     crossings = work.crossings
-    consumer = {c["under_in"]: i for i, c in enumerate(crossings)}
+    consumer = {c.under_in: i for i, c in enumerate(crossings)}
     for start, c in enumerate(crossings):
         run, ci = [], start
-        for over in overs if c["sign"] > 0 else overs[::-1]:
+        for over in overs if c.sign > 0 else overs[::-1]:
             step = crossings[ci]
-            if ci in run or step["over"] != over or step["sign"] != c["sign"]:
+            if ci in run or step.over != over or step.sign != c.sign:
                 break
             run.append(ci)
             # an arc no crossing consumes leads back to the start, which ends the run
-            ci = consumer.get(step["under_out"], start)
+            ci = consumer.get(step.under_out, start)
         else:
             yield tuple(run)
 
 
 def _sr(work: _Work, m: MoveSpec) -> MoveSpec:
     bar = m.site
-    prod = work.producer_slot(bar)
-    cons = work.consumer_slot(bar)
+    prod = work.slot(bar, OUT)
+    cons = work.slot(bar, IN)
     if prod is None or cons is None or prod[0] != "v" or cons[0] != "v":
         raise InapplicableMoveError("sr needs an edge joining two vertices")
     v1, v2 = prod[1], cons[1]
@@ -327,19 +329,22 @@ def _reverse_arc(work: _Work, m: MoveSpec) -> MoveSpec:
     return MoveSpec("reverse_arc", m.site)
 
 
-# kind -> (site type, move, the params of its candidates at a site)
+# kind -> (site type, move, its parameter names, the params of its
+# candidates at a site)
 _MOVES = {
     "r1_insert": (
         "arc",
         _r1_insert,
+        ("sign", "over_first"),
         lambda d, a: [
             {"sign": sign, **extra} for sign in (1, -1) for extra in ({}, {"over_first": True})
         ],
     ),
-    "r1_delete": ("crossing", _r1_delete, lambda d, ci: [{}]),
+    "r1_delete": ("crossing", _r1_delete, (), lambda d, ci: [{}]),
     "r2_insert": (
         "arc",
         _r2_insert,
+        ("other", "sign"),
         lambda d, a: [
             {"other": o, "sign": sign} for o in range(d.arc_count) if o != a for sign in (1, -1)
         ],
@@ -347,11 +352,13 @@ _MOVES = {
     "r2_delete": (
         "crossing",
         _r2_delete,
+        ("second",),
         lambda d, ci: [{"second": c} for c in range(len(d.crossings)) if c != ci],
     ),
     "tr1_insert": (
         "vertex",
         _tr1_insert,
+        ("pos", "sign"),
         lambda d, vi: [
             {"pos": pos, "sign": sign}
             for pos in range(d.vertices[vi].valence)
@@ -361,25 +368,28 @@ _MOVES = {
     "tr1_delete": (
         "vertex",
         _tr1_delete,
+        ("pos",),
         lambda d, vi: [{"pos": pos} for pos in range(d.vertices[vi].valence)],
     ),
     "tr2_slide": (
         "vertex",
         _tr2_slide,
+        ("direction", "variant", "crossings"),
         lambda d, vi: [
             {"direction": direction, "variant": variant}
             for direction in ("expand", "contract")
             for variant in ("vertex", "strand")
         ],
     ),
-    "sr_forward": ("arc", _sr, lambda d, a: [{}]),
-    "sr_backward": ("arc", _sr, lambda d, a: [{}]),
+    "sr_forward": ("arc", _sr, (), lambda d, a: [{}]),
+    "sr_backward": ("arc", _sr, (), lambda d, a: [{}]),
     "vertex_rotate": (
         "vertex",
         _vertex_rotate,
+        ("direction",),
         lambda d, vi: [{"direction": 1}, {"direction": -1}],
     ),
-    "reverse_arc": ("arc", _reverse_arc, lambda d, a: [{}]),
+    "reverse_arc": ("arc", _reverse_arc, (), lambda d, a: [{}]),
 }
 
 MOVE_KINDS = tuple(_MOVES)
@@ -391,12 +401,16 @@ def _site_count(d: Diagram, site: str) -> int:
 
 def apply_move(d: Diagram, m: MoveSpec) -> MoveResult:
     """Apply the move at its site; raises InapplicableMoveError when the
-    site does not carry the move's pattern.  The move function of the
-    kind edits a copy and names the inverse's arcs by token; they are
+    site does not carry the move's pattern, and ValueError for an unknown
+    kind or a parameter the kind does not declare.  The move function of
+    the kind edits a copy and names the inverse's arcs by token; they are
     numbered here, as are the arc map and the created arcs."""
     if m.kind not in _MOVES:
         raise ValueError(f"unknown move kind {m.kind!r}")
-    site, move, _ = _MOVES[m.kind]
+    site, move, names, _ = _MOVES[m.kind]
+    for name in m.params:
+        if name not in names:
+            raise ValueError(f"{m.kind} has no parameter {name!r}")
     if not 0 <= m.site < _site_count(d, site):
         raise InapplicableMoveError(f"no {site} {m.site}")
     work = _Work(d)
@@ -424,7 +438,7 @@ def candidate_moves(d: Diagram, kinds):
     in a fixed order."""
     for kind in MOVE_KINDS:
         if kind in kinds:
-            site, _, candidates = _MOVES[kind]
+            site, _, _, candidates = _MOVES[kind]
             for s in range(_site_count(d, site)):
                 for params in candidates(d, s):
                     yield MoveSpec(kind, s, params=params)
@@ -477,7 +491,7 @@ def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -
             break
         op = rng.choice(ops)
         if op in ("theta", "handcuff"):
-            free = [a for a in range(work.next_token) if work.consumer_slot(a) is None]
+            free = [a for a in range(work.next_token) if work.slot(a, IN) is None]
             if not free:
                 free = [work.fresh()]
             a = rng.choice(free)

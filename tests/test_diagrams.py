@@ -1,6 +1,7 @@
 from unittest import mock
 
 import pytest
+from braids import closed_braid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +143,49 @@ def test_validate_rejects_double_consumption():
 def test_a_negative_arc_count_is_refused():
     with pytest.raises(ValueError, match=r"'arc-count', \(-1,\)"):
         Diagram(-1, (), ())
+
+
+def test_the_diagram_refuses_a_bad_sign_valence_or_direction():
+    for arcs, crossings, vertices, axiom in (
+        (1, (Crossing(0, 0, 0, 2),), (), r"'crossing-sign', \(0, 2\)"),
+        (1, (), (Vertex(((0, "in"), (0, "out"))),), r"'vertex-valence', \(0, 2\)"),
+        (
+            3,
+            (),
+            (
+                Vertex(((0, "in"), (1, "in"), (2, "up"))),
+                Vertex(((0, "out"), (1, "out"), (2, "in"))),
+            ),
+            r"'vertex-direction', \(0, 2\)",
+        ),
+    ):
+        with pytest.raises(ValueError, match=axiom):
+            Diagram(arcs, crossings, vertices)
+    # the records themselves are plain tuples and check nothing
+    assert Crossing(0, 0, 0, 2) == (0, 0, 0, 2)
+
+
+def reversed_strand(d, a):
+    work = diagrams._Work(d)
+    work.reverse_strand(a)
+    return work.finalize()[0]
+
+
+def test_reversing_a_component_that_passes_under_crossings():
+    # T(2,6) with a kink on arc 1: the components {0, 3, 5} and
+    # {1, 2, 4, 6} each pass under the other three times, and the second
+    # passes under itself at the kink
+    link = apply_move(closed_braid(2, [1] * 6), MoveSpec("r1_insert", 1, params={"sign": -1}))
+    link = link.diagram
+    flipped = reversed_strand(link, 1)
+    assert linking_matrix(link).matrix == ((0, 3), (3, 0))
+    assert linking_matrix(flipped).matrix == ((0, -3), (-3, 0))
+    # the kink keeps its sign; its under-arcs swap
+    assert flipped.crossings[6] == Crossing(6, 6, 1, -1)
+    r3 = system("r3")
+    assert count_colourings(flipped, r3) == count_colourings(link, r3) == 9
+    assert reversed_strand(flipped, 1) == link
+    assert reversed_strand(flipped, 6) == link
 
 
 def test_structural_violations_are_parse_errors_at_the_header_line():

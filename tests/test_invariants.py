@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from searches import recorded_roots
 
-from quandlekit.diagrams import parse_diagram
+from quandlekit import diagrams
+from quandlekit.diagrams import parse_diagram, serialize_diagram
 from quandlekit.fixtures import DIAGRAMS, diagram
 from quandlekit.invariants import (
     GroupPresentation,
@@ -330,6 +331,36 @@ def test_kauffman_colour_summary():
 
     values = kauffman_summary(diagram("mwf"), "colour_count", sys=system("t3r3z2"))
     assert len(values) == 1 and values[0] > 0
+
+
+def test_kauffman_constituents_reverse_a_strand_that_passes_under_crossings(monkeypatch):
+    reverse = diagrams._Work.reverse_strand
+    under = []
+
+    def spy(work, a):
+        chain = work.strand(a)
+        under.append(sum(c.under_in in chain for c in work.crossings))
+        reverse(work, a)
+
+    monkeypatch.setattr(diagrams._Work, "reverse_strand", spy)
+    pieces = kauffman_constituents(random_diagram("k8", 6, 2))
+    assert max(under) > 0
+    assert [serialize_diagram(d) for d in pieces] == [
+        "arcs 4\n"
+        "crossing over=2 under_in=1 under_out=0 sign=-\n"
+        "crossing over=1 under_in=3 under_out=1 sign=-\n"
+        "crossing over=0 under_in=0 under_out=2 sign=+\n"
+        "crossing over=0 under_in=2 under_out=3 sign=+\n",
+        "arcs 2\n"
+        "crossing over=1 under_in=1 under_out=0 sign=+\n"
+        "crossing over=0 under_in=0 under_out=1 sign=-\n",
+        "arcs 5\n"
+        "crossing over=0 under_in=2 under_out=1 sign=-\n"
+        "crossing over=2 under_in=4 under_out=2 sign=-\n"
+        "crossing over=1 under_in=0 under_out=3 sign=+\n"
+        "crossing over=0 under_in=3 under_out=4 sign=-\n"
+        "crossing over=0 under_in=1 under_out=0 sign=-\n",
+    ]
 
 
 def test_kauffman_rejects_higher_valence():

@@ -224,6 +224,25 @@ def test_inapplicable_moves_raise():
         apply_move(diagram("unknot"), MoveSpec("reverse_arc", 5))
 
 
+def test_apply_move_refuses_a_parameter_its_kind_does_not_declare():
+    d = random_diagram("tr2:3", 8, 4)
+    slide = {"direction": "expand", "variant": "strand"}
+    apply_move(d, MoveSpec("tr2_slide", 1, params=slide))
+    # `crossing` is the parameter the strand slide read before `crossings`
+    for kind, params, name in (
+        ("tr2_slide", {**slide, "crossing": 99}, "crossing"),
+        ("tr2_slide", {**slide, "bogus": 1}, "bogus"),
+        ("r2_insert", {"other": 1, "sign": 1, "moving_over": True}, "moving_over"),
+        ("reverse_arc", {"sign": 1}, "sign"),
+    ):
+        with pytest.raises(ValueError, match=f"{kind} has no parameter '{name}'") as refused:
+            apply_move(d, MoveSpec(kind, 1, params=params))
+        assert not isinstance(refused.value, InapplicableMoveError)
+    for crossings in (5, [0], ("0",)):
+        with pytest.raises(InapplicableMoveError, match="not a tuple of crossing indices"):
+            apply_move(d, MoveSpec("tr2_slide", 1, params={**slide, "crossings": crossings}))
+
+
 def test_random_diagram_trivial_budget_is_unknot():
     d = random_diagram(0, 0, 0)
     assert d.arc_count == 1 and not d.crossings and not d.vertices

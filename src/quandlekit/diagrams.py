@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
-from .tables import AxiomReport, ParseError, ReportBuilder, _content_lines
+from .tables import AxiomReport, ParseError, ReportBuilder
 
 IN, OUT = "in", "out"
 CROSSING_FIELDS = frozenset(("over", "under_in", "under_out", "sign"))
@@ -27,6 +28,11 @@ class Crossing(NamedTuple):
     under_in: int
     under_out: int
     sign: int  # +1 or -1
+
+
+# a Crossing from a 4-tuple, without the call of its Python-level __new__
+_crossing = partial(tuple.__new__, Crossing)
+_RECORD = re.compile(r"crossing over=([0-9]+) under_in=([0-9]+) under_out=([0-9]+) sign=([+-])")
 
 
 class Vertex(NamedTuple):
@@ -64,7 +70,38 @@ def validate_diagram(d: Diagram) -> AxiomReport:
     """The constructor's check of a ``Diagram``: a non-negative arc count,
     index ranges, crossing signs of +1 or -1, vertices of valence at least
     3 whose ends are ``in`` or ``out``, and the one-producer/one-consumer
-    (or free loop) rule for every arc."""
+    (or free loop) rule for every arc.  Whole columns decide a valid
+    diagram; an invalid one is scanned arc by arc for its witnesses."""
+    n = d.arc_count
+    over, consumed, produced, signs = [*map(list, zip(*d.crossings))] or [[], [], [], []]
+    for v in d.vertices:
+        if len(v.ends) < 3:
+            return _scan_diagram(d)
+        for a, direction in v.ends:
+            if direction == IN:
+                consumed.append(a)
+            elif direction == OUT:
+                produced.append(a)
+            else:
+                return _scan_diagram(d)
+    arcs = over + consumed + produced
+    heads = {*consumed}
+    if (
+        # an int only if the count and every index are; if not, the scan decides
+        type(sum(arcs, n)) is int
+        and n >= 0
+        and {*signs} <= {1, -1}
+        and (not arcs or 0 <= min(arcs) and max(arcs) < n)
+        # each arc consumed once, produced once, and consumed iff produced
+        and len(heads) == len(consumed) == len(produced)
+        and heads == {*produced}
+    ):
+        return AxiomReport(valid=True, violations=())
+    return _scan_diagram(d)
+
+
+def _scan_diagram(d: Diagram) -> AxiomReport:
+    """``validate_diagram``'s report, arc by arc."""
     rb = ReportBuilder()
     n = d.arc_count
     if n < 0:
@@ -122,7 +159,19 @@ def parse_diagram(text: str) -> Diagram:
             raise ParseError(f"arc index {a} out of range", lineno, line.find(tok) + 1)
         return a
 
-    for lineno, line in _content_lines(text):
+    record = _RECORD.fullmatch
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        # a record as serialize_diagram writes it, in range, is read at once
+        m = record(line) if arc_count is not None else None
+        if m is not None:
+            over, under_in, under_out = m.group(1, 2, 3)
+            over, under_in, under_out = int(over), int(under_in), int(under_out)
+            if over < arc_count and under_in < arc_count and under_out < arc_count:
+                crossings.append(_crossing((over, under_in, under_out, 1 if m[4] == "+" else -1)))
+                continue
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         toks = line.split()
         kind = toks[0]
         if arc_count is None:
@@ -191,11 +240,12 @@ def parse_diagram(text: str) -> Diagram:
             raise ParseError(f"unknown record type {kind!r}", lineno, 1)
     if arc_count is None:
         raise ParseError("empty diagram file", 1)
-    ended = {a for c in crossings for a in (c.under_in, c.under_out)}
-    ended.update(a for v in vertices for a, _ in v.ends)
-    for a, lineno, column in loops:
-        if a in ended:
-            raise ParseError(f"arc {a} has an end, so it is no free loop", lineno, column)
+    if loops:
+        ended = {a for c in crossings for a in (c.under_in, c.under_out)}
+        ended.update(a for v in vertices for a, _ in v.ends)
+        for a, lineno, column in loops:
+            if a in ended:
+                raise ParseError(f"arc {a} has an end, so it is no free loop", lineno, column)
     try:
         return Diagram(arc_count, tuple(crossings), tuple(vertices))
     except ValueError as exc:
@@ -229,38 +279,29 @@ def compute_edges(d: Diagram) -> list[Edge]:
     start position, then closed loops by smallest arc)."""
     # arc -> following arc through its consuming crossing
     next_arc = {c.under_in: c.under_out for c in d.crossings}
-    vertex_end = {}  # arc -> (vertex, position, direction)
-    for vi, v in enumerate(d.vertices):
-        for pos, (a, direction) in enumerate(v.ends):
-            vertex_end.setdefault(a, []).append((vi, pos, direction))
-
-    def end_of(a: int, direction: str):
-        for vi, pos, dd in vertex_end.get(a, ()):
-            if dd == direction:
-                return (vi, pos)
-        return None
+    ends = [
+        (vi, pos, a, direction)
+        for vi, v in enumerate(d.vertices)
+        for pos, (a, direction) in enumerate(v.ends)
+    ]
+    # arc -> (vertex, position) of the in-end it runs into
+    in_end = {a: (vi, pos) for vi, pos, a, direction in ends if direction == IN}
 
     edges: list[Edge] = []
     used = set()
-    starts = []
-    for vi, v in enumerate(d.vertices):
-        for pos, (a, direction) in enumerate(v.ends):
-            if direction == OUT:
-                starts.append((vi, pos, a))
-    for vi, pos, a in starts:
-        if a in used:
+    for vi, pos, a, direction in ends:
+        if direction == IN or a in used:
             continue
         chain = [a]
         used.add(a)
         cur = a
-        while end_of(cur, IN) is None:
+        while cur not in in_end:
             cur = next_arc[cur]
-            if cur in chain:
+            if cur in used:  # the chains from distinct out-ends are disjoint
                 break
             chain.append(cur)
             used.add(cur)
-        endpoint = end_of(chain[-1], IN)
-        edges.append(Edge(tuple(chain), ((vi, pos), endpoint)))
+        edges.append(Edge(tuple(chain), ((vi, pos), in_end.get(chain[-1]))))
     for a in range(d.arc_count):
         if a in used:
             continue
@@ -420,14 +461,13 @@ class _Work:
         every surviving token: original arcs first in their old order,
         then the created ones."""
         tokens = sorted(t for t in self.alive if t < self.original)
-        tokens += [t for t in self.created if t in self.alive]
-        index = {t: i for i, t in enumerate(tokens)}
+        tokens += filter(self.alive.__contains__, self.created)
+        index = dict(zip(tokens, range(len(tokens))))
+        number = index.__getitem__
+        *arcs, signs = zip(*self.crossings) if self.crossings else ((),) * 4
         return Diagram(
             arc_count=len(tokens),
-            crossings=tuple(
-                Crossing(index[over], index[under_in], index[under_out], sign)
-                for over, under_in, under_out, sign in self.crossings
-            ),
+            crossings=tuple(map(_crossing, zip(*(map(number, col) for col in arcs), signs))),
             vertices=tuple(
                 Vertex(tuple((index[a], direction) for a, direction in ends))
                 for ends in self.vertices

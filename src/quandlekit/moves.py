@@ -424,7 +424,9 @@ def apply_move(d: Diagram, m: MoveSpec) -> MoveResult:
     if "other" in params:
         params["other"] = number(params["other"])
     inverse_site = number(inverse.site) if _MOVES[inverse.kind][0] == "arc" else inverse.site
-    arc_map = {a: number(a) for a in range(d.arc_count) if work.find(a) in index}
+    # an arc merged into another takes its number
+    tokens = map(work.find, range(d.arc_count)) if work.rename else range(d.arc_count)
+    arc_map = {a: index[t] for a, t in enumerate(tokens) if t in index}
     created = tuple(index[t] for t in work.created)
     return MoveResult(out, arc_map, created, MoveSpec(inverse.kind, inverse_site, params=params))
 

@@ -402,15 +402,19 @@ def _site_count(d: Diagram, site: str) -> int:
 def apply_move(d: Diagram, m: MoveSpec) -> MoveResult:
     """Apply the move at its site; raises InapplicableMoveError when the
     site does not carry the move's pattern, and ValueError for an unknown
-    kind or a parameter the kind does not declare.  The move function of
+    kind, a parameter the kind does not declare, or a ``sign`` or
+    ``vertex_rotate`` direction other than 1 and -1.  The move function of
     the kind edits a copy and names the inverse's arcs by token; they are
     numbered here, as are the arc map and the created arcs."""
     if m.kind not in _MOVES:
         raise ValueError(f"unknown move kind {m.kind!r}")
     site, move, names, _ = _MOVES[m.kind]
-    for name in m.params:
+    for name, value in m.params.items():
         if name not in names:
             raise ValueError(f"{m.kind} has no parameter {name!r}")
+        # a crossing sign, or the way a vertex turns
+        if (name == "sign" or m.kind == "vertex_rotate") and value not in (1, -1):
+            raise ValueError(f"{m.kind} parameter {name!r} must be 1 or -1, not {value!r}")
     if not 0 <= m.site < _site_count(d, site):
         raise InapplicableMoveError(f"no {site} {m.site}")
     work = _Work(d)

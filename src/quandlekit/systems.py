@@ -47,6 +47,7 @@ from .tables import (
     _column_collision,
     _composer,
     _content_lines,
+    _distributivity_misses,
     _parse_int,
     _read_matrix,
     group_from_table,
@@ -333,7 +334,7 @@ class _Family:
 
     def distributes(self, key) -> bool:
         if key not in self._distributes:
-            self._distributes[key] = _distributes(*_composer(key)(self.data.star))
+            self._distributes[key] = next(self.distributivity_witnesses(key), None) is None
         return self._distributes[key]
 
     def composes(self, key) -> bool:
@@ -345,30 +346,9 @@ class _Family:
         return ((x, y) for x in range(self.m) for y in range(self.m) if left[y][x] != right[y][x])
 
     def distributivity_witnesses(self, key):
-        return _distributivity_witnesses(*_composer(key)(self.data.star))
-
-
-def _distributivity_witnesses(a, b, c, d, e):
-    """(x, y, z) with b[a[x][y]][z] != d[c[x][z]][e[y][z]], in scan order."""
-    a, b, c, d, e = (t.entries for t in (a, b, c, d, e))
-    r = range(len(a))
-    for x in r:
-        ax, cx = a[x], c[x]
-        for y in r:
-            left, ey = b[ax[y]], e[y]
-            for z in r:
-                if left[z] != d[cx[z]][ey[z]]:
-                    yield x, y, z
-
-
-def _distributes(a, b, c, d, e) -> bool:
-    """No (x, y, z) is a distributivity witness, checked a row over y at a
-    time."""
-    after_a = [_composer(row) for row in a.entries]
-    return all(
-        [ax(bz) for ax in after_a] == list(map(_composer(ez), map(d.entries.__getitem__, cz)))
-        for bz, cz, ez in zip(b.columns, c.columns, e.columns)
-    )
+        """(x, y, z) with (x *_A y) *_B z != (x *_C z) *_D (y *_E z), for
+        key = (A, B, C, D, E)."""
+        return _distributivity_misses(*_composer(key)(self.data.star))
 
 
 def _failing(blocks, keys, holds):
@@ -514,12 +494,6 @@ def _check_n_compatible(fam: _Family, rb: ReportBuilder) -> None:
         rb.hit_first("nc7" + tag, _rotation_misses(fam, arity, nested))
 
 
-def _tc5_misses(fam: _Family):
-    """(u, v, g) with (u (+) v) (x) g != (u (x) g) (+) (v (x) g)."""
-    tables = (fam.oplus, fam.otimes, fam.otimes, fam.oplus, fam.otimes)
-    return () if _distributes(*tables) else _distributivity_witnesses(*tables)
-
-
 def _hits(axiom: str, witnesses):
     """The check that records witnesses(fam) under one axiom id."""
     return lambda fam, rb: rb.hit_first(axiom, witnesses(fam))
@@ -567,7 +541,9 @@ _KINDS = {
         _hits("tc2", _f_first_misses),
         _hits("tc3", lambda fam: _associativity_misses(fam.otimes, fam.oplus)),
         _hits("tc4", lambda fam: _f_hom_misses(fam, 2, fam.oplus.entries)),
-        _hits("tc5", _tc5_misses),
+        # (u (+) v) (x) g against (u (x) g) (+) (v (x) g)
+        _hits("tc5", lambda fam: _distributivity_misses(
+            fam.oplus, fam.otimes, fam.otimes, fam.oplus, fam.otimes)),
         _check_tc6,
     )),
     "associative_composition": (("oplus",), (

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from quandlekit.coloring import count_colourings
-from quandlekit.diagrams import serialize_diagram, validate_diagram
+from quandlekit.diagrams import parse_diagram, serialize_diagram, validate_diagram
 from quandlekit.fixtures import diagram, list_diagrams, system
 from quandlekit.moves import (
     DEFAULT_MOVES,
@@ -241,6 +241,95 @@ def test_apply_move_refuses_a_parameter_its_kind_does_not_declare():
     for crossings in (5, [0], ("0",)):
         with pytest.raises(InapplicableMoveError, match="not a tuple of crossing indices"):
             apply_move(d, MoveSpec("tr2_slide", 1, params={**slide, "crossings": crossings}))
+
+
+def test_apply_move_refuses_a_sign_or_rotation_other_than_plus_or_minus_one():
+    d = diagram("theta")
+    for kind, params, name in (
+        ("vertex_rotate", {"direction": 0}, "direction"),
+        ("vertex_rotate", {"direction": 2}, "direction"),
+        ("tr1_insert", {"pos": 0, "sign": 0}, "sign"),
+        ("tr1_insert", {"pos": 0, "sign": -3}, "sign"),
+        ("tr1_insert", {"pos": 0, "sign": 2}, "sign"),
+        ("r1_insert", {"sign": 0}, "sign"),
+        ("r1_insert", {"sign": 2, "over_first": True}, "sign"),
+        ("r2_insert", {"other": 2, "sign": 0}, "sign"),
+        ("r2_insert", {"other": 2, "sign": -2}, "sign"),
+    ):
+        refusal = f"{kind} parameter '{name}' must be 1 or -1"
+        with pytest.raises(ValueError, match=refusal) as refused:
+            apply_move(d, MoveSpec(kind, 0, params=params))
+        assert not isinstance(refused.value, InapplicableMoveError)
+
+
+def test_every_recorded_vertex_rotation_inverse_restores_the_diagram():
+    diagrams = [diagram(name) for name in list_diagrams()]
+    diagrams += [random_diagram(f"rotate:{i}", 4, 3) for i in range(50)]
+    restored = 0
+    for d in diagrams:
+        for vi in range(len(d.vertices)):
+            for direction in (1, -1):
+                try:
+                    res = apply_move(
+                        d, MoveSpec("vertex_rotate", vi, params={"direction": direction}))
+                except InapplicableMoveError:
+                    continue
+                assert res.inverse.params == {"direction": -direction}
+                assert apply_move(res.diagram, res.inverse).diagram == d
+                restored += 1
+    assert restored >= 100
+
+
+def test_sr_refuses_a_bar_at_a_vertex_that_is_not_trivalent():
+    # vertex 0 is 4-valent: bar 0 runs from it to trivalent vertex 1, and
+    # bar 1 back; bar 4 joins the two trivalent vertices
+    d = parse_diagram(
+        "arcs 5\nvertex ends=0:out,1:in,2:in,3:out\nvertex ends=0:in,1:out,4:out\n"
+        "vertex ends=3:in,2:out,4:in\n")
+    for kind in ("sr_forward", "sr_backward"):
+        for bar in (0, 1):
+            with pytest.raises(InapplicableMoveError, match="sr needs trivalent vertices"):
+                apply_move(d, MoveSpec(kind, bar))
+        apply_move(d, MoveSpec(kind, 4))
+
+
+def test_r2_delete_refuses_a_middle_arc_over_one_crossing():
+    # the pair under free loop 3 cancels but for crossing 2, where the
+    # middle arc 1 passes over the strand's own last arc
+    d = parse_diagram(
+        "arcs 4\ncrossing over=3 under_in=0 under_out=1 sign=+\n"
+        "crossing over=3 under_in=1 under_out=2 sign=-\n"
+        "crossing over=1 under_in=2 under_out=0 sign=+\n")
+    with pytest.raises(InapplicableMoveError, match="middle arc passes over other crossings"):
+        apply_move(d, MoveSpec("r2_delete", 0, params={"second": 1}))
+
+
+def test_tr1_insert_builds_the_curl_of_its_sign():
+    # the positive curl passes the first in-arc under the second, the
+    # negative one the second under the first
+    d = diagram("theta")
+    for sign, text in (
+        (1, "arcs 4\ncrossing over=1 under_in=0 under_out=3 sign=+\n"
+            "vertex ends=1:in,3:in,2:out\nvertex ends=1:out,0:out,2:in\n"),
+        (-1, "arcs 4\ncrossing over=0 under_in=1 under_out=3 sign=-\n"
+             "vertex ends=3:in,0:in,2:out\nvertex ends=1:out,0:out,2:in\n"),
+    ):
+        res = apply_move(d, MoveSpec("tr1_insert", 0, params={"pos": 0, "sign": sign}))
+        assert serialize_diagram(res.diagram) == text
+
+
+def test_a_move_without_a_sign_builds_positive_crossings():
+    d = diagram("theta")
+    for kind, params, signs in (
+        ("r1_insert", {}, [1]),
+        ("r1_insert", {"over_first": True}, [1]),
+        ("r2_insert", {"other": 2}, [1, -1]),
+        ("tr1_insert", {"pos": 0}, [1]),
+    ):
+        res = apply_move(d, MoveSpec(kind, 0, params=params))
+        assert [c.sign for c in res.diagram.crossings] == signs, kind
+    assert apply_move(d, MoveSpec("tr1_insert", 0)).diagram == apply_move(
+        d, MoveSpec("tr1_insert", 0, params={"sign": 1})).diagram
 
 
 def test_random_diagram_trivial_budget_is_unknot():

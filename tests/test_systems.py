@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quandlekit.tables
 from quandlekit import systems
 from quandlekit.fixtures import axet_z2_s3, list_systems, system
 from quandlekit.systems import (
@@ -29,11 +30,13 @@ from quandlekit.systems import (
     validate_involution,
 )
 from quandlekit.tables import (
+    BYTE_LINES_UP_TO,
     AxiomReport,
     OperationTable,
     ParseError,
     ReportBuilder,
     _column_collision,
+    _distributivity_misses,
     alexander_quandle,
     conjugation_quandle,
     cyclic_group,
@@ -1223,14 +1226,22 @@ DISTRIBUTIVITY_POOL = {n: [trivial_quandle(n), dihedral_quandle(n), table_from(n
 @given(st.sampled_from(sorted(DISTRIBUTIVITY_POOL)).flatmap(
     lambda n: st.lists(st.sampled_from(DISTRIBUTIVITY_POOL[n]), min_size=5, max_size=5)))
 def test_whole_row_distributivity_agrees_with_a_scan(tables):
-    # b[a[x][y]][z] = d[c[x][z]][e[y][z]], compared a row at a time and
-    # element by element
-    found = next(systems._distributivity_witnesses(*tables), None)
-    assert systems._distributes(*tables) == (found is None)
-    a, b, c, d, e = (t.entries for t in tables)
-    if found is not None:
-        x, y, z = found
-        assert b[a[x][y]][z] != d[c[x][z]][e[y][z]]
+    # b[a[x][y]][z] = d[c[x][z]][e[y][z]], compared a whole column at a
+    # time and element by element: every witness, in scan order
+    def scan(a, b, c, d, e):
+        a, b, c, d, e = (t.entries for t in (a, b, c, d, e))
+        r = range(len(a))
+        return [(x, y, z) for x in r for y in r for z in r if b[a[x][y]][z] != d[c[x][z]][e[y][z]]]
+
+    table = tables[0]
+    # lines composed as bytes and as tuples
+    for limit in (0, BYTE_LINES_UP_TO):
+        with mock.patch.object(quandlekit.tables, "BYTE_LINES_UP_TO", limit):
+            assert list(_distributivity_misses(*tables)) == scan(*tables)
+            # Q3 of one table whose columns permute: only a generating set
+            # of the good z is checked
+            if all(len(set(col)) == table.size for col in table.columns):
+                assert list(_distributivity_misses(*(table,) * 5, True)) == scan(*(table,) * 5)
 
 
 def test_bundled_systems_match_the_reference():

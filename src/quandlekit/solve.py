@@ -2,32 +2,43 @@
 values 0..m-1 that satisfy every constraint, each of which is
 
 * a table constraint ``z = op[x][y]`` over an ``OperationTable`` op,
-  optionally with a table ``x_from`` giving ``x = x_from[z][y]``; or
+  optionally with its column inverse ``x_from``, giving
+  ``x = x_from[z][y]``; or
 * a rule over a tuple of variables, where ``solve(values, i)`` is the value
   position ``i`` must take when the other positions hold ``values``, or -1
   if none fits.  It fixes a position listed in ``forcing`` once all other
   variables are known, and is checked at its last position once all are.
 
-Each assignment propagates through a worklist over per-variable watch
-lists, and backtracking keeps an explicit stack and a trail, so size is
-limited by time, not by the recursion limit.  Set-up is the watch lists
-and a count per variable of the constraint slots on it.  Propagation
-fixes the same variables whatever their values, so the branch variable
-chosen on the first arrival at a depth serves every path: the unknown
-variable sharing the most constraint slots with known ones, kept in a
-heap built at the first such arrival.  A chain count branches first on
-``root_variable()`` instead, and one that propagation completes below
-that root never builds it.
+The search keeps an explicit stack, so size is limited by time, not by
+the recursion limit.  Set-up is the watch lists and a count per variable
+of the constraint slots on it.  Propagation fixes the same variables
+whatever their values: whether a constraint fires depends only on which
+of its variables are known.  So on its first arrival at a depth the
+search works out a plan (``_plan``) on the mask of known variables alone:
+the variables that the branch variable's value fixes, and one step per
+constraint or rule this resolves, in dependency order, each setting a
+variable from known ones or checking a constraint.  Every value tried
+there, the first included, only replays the steps (``_replay``), as does
+the initial propagation of the rules.  Each constraint is resolved at
+exactly one depth, so all plans together hold one step per constraint.
+A path reads no variable that it has not set, so backtracking unwinds
+nothing.  This is the "macro expansion" of a backtrack program to its
+search order (Bitner and Reingold, CACM 18, 1975).
 
-For the same reason, so does the source of the values it is branched
-over, picked on that first arrival too.  Where the variable is y, and
-neither x nor z, in a table constraint ``z = op[x][y]`` whose x and z are
-known, only the y with ``op[x][y] == z`` can succeed: the search branches
-over those, ``op.row_factors(x)[z]``, and over all m values elsewhere
-and at a chain count's root.
-Propagation would refuse every other y at once, and the factors come in
-ascending order, so the search yields what branching over all m values
-yields, in the same order, without the failed tries.
+For the same reason the branch variable chosen on that first arrival
+serves every path: the unknown variable sharing the most constraint slots
+with known ones, kept in a heap built at the first such arrival.  A chain
+count branches first on ``root_variable()`` instead, and one that
+propagation completes below that root never builds it.
+
+So does the source of the values it is branched over, picked on that
+first arrival too.  Where the variable is y, and neither x nor z, in a
+table constraint ``z = op[x][y]`` whose x and z are known, only the y
+with ``op[x][y] == z`` can succeed: the search branches over those,
+``op.row_factors(x)[z]``, and over all m values elsewhere and at a chain
+count's root.  The replay would refuse every other y at once, and the
+factors come in ascending order, so the search yields what branching
+over all m values yields, in the same order, without the failed tries.
 
 ``count`` is the one counting loop, and it counts down a chain of
 stabilisers (Sims 1970; Seress, *Permutation Group Algorithms*, 2003).
@@ -69,16 +80,19 @@ class Problem:
     def __init__(self, variables: int, domain: int) -> None:
         self.n, self.m = variables, domain
         # the constraints on each variable: (x, y, z, op rows, x_from rows,
-        # op) for tables, (variables, forcing flags, solve) for rules
+        # op, index) for tables, (variables, forcing flags, solve, index)
+        # for rules, numbered in the order they were added
         self.table_watch: list[list[tuple]] = [[] for _ in range(variables)]
         self.rule_watch: list[list[tuple]] = [[] for _ in range(variables)]
         self.slots = [0] * variables  # per variable: 3 per table constraint, the arity per rule
-        self.nodes = self.leaves = 0
+        self._added = 0
+        self.nodes = self.leaves = self.tried = self.failed = 0
 
     def add_table(self, x: int, y: int, z: int, op, x_from=None) -> None:
-        """Constrain z = x * y in the ``OperationTable`` op, and, with an
-        ``OperationTable`` x_from, x = x_from[z][y]."""
-        c = (x, y, z, op.entries, None if x_from is None else x_from.entries, op)
+        """Constrain z = x * y in the ``OperationTable`` op, and, with
+        x_from, the column inverse of op as a table, x = x_from[z][y]."""
+        c = (x, y, z, op.entries, None if x_from is None else x_from.entries, op, self._added)
+        self._added += 1
         for v in {x, y, z}:
             self.table_watch[v].append(c)
             self.slots[v] += 3
@@ -87,49 +101,70 @@ class Problem:
         variables = tuple(variables)
         # a variable met twice cannot be solved for from the others
         flags = tuple(i in forcing and variables.count(v) == 1 for i, v in enumerate(variables))
+        c = (variables, flags, solve, self._added)
+        self._added += 1
         for v in set(variables):
-            self.rule_watch[v].append((variables, flags, solve))
+            self.rule_watch[v].append(c)
             self.slots[v] += len(variables)
 
-    def _propagate(self, val: list[int], trail: list[int], queue: list[int]) -> bool:
-        """Apply every constraint watching a variable in ``queue``, and those
-        of every variable this fixes; False on a violated constraint."""
+    def _plan(self, known: bytearray, queue: list[int]) -> tuple[list[int], list[tuple]]:
+        """The propagation of knowing the variables in ``queue``, worked out
+        on the mask ``known``, which it extends: the variables it fixes, in
+        order, and the steps ``_replay`` runs.  A step (t, rows, a, b) sets
+        variable t, or checks ~t for t < 0, to rows[val[a]][val[b]] for a
+        table, and to solve(values of a, i) for a rule, b = (solve, i)."""
         table_watch, rule_watch = self.table_watch, self.rule_watch
-        while queue:
-            v = queue.pop()
-            for x, y, z, op, x_from, _ in table_watch[v]:
-                vy = val[y]
-                if vy < 0:
+        steps: list[tuple] = []
+        resolved: set[int] = set()
+        start = len(queue)
+        for v in queue:  # which grows by each variable fixed
+            for x, y, z, op, x_from, _, c in table_watch[v]:
+                if not known[y] or c in resolved:
                     continue
-                vx, vz = val[x], val[z]
-                if vx >= 0:
-                    if vz < 0:
-                        val[z] = op[vx][vy]
-                        trail.append(z)
-                        queue.append(z)
-                    elif vz != op[vx][vy]:
-                        return False
-                elif vz >= 0 and x_from is not None:
-                    val[x] = x_from[vz][vy]
-                    trail.append(x)
-                    queue.append(x)
-            rules = rule_watch[v]
-            if not rules:
-                continue
-            for variables, flags, solve in rules:
-                values = [val[u] for u in variables]
-                missing = values.count(-1)
-                if not missing:
-                    if solve(values, len(values) - 1) != values[-1]:
-                        return False
-                elif missing == 1 and flags[(i := values.index(-1))]:
-                    w = solve(values, i)
-                    if w < 0:
-                        return False
-                    u = variables[i]
-                    val[u] = w
-                    trail.append(u)
-                    queue.append(u)
+                if known[x]:
+                    t, rows, a = z, op, x
+                elif known[z] and x_from is not None:
+                    t, rows, a = x, x_from, z
+                else:
+                    continue
+                resolved.add(c)
+                if known[t]:
+                    steps.append((~t, rows, a, y))
+                else:
+                    known[t] = True
+                    queue.append(t)
+                    steps.append((t, rows, a, y))
+            for variables, flags, solve, c in rule_watch[v]:
+                if c in resolved:
+                    continue
+                missing = [i for i, u in enumerate(variables) if not known[u]]
+                if len(missing) > 1 or missing and not flags[missing[0]]:
+                    continue
+                resolved.add(c)
+                i = missing[0] if missing else len(variables) - 1
+                t = variables[i]
+                if missing:
+                    known[t] = True
+                    queue.append(t)
+                steps.append((t if missing else ~t, None, variables, (solve, i)))
+        return queue[start:], steps
+
+    @staticmethod
+    def _replay(val: list[int], steps: list[tuple]) -> bool:
+        """Run a plan's steps on the values ``val``: False at the first
+        violated check, or at a rule that finds no value."""
+        for t, rows, a, b in steps:
+            if rows is not None:
+                w = rows[val[a]][val[b]]
+            else:
+                solve, i = b
+                w = solve([val[u] for u in a], i)
+                if w < 0:
+                    return False
+            if t >= 0:
+                val[t] = w
+            elif val[~t] != w:
+                return False
         return True
 
     def root_variable(self) -> int:
@@ -176,30 +211,31 @@ class Problem:
         group generated by the translations of ``chain`` that fix every
         value branched above it, and each leaf is yielded as a pair
         (weight, assignment), where weight is the product of those orbits'
-        sizes.  ``nodes`` and ``leaves`` count the branching nodes and the
-        leaves of the last search."""
-        n, m = self.n, self.m
-        val = [-1] * n
-        trail: list[int] = []
-        self.nodes = self.leaves = 0
+        sizes.  ``nodes``, ``leaves``, ``tried`` and ``failed`` count the
+        branching nodes, the leaves, the values assigned and the replays
+        that refused of the last search."""
+        n, m, replay = self.n, self.m, self._replay
+        val, known = [-1] * n, bytearray(n)
         # nothing is known, so no table constraint can fire: each needs its y
-        if not self._propagate(val, trail, [v for v in range(n) if self.rule_watch[v]]):
-            return
+        seen, steps = self._plan(known, [v for v in range(n) if self.rule_watch[v]])
+        nodes = leaves = tried = 0
+        failed = 0 if replay(val, steps) else 1
         order: list[int] = []
         # per depth: a table constraint z = x * y on the branch variable y
         # with x and z known, the source of the only values that can
         # succeed, its row factors; None to go over every value
         sources: list[tuple | None] = []
-        if chain is not None and val[root := self.root_variable()] < 0:
+        plans: list[list[tuple]] = []  # per depth: the steps of a value of its variable
+        if chain is not None and not known[root := self.root_variable()]:
             order.append(root)
             sources.append(None)
         slots, goal, skipped = self.slots, n - len(skip), set(skip)
-        score, marks, tried = [0] * n, [0] * n, [None] * n
-        heap, scored = None, 0  # the first ``scored`` trail entries have raised the scores
+        score, pending = [0] * n, [None] * n
+        heap, scored = None, 0  # the first ``scored`` of ``seen`` have raised the scores
         # per depth: the group of the chain there, None below its end, and
         # the product of the orbit sizes of the values chosen above it
         groups, weights = [chain] + [None] * n, [1] * (n + 1)
-        k, arrived = 0, True
+        k, arrived = -failed, True  # nothing to search below a refused initial replay
         while k >= 0:
             if arrived:
                 arrived = False
@@ -207,31 +243,38 @@ class Problem:
                 if chained:
                     group, w = groups[k - 1], val[order[k - 1]]
                     weights[k] = weights[k - 1] * (1 if group is None else group.weight[w])
-                if len(trail) == goal:
-                    self.leaves += 1
+                if k == len(plans) and len(seen) == goal:  # every variable is known
+                    leaves += 1
+                    self.nodes, self.leaves, self.tried, self.failed = nodes, leaves, tried, failed
                     yield tuple(val) if chain is None else (weights[k], tuple(val))
                     k -= 1
                     continue
-                self.nodes += 1
+                nodes += 1
                 if chained:
                     groups[k] = group and group.child(w)
-                if k == len(order):
-                    if heap is None:  # a lazy max-heap, first needed here
-                        heap = [(0, -slots[v], v) for v in range(n) if v not in skipped]
-                        heapq.heapify(heap)
-                    fresh, scored = trail[scored:], len(trail)
-                    raised = [u for v in fresh for c in self.table_watch[v] for u in c[:3]]
-                    raised += [u for v in fresh for c in self.rule_watch[v] for u in c[0]]
-                    for u in (u for u in raised if val[u] < 0):
-                        score[u] += 1
-                        heapq.heappush(heap, (-score[u], -slots[u], u))
-                    while val[heap[0][2]] >= 0 or -heap[0][0] != score[heap[0][2]]:
-                        heapq.heappop(heap)
-                    v = heapq.heappop(heap)[2]
-                    order.append(v)
-                    sources.append(next((
-                        (x, z, op) for x, y, z, _, _, op in self.table_watch[v]
-                        if y == v and val[x] >= 0 and val[z] >= 0), None))
+                if k == len(plans):
+                    if k == len(order):
+                        if heap is None:  # a lazy max-heap, first needed here
+                            heap = [(0, -slots[v], v) for v in range(n) if v not in skipped]
+                            heapq.heapify(heap)
+                        fresh, scored = seen[scored:], len(seen)
+                        raised = [u for v in fresh for c in self.table_watch[v] for u in c[:3]]
+                        raised += [u for v in fresh for c in self.rule_watch[v] for u in c[0]]
+                        for u in (u for u in raised if not known[u]):
+                            score[u] += 1
+                            heapq.heappush(heap, (-score[u], -slots[u], u))
+                        while known[heap[0][2]] or -heap[0][0] != score[heap[0][2]]:
+                            heapq.heappop(heap)
+                        v = heapq.heappop(heap)[2]
+                        order.append(v)
+                        sources.append(next((
+                            (x, z, op) for x, y, z, _, _, op, _ in self.table_watch[v]
+                            if y == v and known[x] and known[z]), None))
+                    v = order[k]
+                    known[v] = True
+                    fixed, steps = self._plan(known, [v])
+                    seen += [v, *fixed]
+                    plans.append(steps)
                 source = sources[k]
                 if source is None:
                     candidates = range(m)
@@ -240,17 +283,16 @@ class Problem:
                     candidates = op.row_factors(val[x])[val[z]]
                 if groups[k] is not None:
                     candidates = groups[k].representatives(candidates)
-                tried[k] = iter(candidates)
-                marks[k] = len(trail)
-            while len(trail) > marks[k]:
-                val[trail.pop()] = -1
-            w = next(tried[k], -1)
+                pending[k] = iter(candidates)
+            w = next(pending[k], -1)
             if w < 0:
                 k -= 1
                 continue
-            v = order[k]
-            val[v] = w
-            trail.append(v)
-            if self._propagate(val, trail, [v]):
+            tried += 1
+            val[order[k]] = w
+            if replay(val, plans[k]):
                 k += 1
                 arrived = True
+            else:
+                failed += 1
+        self.nodes, self.leaves, self.tried, self.failed = nodes, leaves, tried, failed

@@ -40,12 +40,23 @@ def closed_braid(k, word):
     return Diagram(len(number), crossings, ())
 
 
+def random_words(seed, shapes):
+    """Words drawn in order from ``random.Random(seed)``, one per (k,
+    length) of ``shapes``.  Each letter is ``rng.choice([1, -1]) *
+    rng.randrange(1, k)``."""
+    rng = random.Random(seed)
+    return [(k, [rng.choice([1, -1]) * rng.randrange(1, k) for _ in range(length)])
+            for k, length in shapes]
+
+
 def measured_words():
-    """The words of ROADMAP.md's "Measured state", drawn in order from
-    ``random.Random(7)``: 20 and then 24 letters on 4 strands, then 24 on
-    5.  Each letter is ``rng.choice([1, -1]) * rng.randrange(1, k)``."""
-    rng = random.Random(7)
-    words = []
-    for k, length in ((4, 20), (4, 24), (5, 24)):
-        words.append((k, [rng.choice([1, -1]) * rng.randrange(1, k) for _ in range(length)]))
-    return words
+    """The words of ROADMAP.md's "Measured state": 20 and then 24 letters
+    on 4 strands, then 24 on 5."""
+    return random_words(7, ((4, 20), (4, 24), (5, 24)))
+
+
+def longer_words():
+    """The longer words of ROADMAP.md's "Measured state", as (strands,
+    word): 32 and 40 letters on 4 strands, 32 and 40 on 5, 30 and 36 on 6,
+    and 36 on 7."""
+    return random_words(11, ((4, 32), (4, 40), (5, 32), (5, 40), (6, 30), (6, 36), (7, 36)))

@@ -665,28 +665,13 @@ def test_a_system_that_shares_a_product_checks_its_own_rho(monkeypatch):
     assert roots[0] is not None and roots[1] is None
 
 
-def failed_propagations(monkeypatch):
-    """A counter of the propagations that refuse an assignment."""
-    failed = [0]
-    propagate = Problem._propagate
-
-    def counting(self, *args):
-        ok = propagate(self, *args)
-        failed[0] += not ok
-        return ok
-
-    monkeypatch.setattr(Problem, "_propagate", counting)
-    return failed
-
-
-def test_branching_over_row_factors_cuts_the_failed_tries(monkeypatch):
+def test_branching_over_row_factors_cuts_the_failed_tries():
     # branching over all 24 values of an arc that only crossings' over
     # positions constrain refused 2,760, 4,212 and 5,234 tries
-    failed = failed_propagations(monkeypatch)
     for name, count, most in (("mlf", 576, 0), ("mwf", 5088, 0), ("athlete-happy", 1608, 523)):
-        failed[0] = 0
-        assert count_colourings(diagram(name), S4_POINT) == count
-        assert failed[0] <= most, name
+        ctx = ColouringContext(diagram(name), S4_POINT)
+        assert ctx.count(ctx.symmetry()) == count
+        assert ctx.failed <= most, name
 
 
 # the first 50 colourings of athlete-happy by S3_POINT in the search order

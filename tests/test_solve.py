@@ -5,7 +5,7 @@ import itertools
 import math
 import sys
 
-from braids import closed_braid, measured_words
+from braids import closed_braid, longer_words, measured_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import Timer
@@ -234,6 +234,35 @@ def test_wirtinger_homs_of_long_chain_over_outgoing_arcs():
         assert group_hom_count(pres, S3) == 6
 
 
+def test_each_depth_plans_its_propagation_once_and_replays_it(monkeypatch):
+    # propagation fixes the same variables whatever their values, so a
+    # search works out one plan for the initial propagation and one per
+    # depth, and every value tried replays its depth's plan.  Both counts
+    # by Conj(S3) go over its 3 classes at the root of T(2,1250) and over
+    # 3 or 4 orbit representatives of each root's centraliser below it:
+    # 14 values, of which 3 are refused at the closure
+    problems = []
+    plan = Problem._plan
+
+    def recording(self, known, queue):
+        problems.append(self)
+        return plan(self, known, queue)
+
+    monkeypatch.setattr(Problem, "_plan", recording)
+    counts = (lambda d: count_colourings(d, S3_POINT),
+              lambda d: group_hom_count(wirtinger_presentation(d), S3))
+    for d, want, plans, tried, failed in (
+        (torus(1250), 18, 3, 14, 3),
+        # propagation from the root completes the chain: one depth
+        (kink_chain(2000, lambda i: (i + 1) % 2000), 6, 2, 3, 0),
+    ):
+        for count in counts:
+            problems.clear()
+            assert count(d) == want
+            assert len(problems) == plans and len(set(problems)) == 1
+            assert (problems[0].tried, problems[0].failed) == (tried, failed)
+
+
 def test_kink_chain_alternating_its_over_arc():
     d = kink_chain(200, lambda i: i if i % 2 == 0 else (i + 1) % 200)
     with Timer(5.0):
@@ -279,3 +308,18 @@ def test_closed_braids_by_the_one_point_family_over_s5():
     with Timer(5.0):
         assert count_colourings(closed_braid(k4, word4), data) == 275520
         assert count_colourings(closed_braid(k5, word5), data) == 34920
+
+
+def test_longer_closed_braids_by_the_one_point_family_over_s5():
+    # the longer braids of ROADMAP.md's "Measured state": branching nodes
+    # are few, but at each almost every value tried is refused at the
+    # closure, so what a try costs decides the time
+    data, s5 = p5(), symmetric_group(5)
+    words = longer_words()
+    for (k, word), want in ((words[3], 792000), (words[5], 218400)):
+        d = closed_braid(k, word)
+        assert count_colourings(d, data) == want
+        assert group_hom_count(wirtinger_presentation(d), s5) == want
+    # 1,745,750 values tried
+    with Timer(5.0):
+        assert count_colourings(closed_braid(*words[0]), data) == 7440

@@ -11,7 +11,7 @@ reverse_arc.  The delete kinds are the reverse directions of the
 corresponding insertions; every result records the inverse move and an
 arc relabelling map.  Each move edits the ``Crossing`` records of a
 ``diagrams._Work`` copy, and the result checks itself as it is built.
-``_MOVES`` declares each kind's parameters; ``apply_move`` refuses others.
+``_MOVES`` declares each kind's parameter axes; ``apply_move`` refuses others.
 
 tr2_slide is one slide with two variants: a strand passes over the
 vertex arcs next to the vertex (``variant="vertex"``) or under them
@@ -23,6 +23,7 @@ names the crossings the slide added.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -329,74 +330,39 @@ def _reverse_arc(work: _Work, m: MoveSpec) -> MoveSpec:
     return MoveSpec("reverse_arc", m.site)
 
 
-# kind -> (site type, move, its parameter names, the params of its
-# candidates at a site)
+_SIGNS = (1, -1)
+_POSITIONS = lambda d, vi: range(d.vertices[vi].valence)  # noqa: E731
+_OTHER_ARCS = lambda d, a: [*range(a), *range(a + 1, d.arc_count)]  # noqa: E731
+_OTHER_CROSSINGS = lambda d, ci: [*range(ci), *range(ci + 1, len(d.crossings))]  # noqa: E731
+_TR2_FORMS = ("direction", ("expand", "contract")), ("variant", ("vertex", "strand"))
+
+# kind -> (site type, move, the axes of its candidates at a site).  An axis
+# is a parameter name and its values, or a function of the diagram and the
+# site giving them; None leaves the parameter out.  The axes name every
+# parameter of the kind, and their product, the last axis fastest, lists a
+# site's candidates, as many at every arc or crossing.
 _MOVES = {
-    "r1_insert": (
-        "arc",
-        _r1_insert,
-        ("sign", "over_first"),
-        lambda d, a: [
-            {"sign": sign, **extra} for sign in (1, -1) for extra in ({}, {"over_first": True})
-        ],
-    ),
-    "r1_delete": ("crossing", _r1_delete, (), lambda d, ci: [{}]),
-    "r2_insert": (
-        "arc",
-        _r2_insert,
-        ("other", "sign"),
-        lambda d, a: [
-            {"other": o, "sign": sign} for o in range(d.arc_count) if o != a for sign in (1, -1)
-        ],
-    ),
-    "r2_delete": (
-        "crossing",
-        _r2_delete,
-        ("second",),
-        lambda d, ci: [{"second": c} for c in range(len(d.crossings)) if c != ci],
-    ),
-    "tr1_insert": (
-        "vertex",
-        _tr1_insert,
-        ("pos", "sign"),
-        lambda d, vi: [
-            {"pos": pos, "sign": sign}
-            for pos in range(d.vertices[vi].valence)
-            for sign in (1, -1)
-        ],
-    ),
-    "tr1_delete": (
-        "vertex",
-        _tr1_delete,
-        ("pos",),
-        lambda d, vi: [{"pos": pos} for pos in range(d.vertices[vi].valence)],
-    ),
-    "tr2_slide": (
-        "vertex",
-        _tr2_slide,
-        ("direction", "variant", "crossings"),
-        lambda d, vi: [
-            {"direction": direction, "variant": variant}
-            for direction in ("expand", "contract")
-            for variant in ("vertex", "strand")
-        ],
-    ),
-    "sr_forward": ("arc", _sr, (), lambda d, a: [{}]),
-    "sr_backward": ("arc", _sr, (), lambda d, a: [{}]),
-    "vertex_rotate": (
-        "vertex",
-        _vertex_rotate,
-        ("direction",),
-        lambda d, vi: [{"direction": 1}, {"direction": -1}],
-    ),
-    "reverse_arc": ("arc", _reverse_arc, (), lambda d, a: [{}]),
+    "r1_insert": ("arc", _r1_insert, (("sign", _SIGNS), ("over_first", (None, True)))),
+    "r1_delete": ("crossing", _r1_delete, ()),
+    "r2_insert": ("arc", _r2_insert, (("other", _OTHER_ARCS), ("sign", _SIGNS))),
+    "r2_delete": ("crossing", _r2_delete, (("second", _OTHER_CROSSINGS),)),
+    "tr1_insert": ("vertex", _tr1_insert, (("pos", _POSITIONS), ("sign", _SIGNS))),
+    "tr1_delete": ("vertex", _tr1_delete, (("pos", _POSITIONS),)),
+    "tr2_slide": ("vertex", _tr2_slide, (*_TR2_FORMS, ("crossings", (None,)))),
+    "sr_forward": ("arc", _sr, ()),
+    "sr_backward": ("arc", _sr, ()),
+    "vertex_rotate": ("vertex", _vertex_rotate, (("direction", _SIGNS),)),
+    "reverse_arc": ("arc", _reverse_arc, ()),
 }
 
 MOVE_KINDS = tuple(_MOVES)
+# kind -> (site type, the product of its value axes' lengths, its function axes)
+_SIZES = {kind: (site, math.prod(len(v) for _, v in axes if not callable(v)),
+                 [v for _, v in axes if callable(v)]) for kind, (site, _, axes) in _MOVES.items()}
 
 
-def _site_count(d: Diagram, site: str) -> int:
-    return {"arc": d.arc_count, "crossing": len(d.crossings), "vertex": len(d.vertices)}[site]
+def _site_counts(d: Diagram) -> dict[str, int]:
+    return {"arc": d.arc_count, "crossing": len(d.crossings), "vertex": len(d.vertices)}
 
 
 def apply_move(d: Diagram, m: MoveSpec) -> MoveResult:
@@ -408,22 +374,20 @@ def apply_move(d: Diagram, m: MoveSpec) -> MoveResult:
     numbered here, as are the arc map and the created arcs."""
     if m.kind not in _MOVES:
         raise ValueError(f"unknown move kind {m.kind!r}")
-    site, move, names, _ = _MOVES[m.kind]
+    site, move, axes = _MOVES[m.kind]
+    names = [name for name, _ in axes]
     for name, value in m.params.items():
         if name not in names:
             raise ValueError(f"{m.kind} has no parameter {name!r}")
         # a crossing sign, or the way a vertex turns
         if (name == "sign" or m.kind == "vertex_rotate") and value not in (1, -1):
             raise ValueError(f"{m.kind} parameter {name!r} must be 1 or -1, not {value!r}")
-    if not 0 <= m.site < _site_count(d, site):
+    if not 0 <= m.site < _site_counts(d)[site]:
         raise InapplicableMoveError(f"no {site} {m.site}")
     work = _Work(d)
     inverse = move(work, m)
     out, index = work.finalize()
-
-    def number(token: int) -> int:
-        return index[work.find(token)]
-
+    number = lambda token: index[work.find(token)]  # noqa: E731
     params = dict(inverse.params)
     if "other" in params:
         params["other"] = number(params["other"])
@@ -439,15 +403,57 @@ def apply_move(d: Diagram, m: MoveSpec) -> MoveResult:
 # applicability scanning
 
 
+def _check_kinds(kinds) -> None:
+    if isinstance(kinds, str):
+        raise TypeError(f"a move set is a collection of kinds, not the string {kinds!r}")
+    for kind in kinds:
+        if kind not in _MOVES:
+            raise ValueError(f"unknown move kind {kind!r}")
+
+
+def _candidates(d: Diagram, kinds):
+    """The number of candidate specs of the given kinds in d, and a function
+    that builds the i-th of them alone, in ``candidate_moves`` order."""
+    _check_kinds(kinds)
+    n_sites, blocks = _site_counts(d), []
+    for kind in (kind for kind in MOVE_KINDS if kind in kinds):
+        site, fixed, varying = _SIZES[kind]
+        n = n_sites[site]
+        size = lambda s: fixed * math.prod(len(v(d, s)) for v in varying)  # noqa: E731
+        if site == "vertex" and varying:  # positions, as many as the valence
+            sizes = [size(s) for s in range(n)]
+        else:  # as many at every site
+            sizes = size(0) if n and varying else fixed
+        blocks.append((kind, sum(sizes) if isinstance(sizes, list) else n * sizes, sizes))
+
+    def decode(i: int) -> MoveSpec:
+        for kind, count, sizes in blocks:
+            if i < count:
+                break
+            i -= count
+        if isinstance(sizes, int):
+            s, i = divmod(i, sizes)
+        else:
+            s = 0
+            while i >= sizes[s]:
+                i, s = i - sizes[s], s + 1
+        picked = {}
+        for name, values in reversed(_MOVES[kind][2]):
+            values = values(d, s) if callable(values) else values
+            i, k = divmod(i, len(values))
+            picked[name] = values[k]
+        params = {name: v for name, v in reversed(picked.items()) if v is not None}
+        return MoveSpec(kind, s, params=params)
+
+    return sum(count for _, count, _ in blocks), decode
+
+
 def candidate_moves(d: Diagram, kinds):
-    """Every spec of the given kinds with a site in d, applicable or not,
-    in a fixed order."""
-    for kind in MOVE_KINDS:
-        if kind in kinds:
-            site, _, _, candidates = _MOVES[kind]
-            for s in range(_site_count(d, site)):
-                for params in candidates(d, s):
-                    yield MoveSpec(kind, s, params=params)
+    """Every spec of the given kinds with a site in d, applicable or not:
+    the kinds in MOVE_KINDS order, then the sites, then the product of the
+    kind's axes.  ValueError for an unknown kind, TypeError for a string."""
+    count, decode = _candidates(d, kinds)
+    return map(decode, range(count))
 
 
 def applicable_moves(d: Diagram, kinds) -> list[MoveSpec]:
@@ -602,15 +608,16 @@ def draw_trial(trial_seed: str, move_set, crossings_max: int, vertices_max: int,
     """The diagram, move and moved result of one fuzz trial, or None.
 
     The diagram is the first of eight random ones with an applicable move
-    of ``move_set``.  Its candidates are shuffled by the trial's own rng
-    and applied in turn until one applies, which draws uniformly among the
-    applicable moves without applying all of them."""
+    of ``move_set``.  The trial's rng shuffles its candidates' indices (kinds
+    in MOVE_KINDS order, then sites, then the product of the kind's axes);
+    the specs they name are built and applied in turn until one applies."""
     rng = random.Random(trial_seed)
     for attempt in range(8):
         diagram = random_diagram(f"{trial_seed}#{attempt}", crossings_max, vertices_max, valences)
-        candidates = list(candidate_moves(diagram, move_set))
-        rng.shuffle(candidates)
-        for spec in candidates:
+        count, decode = _candidates(diagram, move_set)
+        order = list(range(count))
+        rng.shuffle(order)
+        for spec in map(decode, order):
             try:
                 return diagram, spec, apply_move(diagram, spec)
             except InapplicableMoveError:
@@ -692,25 +699,18 @@ def fuzz_invariance(
         raise ScopeError("; ".join(problems))
     if move_set is None:
         move_set = DEFAULT_MOVES[scope]
-    for kind in move_set:
-        if kind not in MOVE_KINDS:
-            raise ValueError(f"unknown move kind {kind!r}")
-    if scope == "links":
-        vertices_max = 0
-    valences = (3,)
-    if scope == "n_valent":
-        valences = tuple(k + 1 for k in sys.gamma_arities) or (3,)
+    _check_kinds(move_set)
+    vertices_max = 0 if scope == "links" else vertices_max
+    valences = (tuple(k + 1 for k in sys.gamma_arities) or (3,)) if scope == "n_valent" else (3,)
 
     out: list[FuzzTrial] = []
-    skipped = 0
     for i in range(trials):
         trial_seed = f"{seed}/{i}"
         drawn = draw_trial(trial_seed, move_set, crossings_max, vertices_max, valences)
         if drawn is None:
-            skipped += 1
             continue
         diagram, spec, moved = drawn
         before = count_colourings(diagram, sys, "all")
         after = count_colourings(moved.diagram, sys, "all")
         out.append(FuzzTrial(i, trial_seed, str(spec), before, after))
-    return FuzzReport(out, skipped)
+    return FuzzReport(out, trials - len(out))

@@ -1,10 +1,12 @@
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
 
 from quandlekit.coloring import count_colourings
 from quandlekit.diagrams import parse_diagram, serialize_diagram, validate_diagram
+from quandlekit import moves
 from quandlekit.fixtures import diagram, list_diagrams, system
 from quandlekit.moves import (
     DEFAULT_MOVES,
@@ -495,3 +497,134 @@ def test_fuzz_draws_among_the_applicable_moves():
         d, spec, _ = draw_trial(t.seed, moves, 4, 2, (3,))
         assert str(spec) == t.move
         assert spec in applicable_moves(d, moves)
+
+
+# Each kind's site type and the parameter dicts of its candidates at a
+# site, built in full as the fuzzer did before it counted candidates and
+# decoded them by index.
+REFERENCE_CANDIDATES = {
+    "r1_insert": ("arc", lambda d, a: [
+        {"sign": sign, **extra} for sign in (1, -1) for extra in ({}, {"over_first": True})
+    ]),
+    "r1_delete": ("crossing", lambda d, ci: [{}]),
+    "r2_insert": ("arc", lambda d, a: [
+        {"other": o, "sign": sign} for o in range(d.arc_count) if o != a for sign in (1, -1)
+    ]),
+    "r2_delete": ("crossing", lambda d, ci: [
+        {"second": c} for c in range(len(d.crossings)) if c != ci
+    ]),
+    "tr1_insert": ("vertex", lambda d, vi: [
+        {"pos": pos, "sign": sign} for pos in range(d.vertices[vi].valence) for sign in (1, -1)
+    ]),
+    "tr1_delete": ("vertex", lambda d, vi: [{"pos": pos} for pos in range(d.vertices[vi].valence)]),
+    "tr2_slide": ("vertex", lambda d, vi: [
+        {"direction": direction, "variant": variant}
+        for direction in ("expand", "contract")
+        for variant in ("vertex", "strand")
+    ]),
+    "sr_forward": ("arc", lambda d, a: [{}]),
+    "sr_backward": ("arc", lambda d, a: [{}]),
+    "vertex_rotate": ("vertex", lambda d, vi: [{"direction": 1}, {"direction": -1}]),
+    "reverse_arc": ("arc", lambda d, a: [{}]),
+}
+
+
+def reference_candidate_moves(d, kinds):
+    sites = {"arc": d.arc_count, "crossing": len(d.crossings), "vertex": len(d.vertices)}
+    for kind in MOVE_KINDS:
+        if kind in kinds:
+            site, candidates = REFERENCE_CANDIDATES[kind]
+            for s in range(sites[site]):
+                for params in candidates(d, s):
+                    yield MoveSpec(kind, s, params=params)
+
+
+def reference_draw_trial(trial_seed, move_set, crossings_max, vertices_max, valences):
+    """The draw that builds and shuffles every candidate spec."""
+    rng = random.Random(trial_seed)
+    for attempt in range(8):
+        diagram = random_diagram(f"{trial_seed}#{attempt}", crossings_max, vertices_max, valences)
+        candidates = list(reference_candidate_moves(diagram, move_set))
+        rng.shuffle(candidates)
+        for spec in candidates:
+            try:
+                return diagram, spec, apply_move(diagram, spec)
+            except InapplicableMoveError:
+                continue
+    return None
+
+
+def test_candidate_moves_equal_the_reference_lists_in_order():
+    diagrams = [diagram(name) for name in list_diagrams()] + [
+        random_diagram(f"cands-{i}", i % 9, i % 5, ((3,), (3, 4), (4,))[i % 3]) for i in range(100)
+    ]
+    assert any(v.valence == 4 for d in diagrams for v in d.vertices)
+    for d in diagrams:
+        for kinds in [MOVE_KINDS, *DEFAULT_MOVES.values(), *((k,) for k in MOVE_KINDS)]:
+            got = list(candidate_moves(d, kinds))
+            assert got == list(reference_candidate_moves(d, kinds)), (serialize_diagram(d), kinds)
+            # params compare as dicts; their order is the reference's too
+            assert [list(m.params) for m in got] == [
+                list(m.params) for m in reference_candidate_moves(d, kinds)
+            ]
+
+
+def test_draw_trial_equals_the_reference_draw():
+    move_sets = [*DEFAULT_MOVES.values(), *((k,) for k in MOVE_KINDS)]
+    draws = nones = 0
+    for si, move_set in enumerate(move_sets):
+        for crossings in range(4, 9):
+            for vertices in range(3):
+                for valences in ((3,), (3, 4)):
+                    for k in range(5):
+                        args = (f"ref-{si}-{crossings}-{vertices}-{valences}/{k}", move_set,
+                                crossings, vertices, valences)
+                        got, want = draw_trial(*args), reference_draw_trial(*args)
+                        assert got == want, args
+                        if got is not None:
+                            assert list(got[1].params) == list(want[1].params), args
+                        draws += 1
+                        nones += got is None
+    assert draws >= 2000 and 0 < nones < draws
+
+
+def test_a_draw_builds_only_the_specs_it_tries(monkeypatch):
+    moves_ = DEFAULT_MOVES["handlebody"]
+    big = random_diagram("spy", 80, 4)
+    assert len(big.crossings) == 80
+    assert sum(1 for _ in candidate_moves(big, moves_)) > 20000
+    built, applied = [], []
+
+    class CountedSpec(MoveSpec):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    def counted_apply(d, spec):
+        applied.append(spec)
+        return apply_move(d, spec)
+
+    monkeypatch.setattr(moves, "random_diagram", lambda *args: big)
+    monkeypatch.setattr(moves, "apply_move", counted_apply)
+    monkeypatch.setattr(moves, "MoveSpec", CountedSpec)
+    assert draw_trial("spy", moves_, 80, 4, (3,)) is not None
+    # one spec decoded per try, and the inverse a move builds
+    assert 1 <= len(applied) and len(built) <= 3 * len(applied), (len(built), len(applied))
+
+
+def test_a_move_set_names_known_kinds_and_is_not_a_string():
+    d = diagram("theta")
+    calls = (
+        lambda kinds: list(candidate_moves(d, kinds)),
+        lambda kinds: applicable_moves(d, kinds),
+        lambda kinds: draw_trial("x", kinds, 4, 2, (3,)),
+        lambda kinds: fuzz_invariance(T3R3, 0, "x", move_set=kinds),
+    )
+    for call in calls:
+        for kinds in (("bogus",), ("r1_insert", "bogus")):
+            with pytest.raises(ValueError, match="unknown move kind 'bogus'"):
+                call(kinds)
+        # "tr1_insert" holds "r1_insert" as a substring, and "x" nothing
+        for kinds in ("tr1_insert", "x"):
+            with pytest.raises(TypeError, match="not the string"):
+                call(kinds)

@@ -65,9 +65,10 @@ class ColouringContext(Problem):
         self.g_size = sys.g_size
         super().__init__(d.arc_count, self.carrier)
         table, dual = self.product, self.product.dual
-        for c in d.crossings:
-            op, inverse = (table, dual) if c.sign > 0 else (dual, table)
-            self.add_table(c.under_in, c.over, c.under_out, op, inverse)
+        if d.crossings:
+            overs, ins, outs, signs = zip(*d.crossings)
+            ops = map({1: table, -1: dual}.__getitem__, signs)
+            self.add_tables(ins, overs, outs, ops, map({1: dual, -1: table}.__getitem__, signs))
         if d.vertices and sys.rho is None:
             raise ValueError("vertex rules require the involution rho")
         # the Gamma arities the vertex rules read

@@ -38,6 +38,14 @@ class GroupPresentation:
                 raise ValueError("letter signs must be +1 or -1")
         object.__setattr__(self, "relators", rels)
 
+    @classmethod
+    def _trusted(cls, generator_count: int, relators) -> "GroupPresentation":
+        """``relators`` as given, a tuple of tuples of letters known to be valid."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "generator_count", generator_count)
+        object.__setattr__(p, "relators", relators)
+        return p
+
 
 @dataclass(frozen=True)
 class LinkingMatrix:
@@ -67,15 +75,12 @@ class LinkingMatrix:
 
 
 def wirtinger_presentation(d: Diagram) -> GroupPresentation:
-    relators: list[tuple[Letter, ...]] = []
-    for c in d.crossings:
-        if c.sign > 0:
-            relators.append(((c.over, -1), (c.under_in, 1), (c.over, 1), (c.under_out, -1)))
-        else:
-            relators.append(((c.over, 1), (c.under_in, 1), (c.over, -1), (c.under_out, -1)))
-    for v in d.vertices:
-        relators.append(tuple((a, 1 if direction == IN else -1) for a, direction in v.ends))
-    return GroupPresentation(d.arc_count, tuple(relators))
+    """Relators from the checked diagram's columns: the letters are not checked again."""
+    overs, ins, outs, signs = zip(*d.crossings) if d.crossings else ((),) * 4
+    relators = [*zip(zip(overs, map(int.__neg__, signs)), zip(ins, itertools.repeat(1)),
+                     zip(overs, signs), zip(outs, itertools.repeat(-1)))]
+    relators += [tuple((a, 1 if e == IN else -1) for a, e in v.ends) for v in d.vertices]
+    return GroupPresentation._trusted(d.arc_count, tuple(relators))
 
 
 def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
@@ -91,12 +96,17 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
     # conj[s][x][y] = y^-s x y^s, and conj[-s] solves it for x
     conj = {1: g.conjugation, -1: g.conjugation.dual}
     problem = Problem(p.generator_count, g.size)
+    crossings = []  # (x, y, z, op, x_from) per crossing relator
     for rel in p.relators:
-        if len(rel) == 4 and rel[0] == (rel[2][0], -rel[2][1]) and rel[1][1] == 1 == -rel[3][1]:
-            s = rel[2][1]
-            problem.add_table(rel[1][0], rel[2][0], rel[3][0], conj[s], conj[-s])
-        elif rel:
+        if len(rel) == 4:
+            (w, r), (x, t), (y, s), (z, u) = rel
+            if w == y and r == -s and t == 1 == -u:
+                crossings.append((x, y, z, conj[s], conj[-s]))
+                continue
+        if rel:
             problem.add_rule([gen for gen, _ in rel], _relator_rule(rel, g), range(len(rel)))
+    if crossings:
+        problem.add_tables(*zip(*crossings))
     # conjugation maps homomorphisms to homomorphisms: the right
     # translations of conj[1] are the conjugations
     return problem.count((g.conjugation, range(g.size)))

@@ -11,19 +11,21 @@ values 0..m-1 that satisfy every constraint, each of which is
 
 The search keeps an explicit stack, so size is limited by time, not by
 the recursion limit.  Set-up is the watch lists and a count per variable
-of the constraint slots on it.  Propagation fixes the same variables
-whatever their values: whether a constraint fires depends only on which
-of its variables are known.  So on its first arrival at a depth the
-search works out a plan (``_plan``) on the mask of known variables alone:
-the variables that the branch variable's value fixes, and one step per
-constraint or rule this resolves, in dependency order, each setting a
-variable from known ones or checking a constraint.  Every value tried
-there, the first included, only replays the steps (``_replay``), as does
-the initial propagation of the rules.  Each constraint is resolved at
-exactly one depth, so all plans together hold one step per constraint.
-A path reads no variable that it has not set, so backtracking unwinds
-nothing.  This is the "macro expansion" of a backtrack program to its
-search order (Bitner and Reingold, CACM 18, 1975).
+of the constraint slots on it; ``add_tables`` takes table constraints
+whole, as columns, and only a variable that a rule names gets a rule
+list.  Propagation fixes the same variables whatever their values:
+whether a constraint fires depends only on which of its variables are
+known.  So on its first arrival at a depth the search works out a plan
+(``_plan``) on the mask of known variables alone: the variables that the
+branch variable's value fixes, and one step per constraint or rule this
+resolves, in dependency order, each setting a variable from known ones
+or checking a constraint.  Every value tried there, the first included,
+only replays the steps (``_replay``), as does the initial propagation of
+the rules.  Each constraint is resolved at exactly one depth, so all
+plans together hold one step per constraint.  A path reads no variable
+that it has not set, so backtracking unwinds nothing.  This is the
+"macro expansion" of a backtrack program to its search order (Bitner and
+Reingold, CACM 18, 1975).
 
 For the same reason the branch variable chosen on that first arrival
 serves every path: the unknown variable sharing the most constraint slots
@@ -81,30 +83,43 @@ class Problem:
         self.n, self.m = variables, domain
         # the constraints on each variable: (x, y, z, op rows, x_from rows,
         # op, index) for tables, (variables, forcing flags, solve, index)
-        # for rules, numbered in the order they were added
+        # for rules, numbered in the order they were added; a variable's rules
+        # are a tuple, copied per rule added: a vertex names an arc once or twice
         self.table_watch: list[list[tuple]] = [[] for _ in range(variables)]
-        self.rule_watch: list[list[tuple]] = [[] for _ in range(variables)]
+        self.rule_watch: list[tuple] = [()] * variables
         self.slots = [0] * variables  # per variable: 3 per table constraint, the arity per rule
         self._added = 0
-        self.nodes = self.leaves = self.tried = self.failed = 0
+        self.nodes = self.leaves = self.tried = self.failed = self.depth = 0
 
     def add_table(self, x: int, y: int, z: int, op, x_from=None) -> None:
         """Constrain z = x * y in the ``OperationTable`` op, and, with
         x_from, the column inverse of op as a table, x = x_from[z][y]."""
-        c = (x, y, z, op.entries, None if x_from is None else x_from.entries, op, self._added)
-        self._added += 1
-        for v in {x, y, z}:
-            self.table_watch[v].append(c)
-            self.slots[v] += 3
+        self.add_tables((x,), (y,), (z,), (op,), (x_from,))
+
+    def add_tables(self, xs, ys, zs, ops, x_froms) -> None:
+        """``add_table`` of each (x, y, z, op, x_from) of the zipped columns, in order."""
+        table_watch, slots, i = self.table_watch, self.slots, self._added
+        for x, y, z, op, x_from in zip(xs, ys, zs, ops, x_froms):
+            c = (x, y, z, op.entries, x_from and x_from.entries, op, i)
+            i += 1
+            table_watch[x].append(c)
+            slots[x] += 3
+            if y != x:
+                table_watch[y].append(c)
+                slots[y] += 3
+            if z != x and z != y:
+                table_watch[z].append(c)
+                slots[z] += 3
+        self._added = i
 
     def add_rule(self, variables, solve, forcing) -> None:
         variables = tuple(variables)
         # a variable met twice cannot be solved for from the others
-        flags = tuple(i in forcing and variables.count(v) == 1 for i, v in enumerate(variables))
+        flags = tuple([i in forcing and variables.count(v) == 1 for i, v in enumerate(variables)])
         c = (variables, flags, solve, self._added)
         self._added += 1
         for v in set(variables):
-            self.rule_watch[v].append(c)
+            self.rule_watch[v] += (c,)
             self.slots[v] += len(variables)
 
     def _plan(self, known: bytearray, queue: list[int]) -> tuple[list[int], list[tuple]]:
@@ -213,12 +228,12 @@ class Problem:
         (weight, assignment), where weight is the product of those orbits'
         sizes.  ``nodes``, ``leaves``, ``tried`` and ``failed`` count the
         branching nodes, the leaves, the values assigned and the replays
-        that refused of the last search."""
+        that refused of the last search, and ``depth`` the levels it planned."""
         n, m, replay = self.n, self.m, self._replay
         val, known = [-1] * n, bytearray(n)
         # nothing is known, so no table constraint can fire: each needs its y
         seen, steps = self._plan(known, [v for v in range(n) if self.rule_watch[v]])
-        nodes = leaves = tried = 0
+        nodes = leaves = tried = self.depth = 0
         failed = 0 if replay(val, steps) else 1
         order: list[int] = []
         # per depth: a table constraint z = x * y on the branch variable y
@@ -275,6 +290,7 @@ class Problem:
                     fixed, steps = self._plan(known, [v])
                     seen += [v, *fixed]
                     plans.append(steps)
+                    self.depth = len(plans)  # per level planned, not per try or leaf
                 source = sources[k]
                 if source is None:
                     candidates = range(m)

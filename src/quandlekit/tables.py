@@ -794,9 +794,9 @@ def hom_count(source: OperationTable, target: OperationTable, surjective_only: b
         x_from = target.dual
     except ValueError:  # a column is not a permutation
         x_from = None
-    for a, row in enumerate(source.entries):
-        for b, c in enumerate(row):
-            p.add_table(a, b, c, target, x_from)
+    bs = [*range(source.size)] * source.size  # the pairs (a, b) in row order, as columns
+    p.add_tables(sorted(bs), bs, itertools.chain.from_iterable(source.entries),
+                 itertools.repeat(target), itertools.repeat(x_from))
     quandle = x_from is not None and validate_axioms(target, "quandle").valid
     symmetry = (target, range(target.size)) if quandle else None
     onto = (lambda phi: len(set(phi)) == target.size) if surjective_only else None

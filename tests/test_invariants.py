@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from searches import recorded_roots
+from test_solve import kink_chain, torus
 
 from quandlekit import diagrams
 from quandlekit.diagrams import parse_diagram, serialize_diagram
@@ -218,6 +219,34 @@ def test_a_letter_out_of_range_or_with_a_bad_sign_is_refused():
         GroupPresentation(2, (((0, 1), (1, -1)), ((0, 1), (2, 1))))
     with pytest.raises(ValueError, match=r"letter signs must be \+1 or -1"):
         GroupPresentation(2, (((0, 1), (1, 2), (0, 1)),))
+
+
+def reference_wirtinger_relators(d):
+    """The relators of ``wirtinger_presentation`` crossing by crossing, as
+    the module docstring states them."""
+    relators = []
+    for c in d.crossings:
+        if c.sign > 0:
+            relators.append(((c.over, -1), (c.under_in, 1), (c.over, 1), (c.under_out, -1)))
+        else:
+            relators.append(((c.over, 1), (c.under_in, 1), (c.over, -1), (c.under_out, -1)))
+    for v in d.vertices:
+        relators.append(tuple((a, 1 if direction == "in" else -1) for a, direction in v.ends))
+    return relators
+
+
+def test_the_wirtinger_presentation_passes_the_full_check():
+    # wirtinger_presentation trusts the checked diagram and skips the
+    # letter check; the same relators must pass it, and survive a file
+    diagrams = [diagram(name) for name in DIAGRAMS]
+    diagrams += [random_diagram(f"wt-{i}", 6, 3, (3, 4)) for i in range(200)]
+    diagrams += [torus(1250), kink_chain(2000, lambda i: (i + 1) % 2000)]
+    assert sum(1 for d in diagrams if d.vertices) > 150
+    for d in diagrams:
+        p = wirtinger_presentation(d)
+        assert p == GroupPresentation(d.arc_count, reference_wirtinger_relators(d))
+        assert type(p.relators) is tuple and all(type(rel) is tuple for rel in p.relators)
+        assert parse_presentation(serialize_presentation(p)) == p
 
 
 def presentations():

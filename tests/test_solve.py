@@ -215,6 +215,66 @@ def test_solutions_are_the_assignments_that_satisfy_every_constraint(problem):
     assert sorted(p.solutions(chain)) == sorted((1, s) for s in found)
 
 
+@st.composite
+def table_columns(draw):
+    """The variable count, the domain and the columns (xs, ys, zs, ops,
+    x_froms) of 0 to 8 table constraints.  Variables repeat within and
+    across constraints; the ops are two tables with permutations for
+    columns and one arbitrary table, and x_from is the op's dual or left
+    out."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    variables = st.integers(0, n - 1)
+    ops = [
+        OperationTable(m, tuple(zip(*(draw(st.permutations(range(m))) for _ in range(m)))))
+        for _ in range(2)
+    ]
+    row = st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(tuple)
+    loose = OperationTable(m, tuple(draw(row) for _ in range(m)))
+    columns = ([], [], [], [], [])
+    for _ in range(draw(st.integers(0, 8))):
+        x, z = draw(variables), draw(variables)
+        y = draw(st.one_of(st.just(x), st.just(z), variables))
+        op = draw(st.sampled_from(ops + [loose]))
+        x_from = op.dual if op is not loose and draw(st.booleans()) else None
+        for column, value in zip(columns, (x, y, z, op, x_from)):
+            column.append(value)
+    return n, m, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_columns())
+def test_adding_table_constraints_whole_equals_adding_them_one_by_one(case):
+    n, m, columns = case
+    whole, one_by_one = Problem(n, m), Problem(n, m)
+    whole.add_tables(*columns)
+    for constraint in zip(*columns):
+        one_by_one.add_table(*constraint)
+    assert whole.table_watch == one_by_one.table_watch
+    assert whole.slots == one_by_one.slots
+    assert whole.root_variable() == one_by_one.root_variable()
+    # the chain need not be a symmetry of these constraints: both
+    # searches go down it alike all the same
+    for chain in (None, dihedral_quandle(m).stabiliser(range(m))):
+        found = []
+        for p in (whole, one_by_one):
+            found.append((list(p.solutions(chain)), p.nodes, p.leaves, p.tried, p.failed, p.depth))
+        assert found[0] == found[1]
+
+
+def test_depth_is_the_number_of_levels_the_last_search_planned():
+    # propagation from the root completes the kink chain, so its one
+    # level is the root's; T(2,1250) branches once more below it
+    for d, depth in ((kink_chain(2000, lambda i: (i + 1) % 2000), 1), (torus(1250), 2)):
+        ctx = ColouringContext(d, S3_POINT)
+        assert ctx.depth == 0
+        assert ctx.count(ctx.symmetry()) == count_colourings(d, S3_POINT)
+        assert ctx.depth == depth
+    p = Problem(2, 3)
+    assert len(list(p.solutions())) == 9 and p.depth == 2
+    # count leaves variables in no constraint out of the search
+    assert p.count() == 9 and p.depth == 0
+
+
 def test_long_kink_chain_counts():
     assert sys.getrecursionlimit() <= 1000
     d = kink_chain(1100, lambda i: i)

@@ -224,6 +224,9 @@ class SystemData:
         if self.f_map is None:
             raise ValueError("system has no f map")
         m, n = self.x_size, self.g_size
+        if m == 1 or n == 1:  # the product is (x) on G, or *_0 on X
+            table = self.otimes if m == 1 else self.star[0]
+            return table, validate_axioms(table, "quandle")
         # flat[x][y * n + k] = (x *_k y) * n, the first part of a pair index
         flat = [
             tuple(map(n.__mul__, chain.from_iterable(zip(*(op.entries[x] for op in self.star)))))
@@ -287,7 +290,9 @@ def quandle_system(table: OperationTable) -> SystemData:
 def associated_quandle(data: SystemData) -> tuple[OperationTable, AxiomReport]:
     """The product table (x, g) . (y, h) = (x *_{f(g,h)} y, g (x) h) of the
     system and its report as a quandle, built on first use and kept on
-    ``data``.  The pair (x, g) is at index x * g_size + g."""
+    ``data``.  The pair (x, g) is at index x * g_size + g.  Where X has
+    one element the product is (x) itself, and where G has one it is
+    *_0, so that table is returned, not a copy."""
     return data._associated
 
 

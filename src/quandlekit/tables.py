@@ -854,12 +854,19 @@ def _read_matrix(lines, pos, rows, cols, bound, what=None):
     A row is looked up whole in ``_decimals(bound)``, which converts and
     range-checks each plain decimal at once.  A row with any other token
     (``007``, ``+3``, a non-integer, a value out of range) is read again
-    by ``_read_row``, so it parses or fails as with ``int``.
+    by ``_read_row``, so it parses or fails as with ``int``.  A line the
+    block has already read reuses that row's tuple, so a block of equal
+    rows (the ``f`` block of a G-family) is read once; a bad line raises
+    at its first occurrence.
     """
     label = f"{what}: " if what else ""
     out = []
     decimals = None
+    seen: dict[str, tuple[int, ...]] = {}  # each line read, to its row
     for lineno, line in lines[pos : pos + rows]:
+        if line in seen:
+            out.append(seen[line])
+            continue
         toks = line.split()
         if len(toks) != cols:
             raise ParseError(f"{label}expected {cols} entries", lineno, 1)
@@ -871,7 +878,8 @@ def _read_matrix(lines, pos, rows, cols, bound, what=None):
             row = tuple(map(decimals.__getitem__, toks))
         except KeyError:
             row = None  # read again outside the handler, so no error chains to it
-        out.append(row or _read_row(toks, lineno, line, bound, what))
+        row = seen[line] = row or _read_row(toks, lineno, line, bound, what)
+        out.append(row)
     if len(out) < rows:
         raise ParseError(f"unexpected end of file in {what} block", lines[-1][0])
     return tuple(out), pos + rows

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from searches import recorded_roots
 
+from quandlekit.systems import g_family_system, parse_system, serialize_system
 from quandlekit.tables import (
     OperationTable,
     ParseError,
@@ -706,8 +707,12 @@ def matrix_blocks(draw):
     widths = st.sampled_from([cols, cols, cols, cols, cols + 1, max(cols - 1, 1)])
     tokens = matrix_tokens(bound)
     present = draw(st.integers(max(rows - 1, 1), rows))
-    lines = [(3 + 2 * r, "  ".join(draw(st.lists(tokens, min_size=w, max_size=w))))
-             for r, w in enumerate(draw(st.lists(widths, min_size=present, max_size=present)))]
+    texts = ["  ".join(draw(st.lists(tokens, min_size=w, max_size=w)))
+             for w in draw(st.lists(widths, min_size=present, max_size=present))]
+    for r in range(1, present):
+        if draw(st.booleans()):  # a line read before, good or bad, again
+            texts[r] = texts[draw(st.integers(0, r - 1))]
+    lines = [(3 + 2 * r, text) for r, text in enumerate(texts)]
     return lines, rows, cols, bound, draw(st.sampled_from([None, "star 1"]))
 
 
@@ -726,3 +731,24 @@ def test_read_matrix_agrees_with_int_on_every_token(block):
         got, pos = _read_matrix(lines, 0, rows, cols, bound, what)
         assert (got, pos) == (want, rows)
         assert all(type(v) is int for row in got for v in row)
+
+
+def test_a_repeated_row_is_read_once_and_a_bad_one_fails_at_its_first_line():
+    lines = [(2, "0 1 2"), (3, "2 0 1"), (4, "0 1 2"), (5, "0 1 2")]
+    rows, _ = _read_matrix(lines, 0, 4, 3, 3, "f")
+    assert rows == ((0, 1, 2), (2, 0, 1), (0, 1, 2), (0, 1, 2))
+    assert rows[0] is rows[2] is rows[3]
+    lines = [(2, "0 1 2"), (4, "0 5 1"), (5, "0 5 1")]
+    with pytest.raises(ParseError) as exc:
+        _read_matrix(lines, 0, 3, 3, 3, "f")
+    assert str(exc.value) == "f: entry 5 out of range 0..2 (line 4, column 3)"
+    assert (exc.value.line, exc.value.column) == (4, 3)
+
+
+def test_a_g_family_over_s5_round_trips_with_its_f_rows():
+    s5 = symmetric_group(5)
+    p5 = g_family_system(tuple(trivial_quandle(1) for _ in range(s5.size)), s5)
+    again = parse_system(serialize_system(p5))
+    assert again == p5
+    assert again.f_map == p5.f_map == (tuple(range(120)),) * 120
+    assert len(set(map(id, again.f_map))) == 1

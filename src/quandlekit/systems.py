@@ -26,8 +26,9 @@ of a kind in turn (qf1 with qf2 for each a, tc6a with tc6b for each
 (x, g, h)) and runs over the G elements that pick a table (g, h, q, the x
 of rho_x, the arguments gs of Gamma) before the others, lexicographically;
 tc2 and nc3 scan h before g, nc2 scans rest before (h1, h2), and fw2 keeps
-only the first bad column for each (g, h).  The checks compare whole
-tables, rows or columns, each distinct tuple of star tables once.
+only the first bad column for each (g, h).  The checks over G compare
+whole lines (rows, columns, lines of Gamma over one argument, lines of
+star tables) at C speed and scan elements only in the lines that fail.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from operator import add, getitem
 from .tables import (
     AxiomReport,
     GroupTable,
+    Lines,
     OperationTable,
     ParseError,
     ReportBuilder,
@@ -105,10 +107,11 @@ class SystemData:
             if op.size != self.x_size:
                 raise ValueError("star operations must act on X")
         if self.f_map is not None:
-            rows = tuple(tuple(r) for r in self.f_map)
-            if len(rows) != self.g_size or any(len(r) != self.g_size for r in rows):
+            rows = tuple(map(tuple, self.f_map))  # a row that is a tuple is kept, not copied
+            distinct = {id(r): r for r in rows}.values()  # a row shared by g's is checked once
+            if len(rows) != self.g_size or any(len(r) != self.g_size for r in distinct):
                 raise ValueError("f_map must be g_size x g_size")
-            if any(min(r) < 0 or max(r) >= self.g_size for r in rows):
+            if any(min(r) < 0 or max(r) >= self.g_size for r in distinct):
                 raise ValueError("f_map entries out of range")
             object.__setattr__(self, "f_map", rows)
         if self.group is not None:
@@ -243,17 +246,17 @@ class SystemData:
 
 
 def _argument_inverse(flat: tuple[int, ...], n: int, stride: int) -> tuple[int, ...] | None:
-    """The inverse of a flat table in its digit of weight ``stride``, one
-    fibre (that digit running, the others fixed) at a time, or None if a
-    fibre is not a permutation."""
+    """The inverse of a flat table in its digit of weight ``stride``, or
+    None if a fibre (that digit running, the others fixed) is not a
+    permutation.  Each fibre is inverted whole, as a line."""
+    block = n * stride
+    starts = [s for start in range(0, len(flat), block) for s in range(start, start + stride)]
+    fibres = Lines([flat[s : s + block : stride] for s in starts], n)
     inv = [0] * len(flat)
-    block, digits = n * stride, range(n)
-    for start in range(0, len(flat), block):
-        for s in range(start, start + stride):
-            digit_of = dict(zip(flat[s : s + block : stride], digits))
-            if len(digit_of) < n:
-                return None
-            inv[s : s + block : stride] = map(digit_of.__getitem__, digits)
+    for s, line in zip(starts, map(fibres.inverse, range(len(starts)))):
+        if line is None:
+            return None
+        inv[s : s + block : stride] = line
     return tuple(inv)
 
 
@@ -261,7 +264,7 @@ def g_family_system(star, group: GroupTable) -> SystemData:
     """Package a group-indexed family: f(g,h) = h, (x) = conjugation,
     (+) = group product, rho_x = inversion."""
     g_size = group.size
-    f_map = tuple(tuple(h for h in range(g_size)) for _ in range(g_size))
+    f_map = (tuple(range(g_size)),) * g_size
     star = tuple(star)
     x_size = star[0].size
     return SystemData(
@@ -364,29 +367,45 @@ def _failing(blocks, keys, holds):
     return ((block, key) for block, key in zip(blocks, keys) if key in bad) if bad else ()
 
 
-def _subscript_misses(fam: _Family, arity: int, nested):
-    """(x, y) + gs where (..(x *_{g1} y)..) *_{gk} y != x *_{Gamma(gs)} y,
-    for Gamma(gs) = nested[g1]..[gk]."""
-    s, blocks = fam.star, list(product(range(fam.n), repeat=arity))
-    keys = ((tuple(map(s.__getitem__, gs)), (s[reduce(getitem, gs, nested)],)) for gs in blocks)
-    failing = _failing(blocks, keys, fam.composes)
-    return (w + gs for gs, key in failing for w in fam.composition_witnesses(key))
+def _subscript_misses(fam: _Family, arity: int, gamma: Lines):
+    """(x, y) + gs where (..(x *_{g1} y)..) *_{gk} y != x *_{Gamma(gs)} y.
+    A line of Gamma over its last argument holds when every distinct pair
+    in it, of the star indices of that argument and of Gamma, composes."""
+    n, s = fam.n, fam.star
+    starred = gamma.after(s)  # the star index of Gamma(gs), over gs
+    for start, prefix, seq in zip(range(0, len(starred), n), product(range(n), repeat=arity - 1),
+                                  product(s, repeat=arity - 1)):
+        line = starred[start : start + n]
+        if not all(fam.composes((seq + (a,), (b,))) for a, b in set(zip(s, line))):
+            for h, key in enumerate((seq + (a,), (b,)) for a, b in zip(s, line)):
+                yield from (w + prefix + (h,) for w in fam.composition_witnesses(key))
 
 
-def _untwisted_misses(fam: _Family, product_of):
+def _untwisted_misses(fam: _Family, table: OperationTable):
     """(x, y, z, g, h) where (x *_g y) *_h z != (x *_h z) *_{gh} (y *_h z),
-    for gh = product_of(g, h)."""
-    s, blocks = fam.star, list(product(range(fam.n), repeat=2))
-    keys = ((s[g], s[h], s[h], s[product_of(g, h)], s[h]) for g, h in blocks)
-    failing = _failing(blocks, keys, fam.distributes)
-    return (w + gh for gh, key in failing for w in fam.distributivity_witnesses(key))
+    for gh = g . h in ``table``, a line over h at a time."""
+    n, s = fam.n, fam.star
+    starred = table.lines("rows").after(s)  # the star index of g . h, over (g, h)
+
+    def keys(line):
+        return zip(repeat(line[0]), s, s, line[1], s)
+
+    lines = ((s[g], starred[g * n : g * n + n]) for g in range(n))
+    failing = _failing(range(n), lines, lambda line: all(map(fam.distributes, set(keys(line)))))
+    return (w + (g, h) for g, line in failing for h, key in enumerate(keys(line))
+            if not fam.distributes(key) for w in fam.distributivity_witnesses(key))
 
 
 def _twisted_misses(fam: _Family, form, holds, witnesses):
     """w + (g, h, q) for each witness w of each key = form(A, B, C, D, E)
     that fails ``holds``, for the indices A = f(g,h), B = f(g(x)h, q),
-    C = f(g,q), D = f(g(x)q, h(x)q) and E = f(h,q), a row over q at a time."""
+    C = f(g,q), D = f(g(x)q, h(x)q) and E = f(h,q), a row over q at a time.
+    Where the keys made of the star indices that f takes are fewer than
+    the rows, they are tested first: the block holds if they do."""
     n, f, ot = fam.n, fam.f, fam.otimes.entries
+    values = set(chain.from_iterable(f))
+    if len(values) ** 5 < n * n and all(map(holds, set(form(*zip(*product(values, repeat=5)))))):
+        return ()
     at = [_composer(row)(f) for row in ot]  # at[g][q] = row g (x) q of f
     rows = ((f[g][h], f[ot[g][h]], f[g], tuple(map(getitem, at[g], ot[h])), f[h])
             for g in range(n) for h in range(n))
@@ -399,55 +418,107 @@ def _twisted_misses(fam: _Family, form, holds, witnesses):
             for q, key in enumerate(keys(rows)) if not holds(key) for w in witnesses(key))
 
 
+def _fw2_misses(fam: _Family):
+    """(g, h) + the first repeat in the first column of *_{f(g,h)} that is
+    not a permutation.  Each star index that f takes is checked once, and
+    only the rows of f that hold a failing one are scanned."""
+    first = {k: fam.collisions(k)[:1] for k in set(chain.from_iterable(fam.f))}
+    bad = {k for k, c in first.items() if c}
+    return ((g, h) + first[k][0] for g, row in enumerate(fam.f) if not bad.isdisjoint(row)
+            for h, k in enumerate(row) if k in bad)
+
+
 def _fw3_misses(fam: _Family):
     return _twisted_misses(fam, zip, fam.distributes, fam.distributivity_witnesses)
 
 
 def _rho_misses(fam: _Family):
-    """(x, g) with rho_x(rho_x(g)) != g."""
-    return ((x, g) for x, r in enumerate(fam.data.rho) for g in range(fam.n) if r[r[g]] != g)
+    """(x, g) with rho_x(rho_x(g)) != g, scanning only the rho_x that fail."""
+    return ((x, g) for x, r in enumerate(fam.data.rho) if _composer(r)(r) != tuple(range(fam.n))
+            for g in range(fam.n) if r[r[g]] != g)
 
 
 def _f_first_misses(fam: _Family):
-    """(g, h) with f(g, h) != f(0, h), over h and then g."""
+    """(g, h) with f(g, h) != f(0, h), over h and then g, in the rows unlike row 0."""
     f = fam.data.f_map
-    return ((g, h) for h in range(fam.n) for g in range(1, fam.n) if f[g][h] != f[0][h])
+    rows = [g for g, row in enumerate(f) if row != f[0]]
+    return ((g, h) for h in range(fam.n) for g in rows if f[g][h] != f[0][h]) if rows else ()
 
 
-def _swap_misses(fam: _Family, arity: int, nested):
-    """(h1, h2) + rest with Gamma(h2, h1 (x) h2, rest) != Gamma(h1, h2, rest),
-    over rest and then (h1, h2)."""
-    r, ot = range(fam.n), fam.otimes.entries
-    return ((h1, h2) + rest for rest in product(r, repeat=arity - 2) for h1 in r for h2 in r
-            if reduce(getitem, (h2, ot[h1][h2]) + rest, nested)
-            != reduce(getitem, (h1, h2) + rest, nested))
+def _arguments(index: int, n: int, arity: int) -> tuple[int, ...]:
+    """The arguments at a flat index of a Gamma table of that arity."""
+    return tuple(index // n**p % n for p in reversed(range(arity)))
 
 
-def _f_hom_misses(fam: _Family, arity: int, nested):
-    """gs with f(0, Gamma(gs)) != Gamma(f(0, g) for g in gs)."""
-    f0 = fam.data.f_map[0]
-    return (gs for gs in product(range(fam.n), repeat=arity)
-            if f0[reduce(getitem, gs, nested)] != reduce(getitem, map(f0.__getitem__, gs), nested))
-
-
-def _column_misses(n: int, arity: int, lhs, rhs):
-    """(h,) + gs wherever lhs(gs)[h] != rhs(gs)[h], over gs and then h."""
-    for gs in product(range(n), repeat=arity):
-        left, right = lhs(gs), rhs(gs)
+def _line_misses(n: int, arity: int, sides):
+    """(t,) + gs wherever the t-th pair of ``sides``, each an entry per gs in
+    flat order, differ at gs, over gs and then t.  Each pair is compared
+    whole, then by its lines of n, those of Gamma over its last argument,
+    and entry by entry only in the lines that differ."""
+    found = []
+    for t, (left, right) in enumerate(sides):
         if left != right:
-            yield from ((h,) + gs for h in range(n) if left[h] != right[h])
+            for start in range(0, len(left), n):
+                if left[start : start + n] != right[start : start + n]:
+                    found.extend((i, t) for i in range(start, start + n) if left[i] != right[i])
+    return ((t,) + _arguments(i, n, arity) for i, t in sorted(found))
 
 
-def _rotation_misses(fam: _Family, arity: int, nested):
+def _endomorphism_misses(gamma: Lines, arity: int, maps):
+    """(t,) + gs where s = maps[t] has s(Gamma(gs)) != Gamma(s(g) for g in gs),
+    over gs and then t; the right side is row s(gs[:-1]) of Gamma at s(gs[-1])."""
+    def sides(s):
+        lift = s
+        for _ in range(arity - 2):
+            lift = [a * gamma.n + t for a in lift for t in s]
+        return gamma.after(s), gamma.before(s, lift)
+
+    return _line_misses(gamma.n, arity, map(sides, maps))
+
+
+def _swap_misses(fam: _Family, arity: int, gamma: Lines):
+    """(h1, h2) + rest with Gamma(h2, h1 (x) h2, rest) != Gamma(h1, h2, rest),
+    over rest and then (h1, h2): a whole block per rest, then its lines."""
+    n, stride = fam.n, fam.n ** (arity - 2)
+    for r in range(stride):
+        block = list(gamma.flat[r::stride])  # Gamma(h1, h2, rest) at h1 * n + h2
+        rows = [block[i : i + n] for i in range(0, n * n, n)]
+        swapped = list(map(getitem, rows * n, chain.from_iterable(fam.otimes.entries)))
+        if swapped != block:
+            rest = _arguments(r, n, arity - 2)
+            for h1, row in enumerate(rows):
+                line = swapped[h1 * n : h1 * n + n]
+                if line != row:
+                    yield from ((h1, h2) + rest for h2 in range(n) if line[h2] != row[h2])
+
+
+def _f_hom_misses(fam: _Family, arity: int, gamma: Lines):
+    """gs with f(0, Gamma(gs)) != Gamma(f(0, g) for g in gs)."""
+    return (w[1:] for w in _endomorphism_misses(gamma, arity, [fam.data.f_map[0]]))
+
+
+def _rotation_misses(fam: _Family, arity: int, through: list[Lines], places=None):
     """(x, i) + gs where rho_x(Gamma(gs)), wrapped i places around gs, does
-    not give rho_x of the argument it replaces."""
+    not give rho_x of the argument it replaces, over x, gs and then i in
+    the order of ``places``.  For gs = u + (v,) + w, w of i arguments, that
+    is Gamma(w, ., u) o rho_x o Gamma(u, ., w) = rho_x on the lines over v,
+    for each distinct rho_x; ``through[j]`` holds the lines over argument j."""
+    n, places = fam.n, places or range(arity)
+    found: dict = {}  # rho_x -> its failing (gs, rank of i), in order
     for x, r in enumerate(fam.data.rho):
-        for gs in product(range(fam.n), repeat=arity):
-            folded = r[reduce(getitem, gs, nested)]
-            for i in range(arity):
-                args = gs[arity - i :] + (folded,) + gs[: arity - i - 1]
-                if reduce(getitem, args, nested) != r[gs[arity - i - 1]]:
-                    yield (x, i) + gs
+        if r not in found:
+            bad = []
+            for rank, i in enumerate(places):
+                k = arity - i - 1  # the place of v
+                a, b = n**k, n**i  # the counts of u and of w
+                order = [w * a + u for u in range(a) for w in range(b)]  # of Gamma(w, ., u)
+                wrapped = through[i].around(r, through[k], order)  # over (u, w, v)
+                want = type(wrapped)(r) * len(order)
+                if wrapped != want:
+                    for _, *d in _line_misses(n, arity, [(wrapped, want)]):
+                        bad.append((tuple(d[:k] + d[-1:] + d[k:-1]), rank))
+            found[r] = sorted(bad)
+        yield from ((x, places[rank]) + gs for gs, rank in found[r])
 
 
 def _check_qf1_qf2(fam: _Family, rb: ReportBuilder) -> None:
@@ -460,43 +531,37 @@ def _check_qf1_qf2(fam: _Family, rb: ReportBuilder) -> None:
 
 
 def _check_tc6(fam: _Family, rb: ReportBuilder) -> None:
-    """tc6a then tc6b for each (x, g, h), in one scan."""
-    oplus = fam.oplus.entries
-    for x, r in enumerate(fam.data.rho):
-        for g, h in product(range(fam.n), repeat=2):
-            if oplus[h][r[oplus[g][h]]] != r[g]:
-                rb.hit("tc6a", (x, g, h))
-            if oplus[r[oplus[g][h]]][g] != r[h]:
-                rb.hit("tc6b", (x, g, h))
+    """tc6a then tc6b for each (x, g, h): nc7 at arity 2, place 1 first."""
+    through = [fam.oplus.lines("columns"), fam.oplus.lines("rows")]
+    for x, i, g, h in _rotation_misses(fam, 2, through, (1, 0)):
+        rb.hit("tc6a" if i else "tc6b", (x, g, h))
 
 
 def _check_n_compatible(fam: _Family, rb: ReportBuilder) -> None:
     if not fam.arities:
         raise ValueError("n_compatible requires a list of arities")
-    n, ot, cols = fam.n, fam.otimes.entries, fam.otimes.columns
+    n, rows, cols = fam.n, fam.otimes.entries, fam.otimes.columns
+    ot_rows = fam.otimes.lines("rows")
     for arity in fam.arities:
         flat = fam.data.gamma_table(arity)
         if flat is None:
             raise ValueError(f"n_compatible({arity}) requires an arity-{arity} gamma table")
-        nested = flat  # nested[g1][g2]..[gk] = Gamma(g1, .., gk)
-        for _ in range(arity - 1):
-            nested = tuple(nested[i : i + n] for i in range(0, len(nested), n))
+        # the lines of Gamma over the argument of weight w, the others running in order
+        through = [Lines([flat[s : s + n * w : w] for u in range(0, len(flat), n * w)
+                          for s in range(u, u + w)], n) for w in map(n.__pow__, range(arity)[::-1])]
+        gamma = through[-1]
         tag = f"[{arity}]"
         rb.hit_first("rho-inv" + tag, _rho_misses(fam))
-        rb.hit_first("nc1" + tag, _subscript_misses(fam, arity, nested))
-        rb.hit_first("nc2" + tag, _swap_misses(fam, arity, nested))
+        rb.hit_first("nc1" + tag, _subscript_misses(fam, arity, gamma))
+        rb.hit_first("nc2" + tag, _swap_misses(fam, arity, gamma))
         rb.hit_first("nc3" + tag, _f_first_misses(fam))
-        # column Gamma(gs) of (x) against the composite of its columns gs
-        rb.hit_first("nc4" + tag, _column_misses(
-            n, arity, lambda gs: cols[reduce(getitem, gs, nested)],
-            lambda gs: reduce(lambda acc, g: _composer(acc)(cols[g]), gs[1:], cols[gs[0]])))
-        rb.hit_first("nc5" + tag, _f_hom_misses(fam, arity, nested))
-        # row Gamma(gs) of (x) against Gamma of its rows gs, entry by entry
-        rb.hit_first("nc6" + tag, _column_misses(
-            n, arity, lambda gs: ot[reduce(getitem, gs, nested)],
-            lambda gs: reduce(lambda acc, g: tuple(map(getitem, acc, ot[g])), gs[1:],
-                              _composer(ot[gs[0]])(nested))))
-        rb.hit_first("nc7" + tag, _rotation_misses(fam, arity, nested))
+        # h (x) Gamma(gs) against the fold of h through gs, read off rows of (x)
+        rb.hit_first("nc4" + tag, _line_misses(n, arity, ((gamma.after(rows[h]), reduce(
+            lambda v, _: ot_rows.pick(v), range(arity - 1), rows[h])) for h in range(n))))
+        rb.hit_first("nc5" + tag, _f_hom_misses(fam, arity, gamma))
+        # Gamma(gs) (x) h against Gamma of each g (x) h
+        rb.hit_first("nc6" + tag, _endomorphism_misses(gamma, arity, cols))
+        rb.hit_first("nc7" + tag, _rotation_misses(fam, arity, through))
 
 
 def _hits(axiom: str, witnesses):
@@ -513,39 +578,37 @@ def _g_family_checks(prefix: str, third):
             (x, y) for x, row in enumerate(fam.data.star[fam.data.group.identity].entries)
             for y, v in enumerate(row) if v != x)),
         _hits(prefix + "2-prod", lambda fam: _subscript_misses(
-            fam, 2, fam.data.group.table.entries)),
+            fam, 2, fam.data.group.table.lines("rows"))),
         _hits(prefix + "3", third),
     )
 
 
 _FW_CHECKS = (
     _hits("fw1", lambda fam: ((x, g) for g, row in enumerate(fam.f) for x in fam.diagonal(row[g]))),
-    _hits("fw2", lambda fam: (  # the first column that is not a permutation
-        (g, h) + c for g, row in enumerate(fam.f) for h, k in enumerate(row)
-        for c in fam.collisions(k)[:1])),
+    _hits("fw2", _fw2_misses),
     _hits("fw3", _fw3_misses),
 )
 
 # kind -> (required fields, checks in report order)
 _KINDS = {
     "g_family": (("group",), _g_family_checks(
-        "gf", lambda fam: _untwisted_misses(fam, fam.data.group.conjugate))),
+        "gf", lambda fam: _untwisted_misses(fam, fam.data.group.conjugation))),
     "gsf_family": (("group", "f", "otimes"),
                    (lambda fam, rb: rb.merge(validate_axioms(fam.otimes, "quandle"), "gq-"),)
                    + _g_family_checks("gsf", _fw3_misses)),
     "q_family": (("otimes",), (
         lambda fam, rb: rb.merge(validate_axioms(fam.otimes, "quandle"), "qq-"),
         _check_qf1_qf2,
-        _hits("qf3", lambda fam: _untwisted_misses(fam, lambda a, b: fam.otimes.entries[a][b])),
+        _hits("qf3", lambda fam: _untwisted_misses(fam, fam.otimes)),
     )),
     "fw_system": (("f", "otimes"), _FW_CHECKS),
     "trivalent_compatible": (("f", "otimes", "oplus", "rho"), _FW_CHECKS + (
-        _hits("oplus-def", lambda fam: _subscript_misses(fam, 2, fam.oplus.entries)),
+        _hits("oplus-def", lambda fam: _subscript_misses(fam, 2, fam.oplus.lines("rows"))),
         _hits("rho-inv", _rho_misses),
-        _hits("tc1", lambda fam: _swap_misses(fam, 2, fam.oplus.entries)),
+        _hits("tc1", lambda fam: _swap_misses(fam, 2, fam.oplus.lines("rows"))),
         _hits("tc2", _f_first_misses),
         _hits("tc3", lambda fam: _associativity_misses(fam.otimes, fam.oplus)),
-        _hits("tc4", lambda fam: _f_hom_misses(fam, 2, fam.oplus.entries)),
+        _hits("tc4", lambda fam: _f_hom_misses(fam, 2, fam.oplus.lines("rows"))),
         # (u (+) v) (x) g against (u (x) g) (+) (v (x) g)
         _hits("tc5", lambda fam: _distributivity_misses(
             fam.oplus, fam.otimes, fam.otimes, fam.oplus, fam.otimes)),
@@ -607,14 +670,10 @@ def general_product_quandle(f_maps, g_maps) -> tuple[OperationTable, AxiomReport
     x_size = len(g_maps)
     if any(len(row) != s_size for row in f_maps) or any(len(r) != x_size for r in g_maps):
         raise ValueError("component map matrices must be square")
-    for row in f_maps:
-        for op in row:
-            if op.size != x_size:
-                raise ValueError("f component tables must act on X")
-    for row in g_maps:
-        for op in row:
-            if op.size != s_size:
-                raise ValueError("g component tables must act on S")
+    if any(op.size != x_size for row in f_maps for op in row):
+        raise ValueError("f component tables must act on X")
+    if any(op.size != s_size for row in g_maps for op in row):
+        raise ValueError("g component tables must act on S")
 
     m, n = x_size, s_size
     f = [[op.entries for op in row] for row in f_maps]
@@ -757,31 +816,21 @@ def validate_axet(a: AxetData) -> AxiomReport:
     """Check the action homomorphism and the three stabiliser axioms
     (ids axet-action, axet1, axet2, axet3)."""
     rb = ReportBuilder()
-    sg, gg = a.s_group, a.g_group
-    m = a.x_size
-    ide = tuple(range(m))
-    if a.action[gg.identity] != ide:
+    sg, gg, m = a.s_group, a.g_group, a.x_size
+    if a.action[gg.identity] != tuple(range(m)):
         rb.hit("axet-action", (gg.identity,))
-    for g in range(gg.size):
-        for h in range(gg.size):
-            composed = tuple(a.action[g][a.action[h][x]] for x in range(m))
-            if a.action[gg.mul(g, h)] != composed:
-                rb.hit("axet-action", (g, h))
-    for x in range(m):
-        for s in range(sg.size):
-            if a.action[a.tau[x][s]][x] != x:
-                rb.hit("axet1", (x, s))
-    for x in range(m):
-        for s in range(sg.size):
-            for s2 in range(sg.size):
-                if gg.mul(a.tau[x][s], a.tau[x][s2]) != a.tau[x][sg.mul(s, s2)]:
-                    rb.hit("axet2", (x, s, s2))
-    for x in range(m):
-        for s in range(sg.size):
-            for g in range(gg.size):
-                gx = a.action[g][x]
-                if a.tau[gx][s] != gg.mul(gg.mul(g, a.tau[x][s]), gg.inverse[g]):
-                    rb.hit("axet3", (x, s, g))
+    for g, h in product(range(gg.size), repeat=2):
+        if a.action[gg.mul(g, h)] != tuple(map(a.action[g].__getitem__, a.action[h])):
+            rb.hit("axet-action", (g, h))
+    for x, s in product(range(m), range(sg.size)):
+        if a.action[a.tau[x][s]][x] != x:
+            rb.hit("axet1", (x, s))
+    for x, s, s2 in product(range(m), range(sg.size), range(sg.size)):
+        if gg.mul(a.tau[x][s], a.tau[x][s2]) != a.tau[x][sg.mul(s, s2)]:
+            rb.hit("axet2", (x, s, s2))
+    for x, s, g in product(range(m), range(sg.size), range(gg.size)):
+        if a.tau[a.action[g][x]][s] != gg.mul(gg.mul(g, a.tau[x][s]), gg.inverse[g]):
+            rb.hit("axet3", (x, s, g))
     return rb.report()
 
 
@@ -799,17 +848,13 @@ def axet_to_system(a: AxetData) -> tuple[SystemData, AxiomReport]:
     sg = a.s_group
     m = a.x_size
     ns = sg.size
-    star = tuple(
-        table_from(m, lambda x, y, s=s: a.action[a.tau[y][s]][x]) for s in range(ns)
-    )
-    f_map = tuple(tuple(s2 for s2 in range(ns)) for _ in range(ns))
+    star = tuple(table_from(m, lambda x, y, s=s: a.action[a.tau[y][s]][x]) for s in range(ns))
+    f_map = (tuple(range(ns)),) * ns
     otimes = table_from(ns, lambda s, s2: s)
     data = SystemData(x_size=m, g_size=ns, star=star, f_map=f_map, otimes=otimes)
     rb = ReportBuilder()
     rb.merge(validate_family(data, "fw_system"))
-    e_trivial = all(
-        a.action[a.tau[x][sg.identity]] == tuple(range(m)) for x in range(m)
-    )
+    e_trivial = all(a.action[a.tau[x][sg.identity]] == tuple(range(m)) for x in range(m))
     if is_abelian(sg) and e_trivial:
         oplus = table_from(ns, lambda s, s2: sg.mul(s2, s))
         rho = tuple(sg.inverse for _ in range(m))
@@ -838,14 +883,9 @@ def gamma_from_oplus(data: SystemData, arity: int) -> tuple[SystemData, AxiomRep
     pre = validate_family(data, "associative_composition")
     if not pre.valid:
         raise ValueError(f"composition is not associative: {pre.violations[:4]}")
-    n = data.g_size
-    oplus = data.oplus.entries
-    flat = []
-    for gs in product(range(n), repeat=arity):
-        acc = gs[0]
-        for g in gs[1:]:
-            acc = oplus[acc][g]
-        flat.append(acc)
+    flat, rows = range(data.g_size), data.oplus.lines("rows")
+    for _ in range(arity - 1):  # the rows of (+) at each fold so far
+        flat = rows.pick(flat)
     gamma = tuple(g for g in data.gamma if g[0] != arity) + ((arity, tuple(flat)),)
     out = replace(data, gamma=gamma)
     return out, validate_family(out, "n_compatible", [arity])

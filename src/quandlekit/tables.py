@@ -226,13 +226,7 @@ class OperationTable:
         generate the components, as every R_y of a quandle does, so its
         orbits are the components, with their ``weights``.  Kept, with
         every group below it, per set of ys."""
-        return self._stabiliser(tuple(ys), self.weights)
-
-    def _stabiliser(self, fixers: tuple[int, ...], weight=None) -> "Stabiliser":
-        groups = self._stabilisers
-        if fixers not in groups:
-            groups[fixers] = Stabiliser(self, fixers, weight)
-        return groups[fixers]
+        return _stabiliser(self.entries, self._stabilisers, tuple(ys), self.weights)
 
 
 class Stabiliser:
@@ -243,17 +237,19 @@ class Stabiliser:
     ``child`` is generated by the R_y here that fix one value more.
 
     Orbits are found only for the values a search asks about, through
-    ``representatives``, and kept."""
+    ``representatives``, and kept.  The chain shares the table's rows
+    and its dict of stabilisers by fixers, not the table: a table that is
+    let go is freed at once, not kept in a reference cycle with them."""
 
-    __slots__ = ("table", "fixers", "moves", "weight", "_at", "_children", "_representatives")
+    __slots__ = ("rows", "groups", "fixers", "moves", "weight", "_at", "_children",
+                 "_representatives")
 
-    def __init__(self, table: OperationTable, fixers: tuple[int, ...], weight=None) -> None:
-        self.table, self.fixers = table, fixers
-        identity = tuple(range(table.size))
-        self.moves = any(table.columns[y] != identity for y in fixers)
-        self.weight = [-1] * table.size if weight is None else list(weight)
+    def __init__(self, rows, groups: dict, fixers: tuple[int, ...], weight=None) -> None:
+        self.rows, self.groups, self.fixers = rows, groups, fixers
         # row a -> (a * y for y in fixers)
         self._at = _composer(fixers) if fixers else lambda row: ()
+        self.moves = any(at != (a,) * len(fixers) for a, at in enumerate(map(self._at, rows)))
+        self.weight = [-1] * len(rows) if weight is None else list(weight)
         self._children: dict[int, Stabiliser | None] = {}
         self._representatives: dict = {}
 
@@ -263,11 +259,11 @@ class Stabiliser:
         all act as the identity."""
         children = self._children
         if w not in children:
-            fixing = map(w.__eq__, self._at(self.table.entries[w]))
+            fixing = map(w.__eq__, self._at(self.rows[w]))
             fixers = tuple(itertools.compress(self.fixers, fixing))
             group = self
             if len(fixers) < len(self.fixers):
-                group = self.table._stabiliser(fixers)
+                group = _stabiliser(self.rows, self.groups, fixers)
             children[w] = group if group.moves else None
         return children[w]
 
@@ -288,13 +284,21 @@ class Stabiliser:
 
     def orbit(self, c: int) -> set[int]:
         """The orbit of c: its closure under c -> c * y for y in ``fixers``."""
-        rows, at = self.table.entries, self._at
+        rows, at = self.rows, self._at
         orbit, queue = {c}, [c]
         while queue:
             fresh = set(at(rows[queue.pop()])) - orbit
             orbit |= fresh
             queue.extend(fresh)
         return orbit
+
+
+def _stabiliser(rows, groups: dict, fixers: tuple[int, ...], weight=None) -> Stabiliser:
+    """The stabiliser of ``fixers`` in ``groups``, made and kept there on
+    first use."""
+    if fixers not in groups:
+        groups[fixers] = Stabiliser(rows, groups, fixers, weight)
+    return groups[fixers]
 
 
 def table_from(size: int, op) -> OperationTable:
@@ -333,11 +337,11 @@ class Lines:
     larger values, so larger lines stay tuples, composed by ``itemgetter``.
     """
 
-    __slots__ = ("n", "lines", "flat", "_tables", "_range", "_after")
+    __slots__ = ("n", "as_bytes", "lines", "flat", "_tables", "_range", "_after")
 
     def __init__(self, lines, n: int) -> None:
-        self.n = n
-        if n <= BYTE_LINES_UP_TO:
+        self.n, self.as_bytes = n, n <= BYTE_LINES_UP_TO
+        if self.as_bytes:
             self.lines = list(map(bytes, lines))
             self.flat = b"".join(self.lines)
             pad = bytes(256 - n)
@@ -348,10 +352,6 @@ class Lines:
             self.lines = list(map(tuple, lines))
             self.flat = tuple(itertools.chain.from_iterable(self.lines))
             self._after = None
-
-    @property
-    def as_bytes(self) -> bool:
-        return type(self.flat) is bytes
 
     def after(self, q):
         """q o p for every line p, in order."""
@@ -367,6 +367,17 @@ class Lines:
             return b"".join(map(bytes(p).translate, map(self._tables.__getitem__, picks)))
         composed = map(_composer(p), map(self.lines.__getitem__, picks))
         return tuple(itertools.chain.from_iterable(composed))
+
+    def around(self, p, inner: "Lines", picks):
+        """lines[m] o p o inner.lines[j] for every j, with m = picks[j], in
+        order of j."""
+        if self.as_bytes:
+            p = bytes(p) + bytes(256 - self.n)
+            inner = map(bytes.translate, inner.lines, itertools.repeat(p))
+            return b"".join(map(bytes.translate, inner, map(self._tables.__getitem__, picks)))
+        inner = (_composer(q)(p) for q in inner.lines)
+        return tuple(itertools.chain.from_iterable(
+            _composer(q)(self.lines[m]) for q, m in zip(inner, picks)))
 
     def pick(self, picks):
         """lines[m] for every m in ``picks``, in order."""
@@ -461,10 +472,13 @@ def _distributivity_misses(a, b, c, d, e, closed=False):
     is compared whole for every z, and witnesses are scanned only in the
     failing columns.  ``closed`` says that the z at which the identity
     holds are closed under the one operation a, as they are for Q3 when
-    Q2 holds; then only a generating set of them is checked.
+    Q2 holds; then only a generating set of them is checked.  Otherwise
+    both sides are first compared for every z at once.
     """
     columns, d_columns = a.lines("columns"), d.lines("columns")
     b_cols, c_cols, e_cols = b.columns, c.columns, e.columns
+    if not closed and [*map(columns.after, b_cols)] == [*map(d_columns.before, c_cols, e_cols)]:
+        return  # every z holds
     candidates = _mismatches(
         a.size,
         lambda z: columns.after(b_cols[z]),

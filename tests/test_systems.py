@@ -660,6 +660,20 @@ def test_a_gamma_2_that_is_not_the_group_product_is_refused():
         replace(system("t3r3z2"), oplus=None, gamma=((2, (0, 0, 0, 0)),))
 
 
+def test_f_maps_built_in_code_are_checked_once_per_row_object():
+    base = system("t3r3z2")
+    shared = (0, 1)
+    data = replace(base, f_map=[shared, shared])  # rows given as a list, one row object
+    assert data.f_map == ((0, 1), (0, 1)) and data.f_map[0] is shared
+    assert replace(base, f_map=[[0, 1], [1, 1]]).f_map == ((0, 1), (1, 1))
+    for f_map in ([shared, (0, 2)], [(0, 1), (-1, 0)], [(2, 0)] * 2):
+        with pytest.raises(ValueError, match="f_map entries out of range"):
+            replace(base, f_map=f_map)
+    for f_map in ([shared], [(0, 1, 0)] * 2, [shared, (0,)]):
+        with pytest.raises(ValueError, match="f_map must be g_size x g_size"):
+            replace(base, f_map=f_map)
+
+
 def test_a_group_supplies_otimes_and_oplus():
     s3 = symmetric_group(3)
     fields = dict(x_size=2, g_size=6, star=tuple(trivial_quandle(2) for _ in range(6)),
@@ -1406,10 +1420,20 @@ def test_line_mutants_of_the_bundled_files_raise_parse_error_or_round_trip():
 
 
 def mutated(data, field, draw):
-    """data with one entry of star, f, otimes or oplus changed, or two
-    entries of one rho_x exchanged; None when the field has no entry that
-    can change."""
+    """data with one entry of star, f, otimes, oplus or a stored Gamma_k
+    of arity 3 or more changed, or two entries of one rho_x exchanged;
+    None when the field has no entry that can change.  A stored Gamma_2
+    is left alone: it must equal (+)."""
     m, n = data.x_size, data.g_size
+    if field == "gamma":
+        arities = [k for k, _ in data.gamma if k > 2]
+        if n == 1 or not arities:
+            return None
+        k = draw(st.sampled_from(arities))
+        flat = list(dict(data.gamma)[k])
+        i = draw(st.integers(0, len(flat) - 1))
+        flat[i] = draw(st.integers(0, n - 1).filter(lambda v: v != flat[i]))
+        return replace(data, gamma=tuple((a, tuple(flat) if a == k else t) for a, t in data.gamma))
     if field == "star":
         if m == 1:
             return None
@@ -1512,3 +1536,89 @@ def test_s5_point_family_with_one_entry_changed_matches_the_reference():
         report = family_report(data, kind, arities)
         assert report == reference_family_report(data, kind, arities), kind
     assert not validate_family(data, "trivalent_compatible").valid
+
+
+S3_GAMMA3 = gamma_from_oplus(point_family(symmetric_group(3)), 3)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_single_entry_mutations_of_an_arity_3_gamma_match_the_reference(draw):
+    # Gamma_3 of the S3 point family, the left fold of (+), with one entry
+    # changed: the checks at arity 3 against the loops, entry by entry
+    changed = mutated(S3_GAMMA3, "gamma", draw.draw)
+    assert changed.gamma_table(3) != S3_GAMMA3.gamma_table(3)
+    report = validate_family(changed, "n_compatible", [3])
+    assert report == reference_family_report(changed, "n_compatible", [3])
+    assert not report.valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BUNDLED + [S3_GAMMA3]),
+       st.sampled_from(["star", "f", "otimes", "oplus", "rho", "gamma"]), st.data())
+def test_single_entry_mutations_match_the_reference_with_lines_as_tuples(data, field, draw):
+    # the lines of tables of more than BYTE_LINES_UP_TO elements are tuples
+    changed = mutated(data, field, draw.draw) or data
+    with mock.patch.object(quandlekit.tables, "BYTE_LINES_UP_TO", 0):
+        assert_family_reports_match(changed)
+
+
+def test_each_slow_kind_over_a_fresh_s5_point_family_takes_under_a_fifth_of_a_second():
+    from test_acceptance import Timer
+
+    for kind in ("gsf_family", "fw_system", "trivalent_compatible", "n_compatible", "lemma"):
+        data = point_family(symmetric_group(5))  # built afresh, outside the timer
+        with Timer(0.2):
+            report = family_report(data, kind, [2]) if kind != "lemma" else check_lemma_for(data)
+        assert report == AxiomReport(True, ()), kind
+
+
+def reference_argument_inverse(flat, n, stride):
+    """The inverse of a flat table in its digit of weight ``stride``, one
+    fibre at a time through a dict, or None if a fibre is not a
+    permutation."""
+    inv = [0] * len(flat)
+    block, digits = n * stride, range(n)
+    for start in range(0, len(flat), block):
+        for s in range(start, start + stride):
+            digit_of = dict(zip(flat[s : s + block : stride], digits))
+            if len(digit_of) < n:
+                return None
+            inv[s : s + block : stride] = map(digit_of.__getitem__, digits)
+    return tuple(inv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3, 6]), st.sampled_from([2, 3]), st.data())
+def test_argument_inverses_equal_a_dict_per_fibre(n, arity, data):
+    cells = list(itertools.product(range(n), repeat=arity))
+    if data.draw(st.booleans()):  # linear mod n, a bijection of each argument of unit weight
+        weights = data.draw(st.lists(st.integers(0, n), min_size=arity, max_size=arity))
+        flat = [sum(w * g for w, g in zip(weights, gs)) % n for gs in cells]
+        for cell in data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=2)):
+            flat[cell] = data.draw(st.integers(0, n - 1))
+    else:
+        flat = data.draw(st.lists(st.integers(0, n - 1), min_size=len(cells), max_size=len(cells)))
+    flat = tuple(flat)
+    for limit in (0, BYTE_LINES_UP_TO):  # fibres as tuples and as bytes
+        with mock.patch.object(quandlekit.tables, "BYTE_LINES_UP_TO", limit):
+            for i in range(arity):
+                stride = n ** (arity - 1 - i)
+                want = reference_argument_inverse(flat, n, stride)
+                assert systems._argument_inverse(flat, n, stride) == want
+
+
+# *_g = R3 for odd g in S3 and trivial for even g, a G-family pulled back
+# along the sign map: two star tables on six elements, so fw3, gsf3 and
+# the lemma first test the 32 keys made of the two star indices that f
+# takes, 32 being under 6 ** 2
+ODD = [sum(p[i] > p[j] for i, j in itertools.combinations(range(3), 2)) % 2
+       for p in sorted(itertools.permutations(range(3)))]
+SIGN_S3 = g_family_system(tuple(R3 if odd else T3 for odd in ODD), symmetric_group(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["star", "f", "otimes", "oplus", "rho"]), st.data())
+def test_single_entry_mutations_of_the_sign_family_over_s3_match_the_reference(field, draw):
+    assert validate_family(SIGN_S3, "g_family").valid
+    assert_family_reports_match(mutated(SIGN_S3, field, draw.draw))

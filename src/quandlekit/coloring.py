@@ -10,7 +10,8 @@ G elements g^ = g for in-ends and rho_x(g) for out-ends, a vertex of
 valence v is proper when Gamma_{v-1}(g^_1, ..., g^_{v-1}) = rho_x(g^_v).
 The rule fixes the last end, and each other end whose arc the vertex
 meets once and at which Gamma_{v-1} is a bijection of that argument once
-the others are fixed.
+the others are fixed, reading the ends' colours from the search's
+assignment: at a trivalent vertex in straight-line code, above in a loop.
 """
 
 from __future__ import annotations
@@ -86,16 +87,15 @@ class ColouringContext(Problem):
         return colours[c.under_out] == op[colours[c.under_in]][colours[c.over]]
 
     def vertex_ok(self, v, colours) -> bool:
-        ends = [colours[a] for a, _ in v.ends]
         solve, _ = self.vertex_rule(v)
-        return solve(ends, len(ends) - 1) == ends[-1]
+        return solve(colours, v.valence - 1) == colours[v.ends[-1][0]]
 
     def vertex_rule(self, v):
         """The rule of vertex v, solve(colours, i): the colour end i must
-        take given the others, or -1 if they disagree on X.  Returned with
-        the ends it fixes: the last, and each end whose arc the vertex meets
-        once and of which Gamma is a bijection once the other ends are
-        fixed."""
+        take given the others, read from the arc-indexed colours, or -1 if
+        they disagree on X.  Returned with the ends it fixes: the last, and
+        each end whose arc the vertex meets once and of which Gamma is a
+        bijection once the others are fixed.  Arcs, directions and tables bind here."""
         n, rho, rho_inv = self.g_size, self.system.rho, self.system.rho_inverse
         last = v.valence - 1
         flat = self.system.gamma_table(last)
@@ -108,31 +108,57 @@ class ColouringContext(Problem):
             for i, a in enumerate(arcs[:last])
         ]
         outs = [direction != IN for _, direction in v.ends]
-        weights = [n ** (last - 1 - j) for j in range(last)]
+        forcing = [i for i, inverse in enumerate(inverses) if inverse is not None] + [last]
+        if last == 2:
+            (a0, a1, a2), (o0, o1, o2), (inv0, inv1) = arcs, outs, inverses
 
-        def solve(colours, i):
-            x = colours[i - 1] // n  # an end other than i
-            r = rho[x]
-            idx = 0
-            for j in range(last):
-                if j != i:
-                    y, g = divmod(colours[j], n)
+            def solve(colours, i):
+                if i == 2:  # Gamma(g^_0, g^_1) = rho_x(g^_2)
+                    x, g = divmod(colours[a0], n)
+                    y, h = divmod(colours[a1], n)
                     if y != x:
                         return -1
-                    idx += (r[g] if outs[j] else g) * weights[j]
+                    r = rho[x]
+                    h = rho_inv[x][flat[(r[g] if o0 else g) * n + (r[h] if o1 else h)]]
+                    return x * n + (rho_inv[x][h] if o2 else h)
+                # solved for end i from the other and rho_x(g^_2)
+                x, g = divmod(colours[a2], n)
+                y, h = divmod(colours[a1 if i == 0 else a0], n)
+                if y != x:
+                    return -1
+                r = rho[x]
+                g = r[r[g] if o2 else g]
+                if i == 0:
+                    h = inv0[g * n + (r[h] if o1 else h)]
+                    return x * n + (rho_inv[x][h] if o0 else h)
+                h = inv1[(r[h] if o0 else h) * n + g]
+                return x * n + (rho_inv[x][h] if o1 else h)
+
+            return solve, forcing
+        ends = list(zip(arcs[:last], outs, [n ** (last - 1 - j) for j in range(last)]))
+
+        def solve(colours, i):
+            x = colours[arcs[i - 1]] // n  # at an end other than i
+            r = rho[x]
+            idx = 0
+            for j, (a, out, weight) in enumerate(ends):
+                if j != i:
+                    y, g = divmod(colours[a], n)
+                    if y != x:
+                        return -1
+                    idx += (r[g] if out else g) * weight
             if i == last:
                 h = rho_inv[x][flat[idx]]
             else:
                 # Gamma(.., h, ..) = rho_x(g^_last), solved for argument i
-                y, g = divmod(colours[last], n)
+                y, g = divmod(colours[arcs[last]], n)
                 if y != x:
                     return -1
-                idx += r[r[g] if outs[last] else g] * weights[i]
+                idx += r[r[g] if outs[last] else g] * ends[i][2]
                 h = inverses[i][idx]
             return x * n + (rho_inv[x][h] if outs[i] else h)
 
-        forcing = [i for i, inverse in enumerate(inverses) if inverse is not None]
-        return solve, forcing + [last]
+        return solve, forcing
 
     def respects_vertex_rules(self, sigma) -> bool:
         """Whether the permutation sigma of the associated carrier maps

@@ -114,13 +114,13 @@ def group_hom_count(p: GroupPresentation, g: GroupTable) -> int:
 
 def _relator_rule(rel, g: GroupTable):
     mul, inverse = g.table.entries, g.inverse
-    letters = [(i, s > 0) for i, (_, s) in enumerate(rel)]
+    letters = [(gen, s > 0) for gen, s in rel]
 
-    def solve(values, i):
+    def solve(val, i):
         # prefix . x^s . suffix = e  =>  x^s = (suffix . prefix)^-1
         acc = g.identity
-        for j, positive in letters[i + 1 :] + letters[:i]:
-            acc = mul[acc][values[j] if positive else inverse[values[j]]]
+        for gen, positive in letters[i + 1 :] + letters[:i]:
+            acc = mul[acc][val[gen] if positive else inverse[val[gen]]]
         return inverse[acc] if letters[i][1] else acc
 
     return solve

@@ -4,9 +4,10 @@ values 0..m-1 that satisfy every constraint, each of which is
 * a table constraint ``z = op[x][y]`` over an ``OperationTable`` op,
   optionally with its column inverse ``x_from``, giving
   ``x = x_from[z][y]``; or
-* a rule over a tuple of variables, where ``solve(values, i)`` is the value
-  position ``i`` must take when the other positions hold ``values``, or -1
-  if none fits.  It fixes a position listed in ``forcing`` once all other
+* a rule over a tuple of variables, where ``solve(val, i)`` is the value
+  position ``i`` must take when the others hold their values in the
+  search's assignment ``val``, which the rule reads itself, or -1 if none
+  fits.  It fixes a position listed in ``forcing`` once all other
   variables are known, and is checked at its last position once all are.
 
 The search keeps an explicit stack, so size is limited by time, not by
@@ -113,6 +114,8 @@ class Problem:
         self._added = i
 
     def add_rule(self, variables, solve, forcing) -> None:
+        """Constrain ``variables`` by ``solve(val, i)``, the value of
+        ``variables[i]`` that the others call for in ``val``, or -1."""
         variables = tuple(variables)
         # a variable met twice cannot be solved for from the others
         flags = tuple([i in forcing and variables.count(v) == 1 for i, v in enumerate(variables)])
@@ -127,7 +130,7 @@ class Problem:
         on the mask ``known``, which it extends: the variables it fixes, in
         order, and the steps ``_replay`` runs.  A step (t, rows, a, b) sets
         variable t, or checks ~t for t < 0, to rows[val[a]][val[b]] for a
-        table, and to solve(values of a, i) for a rule, b = (solve, i)."""
+        table, and to a(val, b) for a rule, a = solve and b = i."""
         table_watch, rule_watch = self.table_watch, self.rule_watch
         steps: list[tuple] = []
         resolved: set[int] = set()
@@ -161,7 +164,7 @@ class Problem:
                 if missing:
                     known[t] = True
                     queue.append(t)
-                steps.append((t if missing else ~t, None, variables, (solve, i)))
+                steps.append((t if missing else ~t, None, solve, i))
         return queue[start:], steps
 
     @staticmethod
@@ -172,8 +175,7 @@ class Problem:
             if rows is not None:
                 w = rows[val[a]][val[b]]
             else:
-                solve, i = b
-                w = solve([val[u] for u in a], i)
+                w = a(val, b)
                 if w < 0:
                     return False
             if t >= 0:

@@ -52,6 +52,7 @@ from .tables import (
     _distributivity_misses,
     _parse_int,
     _read_matrix,
+    _row_lines,
     group_from_table,
     is_abelian,
     table_from,
@@ -313,8 +314,10 @@ class _Family:
         self.arities = tuple(dict.fromkeys(arities))  # each once, first seen first
         first: dict = {}
         self.star = tuple(first.setdefault(op.entries, g) for g, op in enumerate(data.star))
-        # f[g][h] is the index of *_{f(g,h)}
-        self.f = data.f_map and tuple(_composer(row)(self.star) for row in data.f_map)
+        # f[g][h] is the index of *_{f(g,h)}; a row shared by g's is composed once
+        rows = {id(r): r for r in data.f_map or ()}.items()
+        composed = {k: _composer(r)(self.star) for k, r in rows}
+        self.f = data.f_map and tuple(composed[id(r)] for r in data.f_map)
         self.group, self.rho = data.group, data.rho
         self.otimes, self.oplus = data.otimes, data.oplus
         self._composites: dict = {}  # by key, once worked out
@@ -898,32 +901,30 @@ def gamma_from_oplus(data: SystemData, arity: int) -> tuple[SystemData, AxiomRep
 def serialize_system(data: SystemData) -> str:
     """Sectioned text form.  The group product is carried by the oplus
     block, so a system whose group product is not its (+) is refused."""
-    lines = ["system", f"X {data.x_size}", f"G {data.g_size}"]
+    m, n = data.x_size, data.g_size
+    lines = ["system", f"X {m}", f"G {n}"]
     if data.group is not None:
         if data.oplus != data.group.table:
             raise ValueError("cannot write a group whose product is not oplus")
-        inv = " ".join(str(v) for v in data.group.inverse)
+        inv = _row_lines([data.group.inverse], n)[0]
         lines.append(f"group identity={data.group.identity} inverse={inv}")
     if data.otimes is not None:
         lines.append("otimes")
-        lines.extend(" ".join(str(v) for v in row) for row in data.otimes.entries)
+        lines.extend(_row_lines(data.otimes.entries, n))
     if data.oplus is not None:
         lines.append("oplus")
-        lines.extend(" ".join(str(v) for v in row) for row in data.oplus.entries)
+        lines.extend(_row_lines(data.oplus.entries, n))
     if data.f_map is not None:
         lines.append("f")
-        lines.extend(" ".join(str(v) for v in row) for row in data.f_map)
-    for g in range(data.g_size):
+        lines.extend(_row_lines(data.f_map, n))
+    for g in range(n):
         lines.append(f"star {g}")
-        lines.extend(" ".join(str(v) for v in row) for row in data.star[g].entries)
+        lines.extend(_row_lines(data.star[g].entries, m))
     if data.rho is not None:
-        for x in range(data.x_size):
-            lines.append(f"rho {x} = " + " ".join(str(v) for v in data.rho[x]))
+        lines.extend(f"rho {x} = {row}" for x, row in enumerate(_row_lines(data.rho, n)))
     for k, flat in data.gamma:
         lines.append(f"gamma {k}")
-        width = data.g_size
-        for r in range(0, len(flat), width):
-            lines.append(" ".join(str(v) for v in flat[r : r + width]))
+        lines.extend(_row_lines([flat[r : r + n] for r in range(0, len(flat), n)], n))
     return "\n".join(lines) + "\n"
 
 

@@ -943,13 +943,24 @@ def parse_group(text: str) -> GroupTable:
         raise ParseError(str(exc), lines[0 if identity is None else 1][0]) from None
 
 
+@lru_cache(maxsize=16)
+def _spellings(bound: int) -> tuple[str, ...]:
+    """The keys of ``_decimals(bound)`` in order: ``str(v)`` at index v."""
+    return tuple(_decimals(bound))
+
+
+def _row_lines(rows, bound: int) -> list[str]:
+    """Each row of entries in 0..bound-1 as one line of decimals."""
+    spell = _spellings(bound).__getitem__
+    return [" ".join(map(spell, row)) for row in rows]
+
+
 def serialize_table(table: OperationTable) -> str:
-    lines = [f"magma {table.size}"]
-    lines.extend(" ".join(str(v) for v in row) for row in table.entries)
+    lines = [f"magma {table.size}", *_row_lines(table.entries, table.size)]
     return "\n".join(lines) + "\n"
 
 
 def serialize_group(group: GroupTable) -> str:
     lines = [f"magma {group.size}", f"identity {group.identity}"]
-    lines.extend(" ".join(str(v) for v in row) for row in group.table.entries)
+    lines.extend(_row_lines(group.table.entries, group.size))
     return "\n".join(lines) + "\n"

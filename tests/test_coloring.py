@@ -330,18 +330,72 @@ def test_inverses_are_built_only_for_ends_whose_arc_a_vertex_meets_once():
 
 
 def test_a_forced_end_satisfies_the_vertex_rule():
-    # every end a rule fixes, taken back into the colouring, makes it proper
+    # every end a rule fixes, taken back into the colouring, makes it proper;
+    # a rule reads the colours of its ends' arcs from the whole colouring
     ctx = ColouringContext(diagram("theta"), S3_POINT)
     for v in diagram("theta").vertices:
         solve, forcing = ctx.vertex_rule(v)
         assert forcing == [0, 1, 2]
+        arcs = [a for a, _ in v.ends]
         for colours in itertools.product(range(6), repeat=3):
+            assignment = [-1] * 3
+            for a, c in zip(arcs, colours):
+                assignment[a] = c
             for i in forcing:
-                fixed = list(colours)
-                fixed[i] = solve(colours, i)
-                assert 0 <= fixed[i] < 6
-                assert solve(fixed, 2) == fixed[2]
-                assert (fixed == list(colours)) == (solve(colours, 2) == colours[2])
+                fixed = list(assignment)
+                fixed[arcs[i]] = solve(assignment, i)
+                assert 0 <= fixed[arcs[i]] < 6
+                assert solve(fixed, 2) == fixed[arcs[2]]
+                assert (fixed == assignment) == (solve(assignment, 2) == assignment[arcs[2]])
+
+
+def test_trivalent_vertex_rules_match_gamma_and_rho():
+    # the oracle reads Gamma_2 and rho straight from the system, as
+    # brute_force_count's proper does; (+) = AND on Z2 is a bijection of
+    # neither argument, (a, b) -> a of argument 0 alone, and s3point's rho
+    # made of order 3 tells rho^-1 from rho
+    datas = [system(s) for s in ("t3r3z2", "t2t2z2", "s3point", "broken-tc4")]
+    datas.append(replace(system("s3point"), rho=((1, 2, 0, 4, 5, 3),)))
+    for rows in [((0, 0), (0, 1)), ((0, 0), (1, 1))]:
+        datas.append(replace(T3R3, group=None, oplus=OperationTable(2, rows)))
+    for data in datas:
+        n, flat, rho, size = data.g_size, data.gamma_table(2), data.rho, data.x_size * data.g_size
+        ctx = ColouringContext(diagram("theta"), data)
+
+        def proper(directions, colours):
+            x = colours[0] // n
+            if any(c // n != x for c in colours):
+                return False
+            eff = [c % n if e == "in" else rho[x][c % n] for c, e in zip(colours, directions)]
+            return flat[eff[0] * n + eff[1]] == rho[x][eff[2]]
+
+        # Gamma is a bijection of argument i where every line along it is
+        bijective = [
+            all(len({flat[a * n + b] for a in range(n)}) == n for b in range(n)),
+            all(len({flat[a * n + b] for b in range(n)}) == n for a in range(n)),
+        ]
+        # three distinct arcs, and one arc met at two ends
+        for arcs in [(2, 0, 1), (0, 0, 1), (1, 0, 1), (0, 1, 1)]:
+            met = sorted(set(arcs))
+            for directions in itertools.product(("in", "out"), repeat=3):
+                solve, forcing = ctx.vertex_rule(Vertex(tuple(zip(arcs, directions))))
+                want = [i for i in (0, 1) if bijective[i] and arcs.count(arcs[i]) == 1]
+                assert forcing == want + [2]
+                for values in itertools.product(range(size), repeat=len(met)):
+                    val = [-1] * 3
+                    for a, c in zip(met, values):
+                        val[a] = c
+                    colours = [val[a] for a in arcs]
+                    for i in forcing:
+                        others = [c for j, c in enumerate(colours) if j != i]
+                        fits = [
+                            c for c in range(size)
+                            if proper(directions, colours[:i] + [c] + colours[i + 1 :])
+                        ]
+                        if others[0] // n != others[1] // n:
+                            assert solve(val, i) == -1 and fits == []
+                        else:
+                            assert [solve(val, i)] == fits, (arcs, directions, values, i)
 
 
 def disjoint_union(d, e):

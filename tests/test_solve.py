@@ -179,8 +179,8 @@ def problems(draw):
         forcing = draw(st.lists(st.integers(0, len(vs) - 1), unique=True))
         if len(vs) > 1 and draw(st.booleans()):
 
-            def solve(values, i):
-                others = {w for j, w in enumerate(values) if j != i}
+            def solve(values, i, vs=vs):
+                others = {values[v] for j, v in enumerate(vs) if j != i}
                 return others.pop() if len(others) == 1 else -1
 
             checks.append(lambda s, vs=vs: len({s[v] for v in vs}) == 1)
@@ -189,8 +189,8 @@ def problems(draw):
             cs = draw(st.lists(st.sampled_from(units), min_size=len(vs), max_size=len(vs)))
             target = draw(elements)
 
-            def solve(values, i, cs=cs, target=target):
-                rest = sum(c * w for j, (c, w) in enumerate(zip(cs, values)) if j != i)
+            def solve(values, i, vs=vs, cs=cs, target=target):
+                rest = sum(c * values[v] for j, (c, v) in enumerate(zip(cs, vs)) if j != i)
                 return (target - rest) * pow(cs[i], -1, m) % m
 
             checks.append(lambda s, vs=vs, cs=cs, target=target: (

@@ -333,7 +333,9 @@ class _Work:
     random diagrams and edge deletion.  It edits a list of ``Crossing``
     records, storing a new record for each change, and lists of vertex
     ends.  Tokens name arcs: the original arcs keep their indices, fresh
-    tokens count on from there, and ``finalize`` numbers the survivors."""
+    tokens count on from there, and ``finalize`` numbers the survivors.
+    Until an edit merges or drops an arc, the tokens are already those
+    numbers, so only such an edit makes ``finalize`` renumber."""
 
     def __init__(self, d: Diagram):
         self.original = d.arc_count
@@ -388,7 +390,8 @@ class _Work:
             raise InapplicableMoveError(f"arc {a} is a free loop; cannot split")
         b = self.fresh()
         if slot[0] == "c":
-            self.crossings[slot[1]] = self.crossings[slot[1]]._replace(under_in=b)
+            over, _, under_out, sign = self.crossings[slot[1]]
+            self.crossings[slot[1]] = _crossing((over, b, under_out, sign))
         else:
             _, vi, pos = slot
             self.vertices[vi][pos] = (b, IN)
@@ -456,10 +459,15 @@ class _Work:
                 if arc in chain:
                     ends[i] = (arc, OUT if direction == IN else IN)
 
-    def finalize(self) -> tuple[Diagram, dict[int, int]]:
+    def finalize(self) -> tuple[Diagram, dict[int, int] | range]:
         """The edited diagram, which checks itself, and the new index of
         every surviving token: original arcs first in their old order,
-        then the created ones."""
+        then the created ones.  When every token is alive, each is its
+        own index: the records are kept as they are and the numbering is
+        ``range(next_token)``."""
+        if len(self.alive) == self.next_token:
+            vertices = tuple(Vertex(tuple(ends)) for ends in self.vertices)
+            return Diagram(self.next_token, tuple(self.crossings), vertices), range(self.next_token)
         tokens = sorted(t for t in self.alive if t < self.original)
         tokens += filter(self.alive.__contains__, self.created)
         index = dict(zip(tokens, range(len(tokens))))

@@ -392,9 +392,11 @@ def apply_move(d: Diagram, m: MoveSpec) -> MoveResult:
     if "other" in params:
         params["other"] = number(params["other"])
     inverse_site = number(inverse.site) if _MOVES[inverse.kind][0] == "arc" else inverse.site
-    # an arc merged into another takes its number
-    tokens = map(work.find, range(d.arc_count)) if work.rename else range(d.arc_count)
-    arc_map = {a: index[t] for a, t in enumerate(tokens) if t in index}
+    if type(index) is range:  # nothing merged or dropped: each arc keeps its number
+        arc_map = dict(zip(range(d.arc_count), index))
+    else:  # an arc merged into another takes its number
+        tokens = map(work.find, range(d.arc_count)) if work.rename else range(d.arc_count)
+        arc_map = {a: index[t] for a, t in enumerate(tokens) if t in index}
     created = tuple(index[t] for t in work.created)
     return MoveResult(out, arc_map, created, MoveSpec(inverse.kind, inverse_site, params=params))
 
@@ -473,6 +475,9 @@ def applicable_moves(d: Diagram, kinds) -> list[MoveSpec]:
 # random diagrams
 
 
+_ONE_LOOP = Diagram(1, (), ())  # what every random diagram grows from
+
+
 def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -> Diagram:
     """Reproducible random diagram grown from free loops by kinks, pokes,
     vertex-pair insertions and threads under vertex in-arcs.  Theta pairs
@@ -483,9 +488,9 @@ def random_diagram(seed, crossings_max: int, vertices_max: int, valences=(3,)) -
     if not valences or min(valences) < 3:
         raise ValueError(f"valences {tuple(valences)} must be non-empty and each at least 3")
     rng = random.Random(repr(seed))
-    # nothing is merged or dropped, so the tokens are 0, 1, ... in the
-    # order finalize numbers them
-    work = _Work(Diagram(1, (), ()))
+    # nothing is merged or dropped, so the tokens are 0, 1, ... and
+    # finalize keeps them as the arc numbers
+    work = _Work(_ONE_LOOP)
     vertex_budget = vertices_max
     crossing_budget = crossings_max
 

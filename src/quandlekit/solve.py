@@ -21,12 +21,13 @@ known.  So on its first arrival at a depth the search works out a plan
 branch variable's value fixes, and one step per constraint or rule this
 resolves, in dependency order, each setting a variable from known ones
 or checking a constraint.  Every value tried there, the first included,
-only replays the steps (``_replay``), as does the initial propagation of
-the rules.  Each constraint is resolved at exactly one depth, so all
-plans together hold one step per constraint.  A path reads no variable
-that it has not set, so backtracking unwinds nothing.  This is the
-"macro expansion" of a backtrack program to its search order (Bitner and
-Reingold, CACM 18, 1975).
+only replays the steps (``_replay``), as does the initial propagation,
+which starts at the first variable of a rule of arity 1: only such a rule
+can fire with nothing known.  Each constraint is resolved at exactly one
+depth, so all plans together hold one step per constraint.  A path reads
+no variable that it has not set, so backtracking unwinds nothing.  This
+is the "macro expansion" of a backtrack program to its search order
+(Bitner and Reingold, CACM 18, 1975).
 
 For the same reason the branch variable chosen on that first arrival
 serves every path: the unknown variable sharing the most constraint slots
@@ -89,6 +90,7 @@ class Problem:
         self.table_watch: list[list[tuple]] = [[] for _ in range(variables)]
         self.rule_watch: list[tuple] = [()] * variables
         self.slots = [0] * variables  # per variable: 3 per table constraint, the arity per rule
+        self.first_unit = variables  # the least variable of a rule of arity 1, or n
         self._added = 0
         self.nodes = self.leaves = self.tried = self.failed = self.depth = 0
 
@@ -121,6 +123,8 @@ class Problem:
         flags = tuple([i in forcing and variables.count(v) == 1 for i, v in enumerate(variables)])
         c = (variables, flags, solve, self._added)
         self._added += 1
+        if len(variables) == 1:
+            self.first_unit = min(self.first_unit, variables[0])
         for v in set(variables):
             self.rule_watch[v] += (c,)
             self.slots[v] += len(variables)
@@ -233,8 +237,11 @@ class Problem:
         that refused of the last search, and ``depth`` the levels it planned."""
         n, m, replay = self.n, self.m, self._replay
         val, known = [-1] * n, bytearray(n)
-        # nothing is known, so no table constraint can fire: each needs its y
-        seen, steps = self._plan(known, [v for v in range(n) if self.rule_watch[v]])
+        # nothing is known, so only a rule of arity 1 can fire (a table
+        # constraint needs its y, any other rule a second variable), and
+        # the rule-watched variables before the first one's fire nothing
+        queue = [v for v in range(self.first_unit, n) if self.rule_watch[v]]
+        seen, steps = self._plan(known, queue)
         nodes = leaves = tried = self.depth = 0
         failed = 0 if replay(val, steps) else 1
         order: list[int] = []

@@ -916,7 +916,10 @@ def serialize_system(data: SystemData) -> str:
         lines.extend(_row_lines(data.oplus.entries, n))
     if data.f_map is not None:
         lines.append("f")
-        lines.extend(_row_lines(data.f_map, n))
+        # a row shared by g's is written once: a G-family's rows are one object
+        rows = {id(r): r for r in data.f_map}
+        spelled = dict(zip(rows, _row_lines(rows.values(), n)))
+        lines.extend(spelled[id(r)] for r in data.f_map)
     for g in range(n):
         lines.append(f"star {g}")
         lines.extend(_row_lines(data.star[g].entries, m))

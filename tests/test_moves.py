@@ -5,7 +5,17 @@ from dataclasses import replace
 import pytest
 
 from quandlekit.coloring import count_colourings
-from quandlekit.diagrams import parse_diagram, serialize_diagram, validate_diagram
+from quandlekit import diagrams
+from quandlekit.diagrams import (
+    Diagram,
+    Vertex,
+    _crossing,
+    compute_edges,
+    delete_edges,
+    parse_diagram,
+    serialize_diagram,
+    validate_diagram,
+)
 from quandlekit import moves
 from quandlekit.fixtures import diagram, list_diagrams, system
 from quandlekit.moves import (
@@ -23,7 +33,7 @@ from quandlekit.moves import (
     random_diagram,
     validate_scope,
 )
-from quandlekit.systems import quandle_system
+from quandlekit.systems import gamma_from_oplus, quandle_system
 from quandlekit.tables import OperationTable
 
 T3R3 = system("t3r3z2")
@@ -628,3 +638,67 @@ def test_a_move_set_names_known_kinds_and_is_not_a_string():
         for kinds in ("tr1_insert", "x"):
             with pytest.raises(TypeError, match="not the string"):
                 call(kinds)
+
+
+def reference_finalize(self):
+    """``_Work.finalize`` renumbering every result, whatever the edit."""
+    tokens = sorted(t for t in self.alive if t < self.original)
+    tokens += filter(self.alive.__contains__, self.created)
+    index = dict(zip(tokens, range(len(tokens))))
+    number = index.__getitem__
+    *arcs, signs = zip(*self.crossings) if self.crossings else ((),) * 4
+    return Diagram(
+        arc_count=len(tokens),
+        crossings=tuple(map(_crossing, zip(*(map(number, col) for col in arcs), signs))),
+        vertices=tuple(
+            Vertex(tuple((index[a], direction) for a, direction in ends))
+            for ends in self.vertices
+        ),
+    ), index
+
+
+def kept_numbering_outcomes():
+    """Every move of every kind on the fixtures, on random diagrams of 2 to
+    8 crossings and 0 to 4 vertices and on the fixtures with a curl at a
+    vertex (no random diagram has one for tr1_delete), the random diagrams
+    themselves, the deletion of each edge of the fixtures with vertices,
+    and four fuzz runs."""
+    fixtures = [diagram(name) for name in list_diagrams()]
+    drawn = [random_diagram(f"keep:{i}", 2 + i % 7, i % 5) for i in range(100)]
+    curled = [apply_move(d, spec).diagram for d in fixtures
+              for spec in applicable_moves(d, ("tr1_insert",))]
+    out = {"random": drawn, "moves": [], "deleted": [], "fuzz": []}
+    for d in fixtures + drawn + curled:
+        for spec in candidate_moves(d, MOVE_KINDS):
+            try:
+                r = apply_move(d, spec)
+            except InapplicableMoveError:
+                out["moves"].append((spec, None))
+                continue
+            out["moves"].append((spec, (r.diagram, r.arc_map, r.created, r.inverse)))
+    for d in (d for d in fixtures if d.vertices):
+        for e in range(len(compute_edges(d))):
+            try:
+                out["deleted"].append(delete_edges(d, [e]))
+            except ValueError as exc:
+                out["deleted"].append(str(exc))
+    gamma3 = gamma_from_oplus(T3R3, 3)[0]
+    for sys_, scope in ((system("r3"), "links"), (system("t2t2z2"), "trivalent"),
+                        (T3R3, "handlebody"), (gamma3, "n_valent")):
+        out["fuzz"].append(fuzz_invariance(sys_, 100, "keep", scope=scope).text())
+    return out
+
+
+def test_kept_numbering_equals_the_renumbering(monkeypatch):
+    got = kept_numbering_outcomes()
+    monkeypatch.setattr(diagrams._Work, "finalize", reference_finalize)
+    want = kept_numbering_outcomes()
+    assert got["random"] == want["random"]
+    assert len(got["moves"]) == len(want["moves"])
+    for (spec, outcome), (_, wanted) in zip(got["moves"], want["moves"]):
+        assert outcome == wanted, spec
+    kinds = {spec.kind for spec, outcome in got["moves"] if outcome is not None}
+    assert kinds == set(MOVE_KINDS)
+    assert got["deleted"] == want["deleted"]
+    assert any(isinstance(d, Diagram) for d in got["deleted"])
+    assert got["fuzz"] == want["fuzz"]

@@ -50,7 +50,10 @@ class Diagram:
     vertices: tuple[Vertex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "crossings", tuple(self.crossings))
+        crossings = tuple(self.crossings)
+        if [*map(type, crossings)].count(Crossing) < len(crossings):  # some given as plain 4-tuples
+            crossings = tuple(map(Crossing._make, crossings))
+        object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "vertices", tuple(self.vertices))
         report = validate_diagram(self)
         if not report.valid:

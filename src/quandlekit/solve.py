@@ -21,19 +21,21 @@ known.  So on its first arrival at a depth the search works out a plan
 branch variable's value fixes, and one step per constraint or rule this
 resolves, in dependency order, each setting a variable from known ones
 or checking a constraint.  Every value tried there, the first included,
-only replays the steps (``_replay``), as does the initial propagation,
+only replays the steps, as does the initial propagation (``_replay``),
 which starts at the first variable of a rule of arity 1: only such a rule
 can fire with nothing known.  Each constraint is resolved at exactly one
 depth, so all plans together hold one step per constraint.  A path reads
 no variable that it has not set, so backtracking unwinds nothing.  This
 is the "macro expansion" of a backtrack program to its search order
-(Bitner and Reingold, CACM 18, 1975).
+(Bitner and Reingold, CACM 18, 1975).  A depth tries its values in one
+loop, the replay written into it (Knuth, TAOCP 4B, 7.2.2, Algorithm B),
+and the depth whose plan completes the assignment takes its leaves there.
 
 For the same reason the branch variable chosen on that first arrival
 serves every path: the unknown variable sharing the most constraint slots
-with known ones, kept in a heap built at the first such arrival.  A chain
-count branches first on ``root_variable()`` instead, and one that
-propagation completes below that root never builds it.
+with known ones, then in the most slots, then the lowest, taken from the
+set of those sharing any, or from all where none does.  A chain count
+branches first on ``root_variable()`` instead.
 
 So does the source of the values it is branched over, picked on that
 first arrival too.  Where the variable is y, and neither x nor z, in a
@@ -76,7 +78,6 @@ count by m and is not branched over.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 
 
@@ -132,7 +133,7 @@ class Problem:
     def _plan(self, known: bytearray, queue: list[int]) -> tuple[list[int], list[tuple]]:
         """The propagation of knowing the variables in ``queue``, worked out
         on the mask ``known``, which it extends: the variables it fixes, in
-        order, and the steps ``_replay`` runs.  A step (t, rows, a, b) sets
+        order, and the steps a replay runs.  A step (t, rows, a, b) sets
         variable t, or checks ~t for t < 0, to rows[val[a]][val[b]] for a
         table, and to a(val, b) for a rule, a = solve and b = i."""
         table_watch, rule_watch = self.table_watch, self.rule_watch
@@ -209,18 +210,19 @@ class Problem:
         ``table.stabiliser(ys)``, and the count is the sum of the weights
         of its leaves.  Without, or with no variables, it counts the plain
         search.  Without ``keep``, a variable in no constraint is not
-        branched over: it multiplies the count by m."""
+        branched over: it multiplies the count by m, and the search builds
+        no assignment."""
         free = () if keep is not None else tuple(v for v, s in enumerate(self.slots) if not s)
-        factor = self.m ** len(free)
-        # looked up on self, so wrappers see every leaf
-        if symmetry is None or len(free) == self.n:
-            leaves = self.solutions(None, free)
-            return factor * sum(1 for s in leaves if keep is None or keep(s))
-        table, ys = symmetry
-        leaves = self.solutions(table.stabiliser(ys), free)
-        return factor * sum(w for w, s in leaves if keep is None or keep(s))
+        plain = symmetry is None or len(free) == self.n
+        chain = None if plain else symmetry[0].stabiliser(symmetry[1])
+        # looked up on self, so wrappers see every search
+        if keep is None:
+            return self.m ** len(free) * sum(self.solutions(chain, free, True))
+        if plain:
+            return sum(1 for s in self.solutions(None, free) if keep(s))
+        return sum(w for w, s in self.solutions(chain, free) if keep(s))
 
-    def solutions(self, chain=None, skip: Sequence[int] = ()):
+    def solutions(self, chain=None, skip: Sequence[int] = (), _tally: bool = False):
         """Yield every satisfying assignment as a tuple, in search order.
 
         The variables in ``skip``, which no constraint may name, are left
@@ -232,92 +234,117 @@ class Problem:
         group generated by the translations of ``chain`` that fix every
         value branched above it, and each leaf is yielded as a pair
         (weight, assignment), where weight is the product of those orbits'
-        sizes.  ``nodes``, ``leaves``, ``tried`` and ``failed`` count the
-        branching nodes, the leaves, the values assigned and the replays
-        that refused of the last search, and ``depth`` the levels it planned."""
-        n, m, replay = self.n, self.m, self._replay
+        sizes.  With ``_tally``, ``count``'s own, it yields instead the sum
+        of the weights (1 without a chain) of each sweep's leaves.
+        ``nodes``, ``leaves``, ``tried`` and ``failed`` count the branching
+        nodes, the leaves, the values assigned and the replays that
+        refused of the last search, and ``depth`` the levels it planned."""
+        n, m = self.n, self.m
         val, known = [-1] * n, bytearray(n)
         # nothing is known, so only a rule of arity 1 can fire (a table
         # constraint needs its y, any other rule a second variable), and
         # the rule-watched variables before the first one's fire nothing
         queue = [v for v in range(self.first_unit, n) if self.rule_watch[v]]
         seen, steps = self._plan(known, queue)
-        nodes = leaves = tried = self.depth = 0
-        failed = 0 if replay(val, steps) else 1
+        nodes = leaves = tried = total = self.depth = 0
+        failed = 0 if self._replay(val, steps) else 1
+        goal, skipped = n - len(skip), set(skip)
+        if failed or len(seen) == goal:  # nothing to search below a refused replay or a full one
+            self.nodes, self.leaves, self.tried, self.failed = 0, 1 - failed, 0, failed
+            if not failed:
+                yield 1 if _tally else tuple(val) if chain is None else (1, tuple(val))
+            return
+        table_watch, rule_watch, slots = self.table_watch, self.rule_watch, self.slots
         order: list[int] = []
         # per depth: a table constraint z = x * y on the branch variable y
         # with x and z known, the source of the only values that can
-        # succeed, its row factors; None to go over every value
+        # succeed, by ``op.row_factors``; None to go over every value
         sources: list[tuple | None] = []
         plans: list[list[tuple]] = []  # per depth: the steps of a value of its variable
         if chain is not None and not known[root := self.root_variable()]:
             order.append(root)
             sources.append(None)
-        slots, goal, skipped = self.slots, n - len(skip), set(skip)
-        score, pending = [0] * n, [None] * n
-        heap, scored = None, 0  # the first ``scored`` of ``seen`` have raised the scores
+        # raised: the unknown variables of scores above 0, which the first
+        # ``scored`` of ``seen`` have raised by the slots they share
+        score, raised, scored, pending = [0] * n, set(), 0, [None] * n
         # per depth: the group of the chain there, None below its end, and
         # the product of the orbit sizes of the values chosen above it
-        groups, weights = [chain] + [None] * n, [1] * (n + 1)
-        k, arrived = -failed, True  # nothing to search below a refused initial replay
-        while k >= 0:
-            if arrived:
-                arrived = False
-                chained = k and chain is not None
-                if chained:
-                    group, w = groups[k - 1], val[order[k - 1]]
-                    weights[k] = weights[k - 1] * (1 if group is None else group.weight[w])
-                if k == len(plans) and len(seen) == goal:  # every variable is known
-                    leaves += 1
-                    self.nodes, self.leaves, self.tried, self.failed = nodes, leaves, tried, failed
-                    yield tuple(val) if chain is None else (weights[k], tuple(val))
+        groups, weights, ones = [chain] + [None] * n, [1] * (n + 1), [1] * m
+        k, last = 0, n  # last: the depth whose plan completes the assignment
+        while k >= 0:  # arrived at depth k
+            nodes += 1
+            if k and chain is not None:
+                group, w = groups[k - 1], val[order[k - 1]]
+                weights[k] = weights[k - 1] * (1 if group is None else group.weight[w])
+                groups[k] = group and group.child(w)
+            if k == len(plans):
+                if k == len(order):
+                    fresh, scored = seen[scored:], len(seen)
+                    raised.difference_update(fresh)
+                    for u in [u for v in fresh for c in table_watch[v] for u in c[:3]] + [
+                            u for v in fresh for c in rule_watch[v] for u in c[0]]:
+                        if not known[u]:
+                            score[u] += 1
+                            raised.add(u)
+                    if raised:
+                        v = max(raised, key=lambda u: (score[u], slots[u], -u))
+                    else:  # no unknown variable shares a slot with a known one
+                        v = max((u for u in range(n) if not known[u] and u not in skipped),
+                                key=lambda u: (slots[u], -u))
+                    order.append(v)
+                    sources.append(next((
+                        (x, z, op.row_factors) for x, y, z, _, _, op, _ in table_watch[v]
+                        if y == v and known[x] and known[z]), None))
+                v = order[k]
+                known[v] = True
+                fixed, steps = self._plan(known, [v])
+                seen += [v, *fixed]
+                plans.append(steps)
+                self.depth = len(plans)  # per level planned, not per try or leaf
+                if len(seen) == goal:
+                    last = k
+            source = sources[k]
+            candidates = range(m) if source is None else source[2](val[source[0]])[val[source[1]]]
+            group = groups[k]
+            if group is not None:
+                candidates = group.representatives(candidates)
+            pending[k] = iter(candidates)
+            if k == last:
+                base, weigh = weights[k], ones if group is None else group.weight
+            while k >= 0:  # try the values left at depth k
+                v, steps = order[k], plans[k]
+                for w in pending[k]:
+                    tried += 1
+                    val[v] = w
+                    for t, rows, a, b in steps:  # the replay of the plan
+                        if rows is not None:
+                            u = rows[val[a]][val[b]]
+                        else:
+                            u = a(val, b)
+                            if u < 0:
+                                break
+                        if t >= 0:
+                            val[t] = u
+                        elif val[~t] != u:
+                            break
+                    else:
+                        if k < last:
+                            break
+                        leaves += 1
+                        if _tally:
+                            total += weigh[w]
+                        else:
+                            self.nodes, self.leaves = nodes, leaves
+                            self.tried, self.failed = tried, failed
+                            yield tuple(val) if chain is None else (base * weigh[w], tuple(val))
+                        continue
+                    failed += 1
+                else:
+                    if total:  # the sweep of the last level is done
+                        yield base * total
+                        total = 0
                     k -= 1
                     continue
-                nodes += 1
-                if chained:
-                    groups[k] = group and group.child(w)
-                if k == len(plans):
-                    if k == len(order):
-                        if heap is None:  # a lazy max-heap, first needed here
-                            heap = [(0, -slots[v], v) for v in range(n) if v not in skipped]
-                            heapq.heapify(heap)
-                        fresh, scored = seen[scored:], len(seen)
-                        raised = [u for v in fresh for c in self.table_watch[v] for u in c[:3]]
-                        raised += [u for v in fresh for c in self.rule_watch[v] for u in c[0]]
-                        for u in (u for u in raised if not known[u]):
-                            score[u] += 1
-                            heapq.heappush(heap, (-score[u], -slots[u], u))
-                        while known[heap[0][2]] or -heap[0][0] != score[heap[0][2]]:
-                            heapq.heappop(heap)
-                        v = heapq.heappop(heap)[2]
-                        order.append(v)
-                        sources.append(next((
-                            (x, z, op) for x, y, z, _, _, op, _ in self.table_watch[v]
-                            if y == v and known[x] and known[z]), None))
-                    v = order[k]
-                    known[v] = True
-                    fixed, steps = self._plan(known, [v])
-                    seen += [v, *fixed]
-                    plans.append(steps)
-                    self.depth = len(plans)  # per level planned, not per try or leaf
-                source = sources[k]
-                if source is None:
-                    candidates = range(m)
-                else:
-                    x, z, op = source
-                    candidates = op.row_factors(val[x])[val[z]]
-                if groups[k] is not None:
-                    candidates = groups[k].representatives(candidates)
-                pending[k] = iter(candidates)
-            w = next(pending[k], -1)
-            if w < 0:
-                k -= 1
-                continue
-            tried += 1
-            val[order[k]] = w
-            if replay(val, plans[k]):
                 k += 1
-                arrived = True
-            else:
-                failed += 1
+                break
         self.nodes, self.leaves, self.tried, self.failed = nodes, leaves, tried, failed

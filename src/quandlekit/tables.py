@@ -9,6 +9,7 @@ structure.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
@@ -217,8 +218,8 @@ class OperationTable:
         return tuple(kept)
 
     @cached_property
-    def _stabilisers(self) -> dict[tuple[int, ...], "Stabiliser"]:
-        return {}
+    def _stabilisers(self) -> "_Groups":
+        return _Groups()
 
     def stabiliser(self, ys) -> "Stabiliser":
         """The group generated by the right translations R_y, y in ys, at
@@ -237,20 +238,21 @@ class Stabiliser:
     ``child`` is generated by the R_y here that fix one value more.
 
     Orbits are found only for the values a search asks about, through
-    ``representatives``, and kept.  The chain shares the table's rows
-    and its dict of stabilisers by fixers, not the table: a table that is
-    let go is freed at once, not kept in a reference cycle with them."""
+    ``representatives``, and kept.  The chain shares the table's rows and
+    names its dict of stabilisers by fixers weakly, so no reference cycle
+    runs through it: a table let go frees its chain at once.  A chain that
+    outlives its table makes each new group afresh."""
 
     __slots__ = ("rows", "groups", "fixers", "moves", "weight", "_at", "_children",
                  "_representatives")
 
-    def __init__(self, rows, groups: dict, fixers: tuple[int, ...], weight=None) -> None:
-        self.rows, self.groups, self.fixers = rows, groups, fixers
+    def __init__(self, rows, groups: "_Groups", fixers: tuple[int, ...], weight=None) -> None:
+        self.rows, self.groups, self.fixers = rows, weakref.ref(groups), fixers
         # row a -> (a * y for y in fixers)
         self._at = _composer(fixers) if fixers else lambda row: ()
         self.moves = any(at != (a,) * len(fixers) for a, at in enumerate(map(self._at, rows)))
         self.weight = [-1] * len(rows) if weight is None else list(weight)
-        self._children: dict[int, Stabiliser | None] = {}
+        self._children: dict[int, Stabiliser | bool | None] = {}  # True: this group
         self._representatives: dict = {}
 
     def child(self, w: int) -> "Stabiliser | None":
@@ -263,9 +265,11 @@ class Stabiliser:
             fixers = tuple(itertools.compress(self.fixers, fixing))
             group = self
             if len(fixers) < len(self.fixers):
-                group = _stabiliser(self.rows, self.groups, fixers)
-            children[w] = group if group.moves else None
-        return children[w]
+                groups = self.groups()  # None once the table is let go
+                group = _stabiliser(self.rows, _Groups() if groups is None else groups, fixers)
+            children[w] = (group is self or group) if group.moves else None
+        group = children[w]
+        return self if group is True else group
 
     def representatives(self, candidates) -> tuple[int, ...]:
         """The values of ``candidates``, a tuple or range that is a union
@@ -293,7 +297,13 @@ class Stabiliser:
         return orbit
 
 
-def _stabiliser(rows, groups: dict, fixers: tuple[int, ...], weight=None) -> Stabiliser:
+class _Groups(dict):
+    """A table's stabilisers by their fixers, which they name weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _stabiliser(rows, groups: _Groups, fixers: tuple[int, ...], weight=None) -> Stabiliser:
     """The stabiliser of ``fixers`` in ``groups``, made and kept there on
     first use."""
     if fixers not in groups:

@@ -10,11 +10,11 @@ def recorded_roots(monkeypatch):
     roots = []
     solutions = Problem.solutions
 
-    def recording(self, chain=None, skip=()):
+    def recording(self, chain=None, skip=(), *tally):
         # a chain's root goes over the representatives of every value
         roots.append(None if chain is None else (
             self.root_variable(), list(chain.representatives(range(self.m)))))
-        return solutions(self, chain, skip)
+        return solutions(self, chain, skip, *tally)
 
     monkeypatch.setattr(Problem, "solutions", recording)
     return roots

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from dataclasses import replace
@@ -39,7 +40,9 @@ from quandlekit.systems import (
 )
 from quandlekit.tables import (
     OperationTable,
+    Stabiliser,
     conjugation_quandle,
+    dihedral_quandle,
     generated_subalgebra,
     hom_count,
     symmetric_group,
@@ -817,6 +820,41 @@ def test_a_stabiliser_trivial_at_the_second_level_gives_the_one_level_count():
         a = ctx.root_variable()
         one_level = sum(q.weights[c[a]] for c in ctx.solutions() if c[a] in (0, 2))
         assert ctx.count(ctx.symmetry()) == one_level == brute_force_count(d, data), name
+
+
+def test_a_product_let_go_frees_its_chain_of_stabilisers():
+    # no reference cycle runs through a chain of stabilisers, so dropping
+    # a freshly built system, its product and the count frees every group
+    # at once, and a collection finds none of them unreachable
+    def count():
+        s4 = symmetric_group(4)
+        point = g_family_system(tuple(trivial_quandle(1) for _ in range(s4.size)), s4)
+        ctx = ColouringContext(diagram("hopf"), point)
+        return ctx.count(ctx.symmetry()), ctx.nodes
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.garbage.clear()
+    try:
+        got, nodes = count()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+        if enabled:
+            gc.enable()
+    kept = [o for o in gc.garbage if isinstance(o, Stabiliser)]
+    gc.garbage.clear()
+    assert (got, nodes) == (120, 6) and not kept
+    # a chain that outlives its table still goes down, making each new
+    # group afresh; while the table lives, groups are shared by fixers
+    top = dihedral_quandle(3).stabiliser(range(3))
+    assert top.groups() is None
+    below = top.child(0)
+    assert below.fixers == (0,) and below.representatives(range(3)) == (0, 1)
+    r3 = dihedral_quandle(3)
+    assert r3.stabiliser((0, 1)).child(0) is r3.stabiliser(range(3)).child(0) is not None
 
 
 def test_chain_reaches_fewer_leaves_than_colourings():

@@ -172,6 +172,24 @@ def test_the_diagram_refuses_a_bad_sign_valence_or_direction():
     assert Crossing(0, 0, 0, 2) == (0, 0, 0, 2)
 
 
+def test_crossings_given_as_plain_tuples_become_crossing_records():
+    trefoil = Diagram(3, ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1)), ())
+    assert all(type(c) is Crossing for c in trefoil.crossings)
+    assert trefoil == diagram("trefoil")
+    assert parse_diagram(serialize_diagram(trefoil)) == trefoil
+    with pytest.raises(diagrams.InapplicableMoveError, match="not a kink"):
+        apply_move(trefoil, MoveSpec("r1_delete", 0))
+    # the trefoil with a kink, written as plain tuples, loses it again
+    kinked = apply_move(trefoil, MoveSpec("r1_insert", 0)).diagram
+    plain = Diagram(kinked.arc_count, tuple(map(tuple, kinked.crossings)), ())
+    assert plain == kinked
+    assert apply_move(plain, MoveSpec("r1_delete", 3)).diagram == trefoil
+    # a Crossing record passes as it is
+    assert Diagram(3, trefoil.crossings, ()).crossings[0] is trefoil.crossings[0]
+    with pytest.raises(TypeError):
+        Diagram(3, ((0, 1, 2),), ())
+
+
 def reversed_strand(d, a):
     work = diagrams._Work(d)
     work.reverse_strand(a)

@@ -1,6 +1,7 @@
 """The counting engine on its own, and diagrams of a thousand arcs or more
 counted through it under the default recursion limit."""
 
+import heapq
 import itertools
 import math
 import sys
@@ -12,14 +13,16 @@ from test_acceptance import Timer
 
 from quandlekit.coloring import ColouringContext, brute_force_count, count_colourings
 from quandlekit.diagrams import Crossing, Diagram
-from quandlekit.fixtures import diagram, system
+from quandlekit.fixtures import diagram, list_diagrams, system
 from quandlekit.invariants import group_hom_count, wirtinger_presentation
+from quandlekit.moves import random_diagram
 from quandlekit.solve import Problem
 from quandlekit.systems import g_family_system, quandle_system
 from quandlekit.tables import (
     OperationTable,
     conjugation_quandle,
     dihedral_quandle,
+    hom_count,
     symmetric_group,
     trivial_quandle,
 )
@@ -383,3 +386,177 @@ def test_longer_closed_braids_by_the_one_point_family_over_s5():
     # 1,745,750 values tried
     with Timer(5.0):
         assert count_colourings(closed_braid(*words[0]), data) == 7440
+
+
+# ---------------------------------------------------------------------------
+# the search against the one it replaced, which resumed a generator per
+# value tried and per leaf, called ``Problem._replay`` per value, and
+# picked branch variables from a lazy heap over every variable, kept as
+# it was with the Problem passed as ``self``.  The two must agree on every
+# yield, in order, every count and all five counters
+
+
+def reference_count(self, symmetry=None, keep=None):
+    free = () if keep is not None else tuple(v for v, s in enumerate(self.slots) if not s)
+    factor = self.m ** len(free)
+    if symmetry is None or len(free) == self.n:
+        leaves = reference_solutions(self, None, free)
+        return factor * sum(1 for s in leaves if keep is None or keep(s))
+    table, ys = symmetry
+    leaves = reference_solutions(self, table.stabiliser(ys), free)
+    return factor * sum(w for w, s in leaves if keep is None or keep(s))
+
+
+def reference_solutions(self, chain=None, skip=()):
+    n, m, replay = self.n, self.m, self._replay
+    val, known = [-1] * n, bytearray(n)
+    # nothing is known, so only a rule of arity 1 can fire (a table
+    # constraint needs its y, any other rule a second variable), and
+    # the rule-watched variables before the first one's fire nothing
+    queue = [v for v in range(self.first_unit, n) if self.rule_watch[v]]
+    seen, steps = self._plan(known, queue)
+    nodes = leaves = tried = self.depth = 0
+    failed = 0 if replay(val, steps) else 1
+    order: list[int] = []
+    # per depth: a table constraint z = x * y on the branch variable y
+    # with x and z known, the source of the only values that can
+    # succeed, its row factors; None to go over every value
+    sources: list[tuple | None] = []
+    plans: list[list[tuple]] = []  # per depth: the steps of a value of its variable
+    if chain is not None and not known[root := self.root_variable()]:
+        order.append(root)
+        sources.append(None)
+    slots, goal, skipped = self.slots, n - len(skip), set(skip)
+    score, pending = [0] * n, [None] * n
+    heap, scored = None, 0  # the first ``scored`` of ``seen`` have raised the scores
+    # per depth: the group of the chain there, None below its end, and
+    # the product of the orbit sizes of the values chosen above it
+    groups, weights = [chain] + [None] * n, [1] * (n + 1)
+    k, arrived = -failed, True  # nothing to search below a refused initial replay
+    while k >= 0:
+        if arrived:
+            arrived = False
+            chained = k and chain is not None
+            if chained:
+                group, w = groups[k - 1], val[order[k - 1]]
+                weights[k] = weights[k - 1] * (1 if group is None else group.weight[w])
+            if k == len(plans) and len(seen) == goal:  # every variable is known
+                leaves += 1
+                self.nodes, self.leaves, self.tried, self.failed = nodes, leaves, tried, failed
+                yield tuple(val) if chain is None else (weights[k], tuple(val))
+                k -= 1
+                continue
+            nodes += 1
+            if chained:
+                groups[k] = group and group.child(w)
+            if k == len(plans):
+                if k == len(order):
+                    if heap is None:  # a lazy max-heap, first needed here
+                        heap = [(0, -slots[v], v) for v in range(n) if v not in skipped]
+                        heapq.heapify(heap)
+                    fresh, scored = seen[scored:], len(seen)
+                    raised = [u for v in fresh for c in self.table_watch[v] for u in c[:3]]
+                    raised += [u for v in fresh for c in self.rule_watch[v] for u in c[0]]
+                    for u in (u for u in raised if not known[u]):
+                        score[u] += 1
+                        heapq.heappush(heap, (-score[u], -slots[u], u))
+                    while known[heap[0][2]] or -heap[0][0] != score[heap[0][2]]:
+                        heapq.heappop(heap)
+                    v = heapq.heappop(heap)[2]
+                    order.append(v)
+                    sources.append(next((
+                        (x, z, op) for x, y, z, _, _, op, _ in self.table_watch[v]
+                        if y == v and known[x] and known[z]), None))
+                v = order[k]
+                known[v] = True
+                fixed, steps = self._plan(known, [v])
+                seen += [v, *fixed]
+                plans.append(steps)
+                self.depth = len(plans)  # per level planned, not per try or leaf
+            source = sources[k]
+            if source is None:
+                candidates = range(m)
+            else:
+                x, z, op = source
+                candidates = op.row_factors(val[x])[val[z]]
+            if groups[k] is not None:
+                candidates = groups[k].representatives(candidates)
+            pending[k] = iter(candidates)
+        w = next(pending[k], -1)
+        if w < 0:
+            k -= 1
+            continue
+        tried += 1
+        val[order[k]] = w
+        if replay(val, plans[k]):
+            k += 1
+            arrived = True
+        else:
+            failed += 1
+    self.nodes, self.leaves, self.tried, self.failed = nodes, leaves, tried, failed
+
+
+def counters(p):
+    return p.nodes, p.leaves, p.tried, p.failed, p.depth
+
+
+def assert_agrees_with_the_reference(p, symmetry=None, keep=None):
+    """The yields of ``solutions``, plain and down the chain of
+    ``symmetry``, with and without the variables in no constraint
+    skipped, and ``count`` with and without ``symmetry`` and ``keep``,
+    each with the counters after it, equal the reference's."""
+    free = tuple(v for v, s in enumerate(p.slots) if not s)
+    chains = [None] if symmetry is None else [None, symmetry[0].stabiliser(symmetry[1])]
+    for chain in chains:
+        for skip in ((), free):
+            want = list(reference_solutions(p, chain, skip)), counters(p)
+            assert (list(p.solutions(chain, skip)), counters(p)) == want
+    for sym in {None, symmetry}:
+        for k in {None, keep}:
+            want = reference_count(p, sym, k), counters(p)
+            assert (p.count(sym, k), counters(p)) == want
+
+
+def distinct(colours):
+    """More than one colour: a keep that every translation respects."""
+    return len(set(colours)) > 1
+
+
+def test_colourings_agree_with_the_reference_search():
+    s4 = symmetric_group(4)
+    s4_point = g_family_system(tuple(trivial_quandle(1) for _ in range(s4.size)), s4)
+    systems = [system(name) for name in ("t3r3z2", "t2t2z2", "s3point", "r3", "broken-tc4")]
+    diagrams = [diagram(name) for name in list_diagrams()]
+    diagrams += [random_diagram(f"ctr:{i}", 3 + i % 9, i % 3) for i in range(60)]
+    for d in diagrams:
+        for data in systems + [S3_POINT, s4_point]:
+            ctx = ColouringContext(d, data)
+            assert_agrees_with_the_reference(ctx, ctx.symmetry(), distinct)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_problems_agree_with_the_reference_search(problem):
+    # the dihedral chain need not be a symmetry of these constraints, nor
+    # the keep respect it: both searches go down it alike all the same
+    p, _ = problem
+    assert_agrees_with_the_reference(p, (dihedral_quandle(p.m), range(p.m)), lambda s: s[0] != s[-1])
+
+
+def test_table_homs_agree_with_the_reference_count(monkeypatch):
+    count, checked = Problem.count, []
+
+    def checking(self, symmetry=None, keep=None):
+        want = reference_count(self, symmetry, keep), counters(self)
+        got = count(self, symmetry, keep), counters(self)
+        assert got == want
+        checked.append(got)
+        return got[0]
+
+    monkeypatch.setattr(Problem, "count", checking)
+    s3 = conjugation_quandle(S3)
+    for source in (trivial_quandle(3), dihedral_quandle(3), dihedral_quandle(5), s3):
+        for target in (dihedral_quandle(3), dihedral_quandle(5), s3, trivial_quandle(2)):
+            for onto in (False, True):
+                hom_count(source, target, onto)
+    assert len(checked) == 32 and any(leaves for _, (_, leaves, *_) in checked)
